@@ -20,8 +20,6 @@ from repro.cluster.power import NodePowerModel, e5_2670_node
 from repro.cluster.topology import Cage, Interconnect
 from repro.errors import ConfigurationError
 from repro.events.engine import Simulator
-from repro.legacy import UNSET as _UNSET
-from repro.legacy import merge_legacy_positionals as _merge_legacy_positionals
 from repro.power.meter import CageMonitor
 from repro.power.signal import PowerSignal
 from repro.power.trace import PowerTrace
@@ -57,70 +55,15 @@ class ComputeCluster:
     def __init__(
         self,
         sim: Simulator,
-        *legacy,
-        config=None,
-        n_nodes=_UNSET,
-        node_model=_UNSET,
-        cores_per_socket=_UNSET,
-        nodes_per_cage=_UNSET,
-        interconnect=_UNSET,
-        phase_profile=_UNSET,
-        name=_UNSET,
+        *,
+        n_nodes: int,
+        node_model: Optional[NodePowerModel] = None,
+        cores_per_socket: int = 8,
+        nodes_per_cage: int = CageMonitor.NODES_PER_CAGE,
+        interconnect: Optional[Interconnect] = None,
+        phase_profile: Optional[PhaseProfile] = None,
+        name: str = "cluster",
     ) -> None:
-        """Build a cluster from keywords and/or a frozen scenario sub-config.
-
-        ``config`` is a duck-typed
-        :class:`repro.scenario.schema.ClusterConfig` (attributes ``nodes``,
-        ``cores_per_socket``, ``nodes_per_cage``, ``name``); explicit
-        keywords override it.  Positional arguments after ``sim`` are
-        deprecated (warn-once) — see ``docs/MIGRATION.md``.
-        """
-        values = {
-            "n_nodes": n_nodes,
-            "node_model": node_model,
-            "cores_per_socket": cores_per_socket,
-            "nodes_per_cage": nodes_per_cage,
-            "interconnect": interconnect,
-            "phase_profile": phase_profile,
-            "name": name,
-        }
-        if legacy:
-            _merge_legacy_positionals(
-                "ComputeCluster(sim, ...)",
-                values,
-                legacy,
-                "keyword arguments or config=ClusterConfig(...)",
-            )
-        if config is not None:
-            for key, attr in (
-                ("n_nodes", "nodes"),
-                ("cores_per_socket", "cores_per_socket"),
-                ("nodes_per_cage", "nodes_per_cage"),
-                ("name", "name"),
-            ):
-                if values[key] is _UNSET:
-                    values[key] = getattr(config, attr)
-        if values["n_nodes"] is _UNSET:
-            raise ConfigurationError(
-                "ComputeCluster needs n_nodes= (or config=ClusterConfig(...))"
-            )
-        n_nodes = values["n_nodes"]
-        node_model = None if values["node_model"] is _UNSET else values["node_model"]
-        cores_per_socket = (
-            8 if values["cores_per_socket"] is _UNSET else values["cores_per_socket"]
-        )
-        nodes_per_cage = (
-            CageMonitor.NODES_PER_CAGE
-            if values["nodes_per_cage"] is _UNSET
-            else values["nodes_per_cage"]
-        )
-        interconnect = (
-            None if values["interconnect"] is _UNSET else values["interconnect"]
-        )
-        phase_profile = (
-            None if values["phase_profile"] is _UNSET else values["phase_profile"]
-        )
-        name = "cluster" if values["name"] is _UNSET else values["name"]
         if n_nodes < 1:
             raise ConfigurationError(f"cluster needs >= 1 node, got {n_nodes}")
         if nodes_per_cage < 1:

@@ -16,8 +16,7 @@ storage_vs_rate`, :meth:`~WhatIfAnalyzer.energy_vs_rate`,
 :meth:`~WhatIfAnalyzer.failure_aware_sweep`) is keyword-only and returns
 typed, sequence-like results whose ``to_dict()`` carries the same
 ``schema_version`` as the obs manifests.  Rows stay tuple-unpackable
-(``for h, insitu, post in ...``) so paper-style printing is unchanged;
-positional calls still work through a ``DeprecationWarning`` shim.
+(``for h, insitu, post in ...``) so paper-style printing is unchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from typing import NamedTuple, Optional, Sequence
 
 from repro.core.model import PipelinePredictor, Prediction
 from repro.errors import ConfigurationError, ModelError
-from repro.exec.api import warn_legacy
 from repro.faults.model import FailureModel
 from repro.obs.manifest import SCHEMA_VERSION
 from repro.paper import TIMESTEP_SECONDS
@@ -239,51 +237,17 @@ class WhatIfAnalyzer:
 
     # ----------------------------------------------------------------- sweeps
 
-    @staticmethod
-    def _legacy_positional(
-        api: str, args: tuple, names: Sequence[str], provided: dict
-    ) -> dict:
-        """Map a legacy positional call onto keywords, warning once."""
-        if not args:
-            return provided
-        if len(args) > len(names):
-            raise TypeError(
-                f"{api} takes at most {len(names)} positional argument(s), "
-                f"got {len(args)}"
-            )
-        warn_legacy(
-            f"WhatIfAnalyzer.{api} with positional arguments",
-            f"WhatIfAnalyzer.{api}(" + ", ".join(f"{n}=..." for n in names[: len(args)]) + ")",
-        )
-        merged = dict(provided)
-        for name, value in zip(names, args):
-            if merged.get(name) is not None:
-                raise TypeError(f"{api} got multiple values for argument {name!r}")
-            merged[name] = value
-        return merged
-
     def sweep(
         self,
-        *args: object,
-        intervals_hours: Optional[Sequence[float]] = None,
+        *,
+        intervals_hours: Sequence[float],
         duration_seconds: Optional[float] = None,
     ) -> SweepResult:
         """Predict both pipelines at each cadence for a campaign length.
 
-        Keyword-only; positional calls are deprecated (shimmed with a
-        warning).  Returns a :class:`SweepResult` — iterate it like the old
+        Returns a :class:`SweepResult` — iterate it like a
         ``list[SweepRow]``, or serialize with ``to_dict()``.
         """
-        params = self._legacy_positional(
-            "sweep",
-            args,
-            ("intervals_hours", "duration_seconds"),
-            {"intervals_hours": intervals_hours, "duration_seconds": duration_seconds},
-        )
-        intervals_hours = params["intervals_hours"]
-        duration_seconds = params["duration_seconds"]
-        if intervals_hours is None:
-            raise TypeError("sweep() missing required keyword argument 'intervals_hours'")
         iters = (
             None if duration_seconds is None else self.iterations_for(duration_seconds)
         )
@@ -299,59 +263,29 @@ class WhatIfAnalyzer:
         return SweepResult(rows=tuple(rows), duration_seconds=duration_seconds)
 
     def storage_vs_rate(
-        self,
-        *args: object,
-        intervals_hours: Optional[Sequence[float]] = None,
-        duration_seconds: Optional[float] = None,
+        self, *, intervals_hours: Sequence[float], duration_seconds: float
     ) -> RateSweepResult:
         """Fig. 9 rows: ``(interval_hours, insitu_gb, post_gb)``."""
-        params = self._legacy_positional(
-            "storage_vs_rate",
-            args,
-            ("intervals_hours", "duration_seconds"),
-            {"intervals_hours": intervals_hours, "duration_seconds": duration_seconds},
-        )
-        if params["intervals_hours"] is None or params["duration_seconds"] is None:
-            raise TypeError(
-                "storage_vs_rate() requires keyword arguments "
-                "'intervals_hours' and 'duration_seconds'"
-            )
         rows = tuple(
             StorageRateRow(r.interval_hours, r.insitu.s_io_gb, r.post.s_io_gb)
             for r in self.sweep(
-                intervals_hours=params["intervals_hours"],
-                duration_seconds=params["duration_seconds"],
+                intervals_hours=intervals_hours, duration_seconds=duration_seconds
             )
         )
         return RateSweepResult(
             kind="storage-vs-rate",
             columns=("interval_hours", "insitu_gb", "post_gb"),
             rows=rows,
-            duration_seconds=float(params["duration_seconds"]),
+            duration_seconds=float(duration_seconds),
         )
 
     def energy_vs_rate(
-        self,
-        *args: object,
-        intervals_hours: Optional[Sequence[float]] = None,
-        duration_seconds: Optional[float] = None,
+        self, *, intervals_hours: Sequence[float], duration_seconds: float
     ) -> RateSweepResult:
         """Fig. 10 rows: ``(interval_hours, insitu_joules, post_joules)``."""
-        params = self._legacy_positional(
-            "energy_vs_rate",
-            args,
-            ("intervals_hours", "duration_seconds"),
-            {"intervals_hours": intervals_hours, "duration_seconds": duration_seconds},
-        )
-        if params["intervals_hours"] is None or params["duration_seconds"] is None:
-            raise TypeError(
-                "energy_vs_rate() requires keyword arguments "
-                "'intervals_hours' and 'duration_seconds'"
-            )
         rows = []
         for r in self.sweep(
-            intervals_hours=params["intervals_hours"],
-            duration_seconds=params["duration_seconds"],
+            intervals_hours=intervals_hours, duration_seconds=duration_seconds
         ):
             if r.insitu.energy is None or r.post.energy is None:
                 raise ModelError("predictors lack power; energy sweep unavailable")
@@ -360,7 +294,7 @@ class WhatIfAnalyzer:
             kind="energy-vs-rate",
             columns=("interval_hours", "insitu_joules", "post_joules"),
             rows=tuple(rows),
-            duration_seconds=float(params["duration_seconds"]),
+            duration_seconds=float(duration_seconds),
         )
 
     def energy_savings(self, interval_hours: float, duration_seconds: float) -> float:
@@ -372,11 +306,11 @@ class WhatIfAnalyzer:
 
     def failure_aware_sweep(
         self,
-        *args: object,
-        intervals_hours: Optional[Sequence[float]] = None,
-        duration_seconds: Optional[float] = None,
-        mtbf_hours: Optional[float] = None,
-        checkpoint_write_seconds: Optional[float] = None,
+        *,
+        intervals_hours: Sequence[float],
+        duration_seconds: float,
+        mtbf_hours: float,
+        checkpoint_write_seconds: float,
         restart_seconds: float = 30.0,
         checkpoint_interval_seconds: Optional[float] = None,
     ) -> FailureSweepResult:
@@ -388,51 +322,6 @@ class WhatIfAnalyzer:
         to recover from.  The checkpoint interval defaults to Daly's
         optimum ``sqrt(2 * delta * MTBF)`` per cadence.
         """
-        params = self._legacy_positional(
-            "failure_aware_sweep",
-            args,
-            (
-                "intervals_hours",
-                "duration_seconds",
-                "mtbf_hours",
-                "checkpoint_write_seconds",
-                "restart_seconds",
-                "checkpoint_interval_seconds",
-            ),
-            {
-                "intervals_hours": intervals_hours,
-                "duration_seconds": duration_seconds,
-                "mtbf_hours": mtbf_hours,
-                "checkpoint_write_seconds": checkpoint_write_seconds,
-                "restart_seconds": None if args else restart_seconds,
-                "checkpoint_interval_seconds": checkpoint_interval_seconds,
-            },
-        )
-        intervals_hours = params["intervals_hours"]
-        duration_seconds = params["duration_seconds"]
-        mtbf_hours = params["mtbf_hours"]
-        checkpoint_write_seconds = params["checkpoint_write_seconds"]
-        restart_seconds = (
-            restart_seconds
-            if params["restart_seconds"] is None
-            else params["restart_seconds"]
-        )
-        checkpoint_interval_seconds = params["checkpoint_interval_seconds"]
-        missing = [
-            name
-            for name in (
-                "intervals_hours",
-                "duration_seconds",
-                "mtbf_hours",
-                "checkpoint_write_seconds",
-            )
-            if params[name] is None
-        ]
-        if missing:
-            raise TypeError(
-                "failure_aware_sweep() missing required keyword "
-                f"argument(s): {', '.join(missing)}"
-            )
         if mtbf_hours <= 0:
             raise ModelError(f"MTBF must be positive: {mtbf_hours}")
         model = FailureModel(

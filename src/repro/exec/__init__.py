@@ -3,8 +3,7 @@
 One unified API for running pipelines — :class:`RunRequest` in,
 :class:`RunResult` out — behind three interchangeable execution strategies:
 inline, fanned out over a process pool (bit-identical to serial), or
-replayed from a content-addressed on-disk cache.  See ``docs/MIGRATION.md``
-for the mapping from the legacy ``platform.run(...)`` entry points.
+replayed from a content-addressed on-disk cache.
 """
 
 from repro.exec.api import (
@@ -14,8 +13,6 @@ from repro.exec.api import (
     RunResult,
     build_pipeline,
     pipeline_factories,
-    reset_legacy_warnings,
-    warn_legacy,
 )
 from repro.exec.cache import QUARANTINE_DIRNAME, DiskCache, default_code_version
 from repro.exec.engine import ExecutionEngine, execute_request
@@ -64,6 +61,4 @@ __all__ = [
     "load_history",
     "pipeline_factories",
     "render_history",
-    "reset_legacy_warnings",
-    "warn_legacy",
 ]

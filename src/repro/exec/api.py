@@ -15,18 +15,12 @@ config objects.  That buys three properties at once:
 * **provenance** — the same dict lands verbatim in the
   :class:`~repro.obs.manifest.RunManifest`, versioned by the shared
   :data:`~repro.obs.manifest.SCHEMA_VERSION`.
-
-The legacy entry points (``SimulatedPlatform.run`` / ``RealPlatform.run``
-and the positional ``WhatIfAnalyzer`` sweep family) survive as thin shims
-that route through here and raise a :class:`DeprecationWarning` once per
-call signature — see :func:`warn_legacy`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
@@ -47,37 +41,12 @@ __all__ = [
     "RunResult",
     "build_pipeline",
     "pipeline_factories",
-    "reset_legacy_warnings",
-    "warn_legacy",
 ]
 
 MODE_SIMULATED = "simulated"
 MODE_REAL = "real"
 
 _MODES = (MODE_SIMULATED, MODE_REAL)
-
-
-# --------------------------------------------------------------- deprecation
-
-#: Legacy signatures already warned about this process (warn once per API).
-_WARNED: set = set()
-
-
-def warn_legacy(api: str, replacement: str) -> None:
-    """Emit one ``DeprecationWarning`` per legacy API per process."""
-    if api in _WARNED:
-        return
-    _WARNED.add(api)
-    warnings.warn(
-        f"{api} is deprecated; use {replacement} instead (see docs/MIGRATION.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_legacy_warnings() -> None:
-    """Forget which legacy APIs already warned (test isolation hook)."""
-    _WARNED.clear()
 
 
 # ------------------------------------------------------------- serialization

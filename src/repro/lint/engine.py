@@ -268,12 +268,14 @@ class LintRunner:
     def _unused_suppressions(self, ctx: FileContext) -> List[Finding]:
         """``unused-suppression`` findings for comments that matched nothing.
 
-        Only rule ids the current run actually executed are judged — a
+        An id that no registered rule has is always stale.  Otherwise only
+        rule ids the current run actually executed are judged — a
         ``--select`` that excludes a rule cannot prove its suppressions
         stale.  ``disable=all`` counts as used when *any* finding was
         suppressed in its scope.
         """
         active = {rule.id for rule in self.rules} | {PARSE_ERROR}
+        known = active | set(registered_rules())
         out: List[Finding] = []
         for lineno, ids, file_level in ctx.suppression_comments:
             if file_level:
@@ -281,20 +283,21 @@ class LintRunner:
             else:
                 used = ctx.used_line_suppressions.get(lineno, set())
             for rule_id in sorted(ids):
+                problem = "matched no finding"
                 if rule_id == ALL_RULES:
                     if used:
                         continue
-                elif rule_id not in active:
-                    continue
-                elif rule_id in used:
+                elif rule_id not in known:
+                    problem = "names no registered rule"
+                elif rule_id not in active or rule_id in used:
                     continue
                 scope = "file-level" if file_level else "line"
                 out.append(
                     Finding(
                         path=str(ctx.path), line=lineno, col=1,
                         rule=UNUSED_SUPPRESSION,
-                        message=f"{scope} suppression of `{rule_id}` matched "
-                        "no finding; remove the stale comment",
+                        message=f"{scope} suppression of `{rule_id}` {problem}; "
+                        "remove the stale comment",
                     )
                 )
         return out

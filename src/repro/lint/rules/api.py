@@ -1,5 +1,4 @@
-"""API-hygiene rules: mutable defaults, bare excepts, ``__all__`` checks,
-and calls into deprecated (shimmed) legacy signatures."""
+"""API-hygiene rules: mutable defaults, bare excepts and ``__all__`` checks."""
 
 from __future__ import annotations
 
@@ -9,7 +8,6 @@ from typing import Iterator, List, Optional, Set
 from repro.lint.engine import FileContext, Finding, Rule, register
 
 __all__ = [
-    "ApiDeprecatedRule",
     "BareExceptRule",
     "MissingAllRule",
     "MutableDefaultRule",
@@ -176,110 +174,6 @@ def _target_names(target: ast.expr) -> Set[str]:
             out |= _target_names(element)
         return out
     return set()
-
-
-#: Sweep-family methods that went keyword-only in the exec API redesign.
-_KEYWORD_ONLY_SWEEPS = {
-    "sweep",
-    "storage_vs_rate",
-    "energy_vs_rate",
-    "failure_aware_sweep",
-}
-
-#: Builders that went keyword-only in the scenario API redesign, mapped to
-#: the number of positional arguments their modern spelling still takes
-#: (the leading ``sim``/``workdir``-style anchors).  Anything beyond that
-#: hits the warn-once legacy shim.
-_KEYWORD_ONLY_BUILDERS = {
-    "ComputeCluster": 1,
-    "StorageCluster": 1,
-    "LustreFileSystem": 1,
-    "SimulatedPlatform": 0,
-    "RealPlatform": 1,
-    "InTransitPipeline": 0,
-}
-
-
-def _looks_like_pipeline(arg: ast.expr) -> bool:
-    """Does this expression plausibly evaluate to a Pipeline instance?"""
-    if isinstance(arg, ast.Call):
-        func = arg.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else ""
-        )
-        return name.endswith("Pipeline")
-    if isinstance(arg, ast.Name):
-        return arg.id == "pipeline" or arg.id.endswith("_pipeline")
-    if isinstance(arg, ast.Attribute):
-        return arg.attr == "pipeline" or arg.attr.endswith("_pipeline")
-    return False
-
-
-@register
-class ApiDeprecatedRule(Rule):
-    """Calls into legacy signatures now served by deprecation shims."""
-
-    id = "api-deprecated"
-    summary = ("call uses a shimmed legacy signature; migrate to "
-               "Pipeline.execute(RunRequest) / keyword-only sweeps")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        """Everywhere except the shims themselves (they ARE the legacy API)."""
-        return not (
-            ctx.posix.endswith("/repro/pipelines/platform.py")
-            or ctx.posix.endswith("/repro/core/whatif.py")
-            or ctx.posix.endswith("/repro/exec/api.py")
-            or ctx.posix.endswith("/repro/cluster/machine.py")
-            or ctx.posix.endswith("/repro/storage/lustre.py")
-            or ctx.posix.endswith("/repro/pipelines/intransit.py")
-            or ctx.posix.endswith("/repro/legacy.py")
-        )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        """Flag ``platform.run(pipeline, ...)``, positional sweep calls and
-        positional builder construction."""
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            builder = (
-                func.id if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute)
-                else None
-            )
-            if builder in _KEYWORD_ONLY_BUILDERS:
-                allowed = _KEYWORD_ONLY_BUILDERS[builder]
-                if len(node.args) > allowed or any(
-                    isinstance(a, ast.Starred) for a in node.args
-                ):
-                    yield ctx.finding(
-                        self.id, node,
-                        f"positional arguments to {builder}(...) hit the "
-                        "warn-once legacy shim; pass keywords or "
-                        "config=<scenario sub-config> (see docs/MIGRATION.md)",
-                    )
-                continue
-            if not isinstance(func, ast.Attribute):
-                continue
-            if func.attr == "run":
-                keyword_names = {k.arg for k in node.keywords}
-                first = node.args[0] if node.args else None
-                if (first is not None and _looks_like_pipeline(first)) or (
-                    keyword_names & {"pipeline", "faults", "checkpoints"}
-                ):
-                    yield ctx.finding(
-                        self.id, node,
-                        "platform.run(pipeline, ...) is a deprecation shim; "
-                        "use Pipeline.execute(RunRequest(...)) "
-                        "(see docs/MIGRATION.md)",
-                    )
-            elif func.attr in _KEYWORD_ONLY_SWEEPS and node.args:
-                yield ctx.finding(
-                    self.id, node,
-                    f"positional arguments to .{func.attr}(...) hit the "
-                    "deprecation shim; pass intervals_hours=/duration_seconds= "
-                    "as keywords (see docs/MIGRATION.md)",
-                )
 
 
 @register

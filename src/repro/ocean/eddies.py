@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from repro.errors import ConfigurationError
 from repro.ocean.okubo_weiss import DEFAULT_THRESHOLD_FACTOR, okubo_weiss_threshold
@@ -164,6 +163,11 @@ def detect_eddies(
         raise ConfigurationError(f"min_cells must be >= 1, got {min_cells}")
     cut = okubo_weiss_threshold(w, threshold_factor) if threshold is None else float(threshold)
     mask = w < cut
+    # Imported here, not at module level: importing scipy.ndimage rewrites
+    # the docstring of every function it exports, which is a large share of
+    # CLI start-up, and only eddy detection needs it.
+    from scipy import ndimage
+
     labels, n = ndimage.label(mask)
     if periodic:
         labels = _merge_periodic_labels(labels, n)

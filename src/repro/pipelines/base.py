@@ -110,8 +110,7 @@ class Pipeline(ABC):
         are what make runs pure functions of the request, hence cacheable
         and pool-safe), real requests run the miniature version in
         ``request.workdir``.  ``None`` means "this pipeline with every
-        default": ``pipeline.execute()`` is the new spelling of the old
-        ``platform.run(pipeline, PipelineSpec())``.
+        default".
         """
         from repro.exec.api import RunRequest
 

@@ -32,8 +32,6 @@ from repro import obs
 from repro.core.metrics import Measurement, PhaseTimeline
 from repro.errors import ConfigurationError
 from repro.events.resources import Store
-from repro.legacy import UNSET as _UNSET
-from repro.legacy import merge_legacy_positionals as _merge_legacy_positionals
 from repro.pipelines.base import Pipeline, PipelineSpec
 from repro.viz.cinema import CinemaDatabase
 from repro.viz.render import render_okubo_weiss
@@ -55,30 +53,7 @@ class InTransitPipeline(Pipeline):
 
     name = IN_TRANSIT
 
-    def __init__(self, *legacy, config=None, n_staging_nodes=_UNSET) -> None:
-        """Build the pipeline (``n_staging_nodes`` is keyword-only).
-
-        ``config`` is a duck-typed
-        :class:`repro.scenario.schema.PipelineConfig` whose
-        ``staging_nodes`` (when set) provides the partition size; an
-        explicit ``n_staging_nodes=`` wins.  The old positional spelling
-        ``InTransitPipeline(15)`` warns once — see ``docs/MIGRATION.md``.
-        """
-        values = {"n_staging_nodes": n_staging_nodes}
-        if legacy:
-            _merge_legacy_positionals(
-                "InTransitPipeline(...)",
-                values,
-                legacy,
-                "InTransitPipeline(n_staging_nodes=...) or config=PipelineConfig(...)",
-            )
-        n_staging_nodes = values["n_staging_nodes"]
-        if n_staging_nodes is _UNSET and config is not None:
-            staged = getattr(config, "staging_nodes", None)
-            if staged is not None:
-                n_staging_nodes = staged
-        if n_staging_nodes is _UNSET:
-            n_staging_nodes = 15
+    def __init__(self, *, n_staging_nodes: int = 15) -> None:
         if n_staging_nodes < 1:
             raise ConfigurationError(
                 f"need at least one staging node, got {n_staging_nodes}"

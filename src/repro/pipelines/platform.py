@@ -30,8 +30,6 @@ from repro.faults.resilience import CheckpointPolicy, ResumeState
 from repro.faults.retry import RetryPolicy
 from repro.faults.spec import FaultSpec
 from repro.io.pio import PIOWriter, SimulatedIOBackend
-from repro.legacy import UNSET as _UNSET
-from repro.legacy import merge_legacy_positionals as _merge_legacy_positionals
 from repro.obs.timeline import (
     DEFAULT_TIMELINE_POINTS,
     TimelineSampler,
@@ -95,48 +93,15 @@ class SimulatedPlatform:
 
     def __init__(
         self,
-        *legacy,
-        cluster=_UNSET,
-        storage=_UNSET,
-        ocean_cost=_UNSET,
-        render_cost=_UNSET,
-        image_size=_UNSET,
-        phase_profile=_UNSET,
-        n_io_aggregators=_UNSET,
+        *,
+        cluster: Optional[ComputeCluster] = None,
+        storage: Optional[StorageCluster] = None,
+        ocean_cost: Optional[OceanCostModel] = None,
+        render_cost: Optional[RenderCostModel] = None,
+        image_size: Optional[ImageSizeModel] = None,
+        phase_profile: Optional[PhaseProfile] = None,
+        n_io_aggregators: int = 8,
     ) -> None:
-        """Assemble the platform (keyword-only; positionals are deprecated).
-
-        The old positional spelling
-        ``SimulatedPlatform(cluster, storage, ...)`` still works and warns
-        once — see ``docs/MIGRATION.md``.
-        """
-        values = {
-            "cluster": cluster,
-            "storage": storage,
-            "ocean_cost": ocean_cost,
-            "render_cost": render_cost,
-            "image_size": image_size,
-            "phase_profile": phase_profile,
-            "n_io_aggregators": n_io_aggregators,
-        }
-        if legacy:
-            _merge_legacy_positionals(
-                "SimulatedPlatform(...)",
-                values,
-                legacy,
-                "keyword arguments (SimulatedPlatform(cluster=..., storage=...))",
-            )
-        cluster = None if values["cluster"] is _UNSET else values["cluster"]
-        storage = None if values["storage"] is _UNSET else values["storage"]
-        ocean_cost = None if values["ocean_cost"] is _UNSET else values["ocean_cost"]
-        render_cost = None if values["render_cost"] is _UNSET else values["render_cost"]
-        image_size = None if values["image_size"] is _UNSET else values["image_size"]
-        phase_profile = (
-            None if values["phase_profile"] is _UNSET else values["phase_profile"]
-        )
-        n_io_aggregators = (
-            8 if values["n_io_aggregators"] is _UNSET else values["n_io_aggregators"]
-        )
         self.sim = cluster.sim if cluster is not None else Simulator()
         self.cluster = cluster if cluster is not None else caddy(self.sim, phase_profile)
         if storage is not None and storage.sim is not self.sim:
@@ -183,27 +148,6 @@ class SimulatedPlatform:
         return per_node_bytes / self.ADAPTOR_COPY_BANDWIDTH
 
     # ------------------------------------------------------------------- run
-
-    def run(
-        self,
-        pipeline: Pipeline,
-        spec: PipelineSpec,
-        faults: Optional[FaultSpec] = None,
-        checkpoints: Optional[CheckpointPolicy] = None,
-    ) -> Measurement:
-        """Deprecated legacy entry point — use :meth:`Pipeline.execute`.
-
-        ``platform.run(pipeline, spec, ...)`` became
-        ``pipeline.execute(RunRequest(spec=spec, faults=..., checkpoints=...),
-        platform=platform)`` — see ``docs/MIGRATION.md``.
-        """
-        from repro.exec.api import warn_legacy
-
-        warn_legacy(
-            "SimulatedPlatform.run(pipeline, spec, ...)",
-            "Pipeline.execute(RunRequest(...))",
-        )
-        return self._execute(pipeline, spec, faults=faults, checkpoints=checkpoints)
 
     def _execute(
         self,
@@ -537,18 +481,7 @@ class RealScale:
 class RealPlatform:
     """The laptop-scale platform: real solver, real renders, real files."""
 
-    def __init__(self, workdir: str, *legacy, scale=_UNSET) -> None:
-        """Build the real platform (``scale`` is keyword-only; the old
-        positional spelling warns once — see ``docs/MIGRATION.md``)."""
-        values = {"scale": scale}
-        if legacy:
-            _merge_legacy_positionals(
-                "RealPlatform(workdir, ...)",
-                values,
-                legacy,
-                "RealPlatform(workdir, scale=...)",
-            )
-        scale = None if values["scale"] is _UNSET else values["scale"]
+    def __init__(self, workdir: str, *, scale: Optional[RealScale] = None) -> None:
         os.makedirs(workdir, exist_ok=True)
         self.workdir = workdir
         self.scale = scale if scale is not None else RealScale()
@@ -579,21 +512,6 @@ class RealPlatform:
         """The mini run's cadence expressed in simulated hours."""
         driver_dt = TIMESTEP_SECONDS  # MiniOceanDriver default timestep
         return self.scale.steps_between_outputs * driver_dt / HOUR
-
-    def run(self, pipeline: Pipeline, spec: Optional[PipelineSpec] = None) -> Measurement:
-        """Deprecated legacy entry point — use :meth:`Pipeline.execute`.
-
-        ``platform.run(pipeline, spec)`` became
-        ``pipeline.execute(RunRequest(mode="real", spec=spec,
-        workdir=...), platform=platform)`` — see ``docs/MIGRATION.md``.
-        """
-        from repro.exec.api import warn_legacy
-
-        warn_legacy(
-            "RealPlatform.run(pipeline, spec)",
-            'Pipeline.execute(RunRequest(mode="real", ...))',
-        )
-        return self._execute(pipeline, spec)
 
     def _execute(self, pipeline: Pipeline, spec: Optional[PipelineSpec] = None) -> Measurement:
         """Run the miniature real version of ``pipeline``."""

@@ -96,10 +96,10 @@ def build_pipelines(scenario: Scenario) -> Optional[Tuple]:
     instances = []
     for entry in scenario.pipelines:
         if entry.kind == "in-transit":
+            kwargs = {}
             if entry.staging_nodes is not None:
-                instances.append(InTransitPipeline(config=entry))
-            else:
-                instances.append(InTransitPipeline())
+                kwargs["n_staging_nodes"] = entry.staging_nodes
+            instances.append(InTransitPipeline(**kwargs))
         elif entry.kind == "in-situ":
             instances.append(InSituPipeline())
         else:
@@ -123,14 +123,28 @@ def build_platform_factory(scenario: Scenario) -> Optional[Callable]:
         from repro.events.engine import Simulator
         from repro.cluster.machine import ComputeCluster
         from repro.pipelines.platform import SimulatedPlatform
-        from repro.storage.lustre import StorageCluster
+        from repro.storage.lustre import LustreFileSystem, StorageCluster
 
         sim = Simulator()
-        cluster = ComputeCluster(sim, config=cluster_config)
-        storage = StorageCluster(sim, config=storage_config)
+        cluster = ComputeCluster(
+            sim,
+            n_nodes=cluster_config.nodes,
+            cores_per_socket=cluster_config.cores_per_socket,
+            nodes_per_cage=cluster_config.nodes_per_cage,
+            name=cluster_config.name,
+        )
+        filesystem = LustreFileSystem(
+            sim,
+            capacity_bytes=storage_config.capacity_bytes,
+            write_bandwidth=storage_config.write_bandwidth,
+            read_bandwidth=storage_config.read_bandwidth,
+            n_mds=storage_config.mds,
+            n_ost=storage_config.ost,
+            metadata_latency=storage_config.metadata_latency_seconds,
+        )
         return SimulatedPlatform(
             cluster=cluster,
-            storage=storage,
+            storage=StorageCluster(sim, filesystem=filesystem),
             n_io_aggregators=storage_config.io_aggregators,
         )
 

@@ -59,7 +59,7 @@ __all__ = [
     "OceanConfig",
     "PipelineConfig",
     "ImagesConfig",
-    "FaultsConfig",
+    "FaultsCampaignConfig",
     "PowerConfig",
     "ExecutionConfig",
     "TelemetryConfig",
@@ -411,10 +411,6 @@ class FaultsCampaignConfig:
             "io_error_rate_per_hour": self.io_error_rate_per_hour,
             "include_unprotected": self.include_unprotected,
         }
-
-
-#: Back-compat alias used throughout the loader/tests.
-FaultsConfig = FaultsCampaignConfig
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,6 @@ from repro import obs
 from repro.errors import ConfigurationError, StorageError, StorageFullError
 from repro.events.engine import Simulator
 from repro.events.resources import BandwidthPipe, Resource
-from repro.legacy import UNSET as _UNSET
-from repro.legacy import merge_legacy_positionals as _merge_legacy_positionals
 from repro.power.meter import MeteredPDU
 from repro.power.signal import PowerSignal
 from repro.storage.devices import OstDevice
@@ -61,72 +59,16 @@ class LustreFileSystem:
     def __init__(
         self,
         sim: Simulator,
-        *legacy,
-        config=None,
-        capacity_bytes=_UNSET,
+        *,
+        capacity_bytes: float = 7.7 * TB,
         # repro-unit: write_bandwidth=bytes_per_s, read_bandwidth=bytes_per_s, metadata_latency=seconds
-        write_bandwidth=_UNSET,
-        read_bandwidth=_UNSET,
-        n_mds=_UNSET,
-        n_ost=_UNSET,
-        metadata_latency=_UNSET,
-        default_stripe_count=_UNSET,
+        write_bandwidth: float = 160 * MB,
+        read_bandwidth: float = 1_000 * MB,
+        n_mds: int = 2,
+        n_ost: int = 8,
+        metadata_latency: float = 1e-3,
+        default_stripe_count: Optional[int] = None,
     ) -> None:
-        """Build a filesystem from keywords and/or a scenario sub-config.
-
-        ``config`` is a duck-typed
-        :class:`repro.scenario.schema.StorageConfig` (attributes
-        ``capacity_bytes``, ``write_bandwidth``, ``read_bandwidth``,
-        ``mds``, ``ost``, ``metadata_latency_seconds``); explicit keywords
-        override it.  Positional arguments after ``sim`` are deprecated
-        (warn-once) — see ``docs/MIGRATION.md``.
-        """
-        values = {
-            "capacity_bytes": capacity_bytes,
-            "write_bandwidth": write_bandwidth,
-            "read_bandwidth": read_bandwidth,
-            "n_mds": n_mds,
-            "n_ost": n_ost,
-            "metadata_latency": metadata_latency,
-            "default_stripe_count": default_stripe_count,
-        }
-        if legacy:
-            _merge_legacy_positionals(
-                "LustreFileSystem(sim, ...)",
-                values,
-                legacy,
-                "keyword arguments or config=StorageConfig(...)",
-            )
-        if config is not None:
-            for key, attr in (
-                ("capacity_bytes", "capacity_bytes"),
-                ("write_bandwidth", "write_bandwidth"),
-                ("read_bandwidth", "read_bandwidth"),
-                ("n_mds", "mds"),
-                ("n_ost", "ost"),
-                ("metadata_latency", "metadata_latency_seconds"),
-            ):
-                if values[key] is _UNSET:
-                    values[key] = getattr(config, attr)
-        capacity_bytes = (
-            7.7 * TB if values["capacity_bytes"] is _UNSET else values["capacity_bytes"]
-        )
-        write_bandwidth = (
-            160 * MB if values["write_bandwidth"] is _UNSET else values["write_bandwidth"]
-        )
-        read_bandwidth = (
-            1_000 * MB if values["read_bandwidth"] is _UNSET else values["read_bandwidth"]
-        )
-        n_mds = 2 if values["n_mds"] is _UNSET else values["n_mds"]
-        n_ost = 8 if values["n_ost"] is _UNSET else values["n_ost"]
-        metadata_latency = (
-            1e-3 if values["metadata_latency"] is _UNSET else values["metadata_latency"]
-        )
-        default_stripe_count = (
-            None
-            if values["default_stripe_count"] is _UNSET
-            else values["default_stripe_count"]
-        )
         if capacity_bytes <= 0:
             raise ConfigurationError(f"capacity must be positive: {capacity_bytes}")
         if write_bandwidth <= 0 or read_bandwidth <= 0:
@@ -411,39 +353,14 @@ class StorageCluster:
     def __init__(
         self,
         sim: Simulator,
-        *legacy,
-        config=None,
-        filesystem=_UNSET,
-        power_model=_UNSET,
-        name=_UNSET,
+        *,
+        filesystem: Optional[LustreFileSystem] = None,
+        power_model: Optional[StoragePowerModel] = None,
+        name: str = "storage",
     ) -> None:
-        """Build a storage rack from keywords and/or a scenario sub-config.
-
-        ``config`` (a duck-typed :class:`repro.scenario.schema.StorageConfig`)
-        shapes the default-built filesystem; an explicit ``filesystem=``
-        wins.  Positional arguments after ``sim`` are deprecated
-        (warn-once) — see ``docs/MIGRATION.md``.
-        """
-        values = {"filesystem": filesystem, "power_model": power_model, "name": name}
-        if legacy:
-            _merge_legacy_positionals(
-                "StorageCluster(sim, ...)",
-                values,
-                legacy,
-                "keyword arguments or config=StorageConfig(...)",
-            )
-        filesystem = None if values["filesystem"] is _UNSET else values["filesystem"]
-        power_model = None if values["power_model"] is _UNSET else values["power_model"]
-        name = "storage" if values["name"] is _UNSET else values["name"]
-        if filesystem is None:
-            filesystem = (
-                LustreFileSystem(sim, config=config)
-                if config is not None
-                else LustreFileSystem(sim)
-            )
         self.sim = sim
         self.name = name
-        self.fs = filesystem
+        self.fs = filesystem if filesystem is not None else LustreFileSystem(sim)
         self.power_model = power_model if power_model is not None else StoragePowerModel(
             rated_bandwidth=self.fs.write_pipe.capacity
         )

@@ -1,17 +1,17 @@
 """Tests for the execution engine: the RunRequest/RunResult API, the
-content-addressed cache, parallel-vs-serial bit-identity, deprecation
-shims, and the ``repro bench`` runner."""
+content-addressed cache, parallel-vs-serial bit-identity, keyword-only
+signatures, and the ``repro bench`` runner."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
-import warnings
 
 import pytest
 
 from repro import obs, paper
+from repro.cluster.machine import ComputeCluster, caddy
 from repro.core.metrics import IN_SITU, POST_PROCESSING
 from repro.core.model import DataModel, PerformanceModel, PipelinePredictor
 from repro.core.whatif import (
@@ -23,13 +23,13 @@ from repro.core.whatif import (
     WhatIfAnalyzer,
 )
 from repro.errors import ConfigurationError
+from repro.events.engine import Simulator
 from repro.exec.api import (
     MODE_REAL,
     RunRequest,
     RunResult,
     build_pipeline,
     pipeline_factories,
-    reset_legacy_warnings,
 )
 from repro.exec.bench import compare_to_baseline, run_bench, write_report
 from repro.exec.cache import QUARANTINE_DIRNAME, DiskCache
@@ -39,10 +39,11 @@ from repro.ocean.driver import MPASOceanConfig
 from repro.pipelines.base import PipelineSpec
 from repro.pipelines.insitu import InSituPipeline
 from repro.pipelines.intransit import InTransitPipeline
-from repro.pipelines.platform import SimulatedPlatform
+from repro.pipelines.platform import RealPlatform, RealScale, SimulatedPlatform
 from repro.pipelines.postprocessing import PostProcessingPipeline
 from repro.pipelines.sampling import SamplingPolicy
-from repro.units import MONTH, years
+from repro.storage.lustre import LustreFileSystem, StorageCluster
+from repro.units import MONTH, TB, years
 
 
 def tiny_spec(hours: float = 72.0) -> PipelineSpec:
@@ -288,32 +289,37 @@ class TestExecutionEngine:
         assert warm.recoveries == cold.recoveries
 
 
-class TestDeprecationShims:
-    def test_simulated_platform_run_warns_once(self):
-        reset_legacy_warnings()
-        spec = tiny_spec()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = SimulatedPlatform().run(InSituPipeline(), spec)  # repro-lint: disable=api-deprecated
-            SimulatedPlatform().run(InSituPipeline(), spec)  # repro-lint: disable=api-deprecated
-        relevant = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(relevant) == 1
-        assert "docs/MIGRATION.md" in str(relevant[0].message)
-        # The shim and the new path produce the identical measurement.
-        modern = InSituPipeline().execute(RunRequest(spec=spec)).measurement
-        assert legacy.to_dict() == modern.to_dict()
+#: One positional call per keyword-only builder and sweep method.  Each
+#: takes a fresh simulator, the analyzer fixture and a scratch directory.
+POSITIONAL_CALLS = {
+    "ComputeCluster": lambda sim, analyzer, tmp: ComputeCluster(sim, 4),
+    "LustreFileSystem": lambda sim, analyzer, tmp: LustreFileSystem(sim, 1 * TB),
+    "StorageCluster": lambda sim, analyzer, tmp: StorageCluster(
+        sim, LustreFileSystem(sim)
+    ),
+    "InTransitPipeline": lambda sim, analyzer, tmp: InTransitPipeline(15),
+    "SimulatedPlatform": lambda sim, analyzer, tmp: SimulatedPlatform(caddy(sim)),
+    "RealPlatform": lambda sim, analyzer, tmp: RealPlatform(str(tmp), RealScale()),
+    "sweep": lambda sim, analyzer, tmp: analyzer.sweep([24.0]),
+    "storage_vs_rate": lambda sim, analyzer, tmp: analyzer.storage_vs_rate(
+        [24.0], years(1)
+    ),
+    "energy_vs_rate": lambda sim, analyzer, tmp: analyzer.energy_vs_rate(
+        [24.0], years(1)
+    ),
+    "failure_aware_sweep": lambda sim, analyzer, tmp: analyzer.failure_aware_sweep(
+        [24.0], years(1), 1_000.0, 60.0
+    ),
+}
 
-    def test_positional_sweep_warns_once_and_matches_keyword(self, analyzer):
-        reset_legacy_warnings()
-        century = years(paper.WHATIF_YEARS)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = analyzer.sweep([24.0], century)  # repro-lint: disable=api-deprecated
-            analyzer.sweep([24.0], century)  # repro-lint: disable=api-deprecated
-        relevant = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(relevant) == 1
-        modern = analyzer.sweep(intervals_hours=[24.0], duration_seconds=century)
-        assert legacy.to_dict() == modern.to_dict()
+
+class TestDeprecationShims:
+    """Builders and sweep methods take their parameters as keywords only."""
+
+    @pytest.mark.parametrize("name", sorted(POSITIONAL_CALLS))
+    def test_positional_call_raises_type_error(self, name, analyzer, tmp_path):
+        with pytest.raises(TypeError, match="positional argument"):
+            POSITIONAL_CALLS[name](Simulator(), analyzer, tmp_path)
 
     def test_missing_keywords_raise_type_error(self, analyzer):
         with pytest.raises(TypeError, match="intervals_hours"):

@@ -839,3 +839,12 @@ class TestUnusedSuppressionRule:
         )
         findings = run_lint([str(target)], select=["bare-except", "unused-suppression"])
         assert findings == []
+
+    def test_unregistered_rule_suppressions_are_flagged(self, tmp_path):
+        # An id no registered rule has can never match, selected or not.
+        target = tmp_path / "mod.py"
+        target.write_text("x = 1  # repro-lint: disable=no-such-rule\n")
+        for select in (None, ["bare-except", "unused-suppression"]):
+            findings = run_lint([str(target)], select=select)
+            assert [f.rule for f in findings] == ["unused-suppression"]
+            assert "names no registered rule" in findings[0].message

@@ -1,7 +1,9 @@
-"""Package-level tests: public API surface, version, example scripts."""
+"""Package-level tests: public API surface, declared dependencies,
+version, example scripts."""
 
 from __future__ import annotations
 
+import ast
 import os
 import py_compile
 import subprocess
@@ -13,6 +15,10 @@ import repro
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
 SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+
+#: Distribution name -> top-level import name, where the two differ.
+IMPORT_NAMES = {"pyyaml": "yaml"}
 
 
 def _example_env() -> dict:
@@ -89,6 +95,33 @@ class TestPublicApi:
                         if callable(attr) and not (attr.__doc__ or "").strip():
                             missing.append(f"{module_name}.{name}.{attr_name}")
         assert not missing, f"undocumented public items: {missing}"
+
+
+def _third_party_imports() -> set:
+    """Top-level modules imported anywhere under ``src/repro`` (function-local
+    imports included) that are neither standard library nor ``repro``."""
+    found = set()
+    for root, _dirs, files in os.walk(os.path.join(SRC_DIR, "repro")):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(root, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    found.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    found.add(node.module.split(".")[0])
+    return {m for m in found if m not in sys.stdlib_module_names and m != "repro"}
+
+
+class TestPackaging:
+    def test_declared_dependencies_match_imports(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(PYPROJECT, "rb") as fh:
+            declared = tomllib.load(fh)["project"]["dependencies"]
+        modules = {IMPORT_NAMES.get(dep, dep) for dep in declared}
+        assert modules == _third_party_imports()
 
 
 class TestExamples:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -296,15 +295,33 @@ class TestBuilders:
         assert build_spec(s) == legacy
 
     def test_custom_topology_builds_platform_factory(self):
+        # Every cluster/storage field is set off its default, so a field the
+        # factory drops on its way to the builders shows up here.
         s = parse_scenario(_minimal(
-            cluster={"nodes": 12, "nodes_per_cage": 4},
-            storage={"ost": 16},
+            cluster={
+                "name": "tiny", "nodes": 12, "cores_per_socket": 4,
+                "nodes_per_cage": 4,
+            },
+            storage={
+                "capacity": 2e12, "write_bandwidth": 2e8, "read_bandwidth": 3e9,
+                "mds": 3, "ost": 16, "metadata_latency": 0.005,
+                "io_aggregators": 4,
+            },
         ))
         factory = build_platform_factory(s)
         platform = factory()
+        assert platform.cluster.name == "tiny"
         assert platform.cluster.n_nodes == 12
+        assert platform.cluster.nodes[0].cores_per_socket == 4
         assert len(platform.cluster.cages) == 3
-        assert len(platform.storage.fs.osts) == 16
+        fs = platform.storage.fs
+        assert fs.capacity_bytes == 2e12
+        assert fs.write_pipe.capacity == 2e8
+        assert fs.read_pipe.capacity == 3e9
+        assert fs.mds.capacity == 3
+        assert len(fs.osts) == 16
+        assert fs.metadata_latency == 0.005
+        assert platform.pio.n_aggregators == 4
 
     def test_pipelines_built_in_declared_order(self):
         s = parse_scenario(_minimal(pipelines=[
@@ -522,113 +539,3 @@ class TestByteIdentity:
         legacy = capsys.readouterr().out
         assert main(["run", str(emitted), "--json"]) == 0
         assert capsys.readouterr().out == legacy
-
-
-class TestKeywordOnlyBuilders:
-    def setup_method(self):
-        from repro.exec.api import reset_legacy_warnings
-
-        reset_legacy_warnings()
-
-    def test_positional_compute_cluster_warns_once(self):
-        from repro.cluster.machine import ComputeCluster
-        from repro.events.engine import Simulator
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            # repro-lint: disable=api-deprecated
-            cluster = ComputeCluster(Simulator(), 20)
-            ComputeCluster(Simulator(), 30)  # repro-lint: disable=api-deprecated
-        assert cluster.n_nodes == 20
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "ComputeCluster" in str(deprecations[0].message)
-
-    def test_positional_intransit_warns(self):
-        from repro.pipelines.intransit import InTransitPipeline
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            pipe = InTransitPipeline(7)  # repro-lint: disable=api-deprecated
-        assert pipe.n_staging_nodes == 7
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-
-    def test_double_assignment_is_type_error(self):
-        from repro.cluster.machine import ComputeCluster
-        from repro.events.engine import Simulator
-
-        with pytest.raises(TypeError, match="multiple values"):
-            # repro-lint: disable=api-deprecated
-            ComputeCluster(Simulator(), 20, n_nodes=30)
-
-    def test_too_many_positionals_is_type_error(self):
-        from repro.pipelines.intransit import InTransitPipeline
-
-        with pytest.raises(TypeError, match="at most"):
-            InTransitPipeline(1, 2)  # repro-lint: disable=api-deprecated
-
-    def test_builders_accept_scenario_sub_configs(self):
-        from repro.cluster.machine import ComputeCluster
-        from repro.events.engine import Simulator
-        from repro.pipelines.intransit import InTransitPipeline
-        from repro.storage.lustre import StorageCluster
-
-        sim = Simulator()
-        cluster = ComputeCluster(
-            sim, config=ClusterConfig(nodes=12, nodes_per_cage=4)
-        )
-        assert cluster.n_nodes == 12 and cluster.name == "caddy"
-        storage = StorageCluster(sim, config=StorageConfig(ost=16, mds=3))
-        assert len(storage.fs.osts) == 16
-        assert storage.fs.mds.capacity == 3
-        pipe = InTransitPipeline(
-            config=PipelineConfig(kind="in-transit", staging_nodes=25)
-        )
-        assert pipe.n_staging_nodes == 25
-
-    def test_explicit_keywords_override_config(self):
-        from repro.cluster.machine import ComputeCluster
-        from repro.events.engine import Simulator
-
-        cluster = ComputeCluster(
-            Simulator(), config=ClusterConfig(nodes=12), n_nodes=9
-        )
-        assert cluster.n_nodes == 9
-
-
-class TestLintRule:
-    def _run(self, tmp_path, source):
-        from repro.lint.engine import LintRunner
-
-        target = tmp_path / "sample.py"
-        target.write_text(source)
-        return LintRunner(select=["api-deprecated"]).run([str(target)])
-
-    def test_positional_builder_flagged(self, tmp_path):
-        findings = self._run(
-            tmp_path,
-            "from repro.pipelines.intransit import InTransitPipeline\n"
-            "p = InTransitPipeline(20)\n",
-        )
-        assert any(f.rule == "api-deprecated" for f in findings)
-
-    def test_keyword_builder_clean(self, tmp_path):
-        findings = self._run(
-            tmp_path,
-            "from repro.pipelines.intransit import InTransitPipeline\n"
-            "p = InTransitPipeline(n_staging_nodes=20)\n"
-            "q = InTransitPipeline(config=cfg)\n",
-        )
-        assert findings == []
-
-    def test_anchor_positionals_allowed(self, tmp_path):
-        findings = self._run(
-            tmp_path,
-            "from repro.cluster.machine import ComputeCluster\n"
-            "c = ComputeCluster(sim, n_nodes=10)\n",
-        )
-        assert findings == []
