@@ -4,16 +4,18 @@ The paper runs whole-machine ("we ran our test application on the entire
 cluster"), but the in-transit extension and co-scheduling studies need to
 split the machine into named, non-overlapping partitions.  The
 :class:`Allocator` hands out :class:`Partition` objects, enforces
-exclusivity, and reports per-partition power.
+exclusivity, and reports per-partition power.  A partition is a list of
+node groups; carving one out is the only place a group splits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 from repro.cluster.machine import ComputeCluster
-from repro.cluster.node import Node
+from repro.cluster.node import NodeGroup, per_node
 from repro.errors import ConfigurationError, ResourceError
 
 __all__ = ["Partition", "Allocator"]
@@ -21,16 +23,22 @@ __all__ = ["Partition", "Allocator"]
 
 @dataclass
 class Partition:
-    """A named, exclusive set of nodes."""
+    """A named, exclusive set of node groups."""
 
     name: str
-    nodes: list[Node]
+    cluster: ComputeCluster = field(repr=False)
+    groups: list[NodeGroup]
     _released: bool = field(default=False, repr=False)
 
     @property
     def n_nodes(self) -> int:
         """Node count of the partition."""
-        return len(self.nodes)
+        return sum(g.count for g in self.groups)
+
+    @property
+    def nodes(self) -> list[NodeGroup]:
+        """The group of each member node, in node order."""
+        return [g for g in self.groups for _ in g.node_ids]
 
     @property
     def released(self) -> bool:
@@ -40,17 +48,16 @@ class Partition:
     @property
     def current_power(self) -> float:
         """Instantaneous power of this partition's nodes (watts)."""
-        return sum(n.current_power for n in self.nodes)
+        return sum(per_node(self.groups, attrgetter("current_power")))
 
     def set_utilization(self, utilization: float) -> None:
         """Drive every node of the partition to ``utilization``."""
         if self._released:
             raise ResourceError(f"partition {self.name!r} was already released")
-        for node in self.nodes:
-            node.set_utilization(utilization)
+        self.cluster.set_utilization(utilization, self.groups)
 
-    def __contains__(self, node: Node) -> bool:
-        return any(n is node for n in self.nodes)
+    def __contains__(self, group: NodeGroup) -> bool:
+        return any(g is group for g in self.groups)
 
 
 class Allocator:
@@ -58,13 +65,13 @@ class Allocator:
 
     def __init__(self, cluster: ComputeCluster) -> None:
         self.cluster = cluster
-        self._free: list[Node] = list(cluster.nodes)
+        self._free: list[NodeGroup] = list(cluster.groups)
         self._partitions: dict[str, Partition] = {}
 
     @property
     def free_nodes(self) -> int:
         """Nodes not currently in any partition."""
-        return len(self._free)
+        return sum(g.count for g in self._free)
 
     @property
     def partitions(self) -> list[Partition]:
@@ -72,19 +79,29 @@ class Allocator:
         return list(self._partitions.values())
 
     def allocate(self, name: str, n_nodes: int) -> Partition:
-        """Carve out ``n_nodes`` free nodes as a named partition."""
+        """Carve out ``n_nodes`` free nodes as a named partition.
+
+        Nodes are taken from the front of the free pool; a group that
+        straddles the boundary is split, the remainder staying free.
+        """
         if not name:
             raise ConfigurationError("partition name must be non-empty")
         if name in self._partitions:
             raise ConfigurationError(f"partition {name!r} already exists")
         if n_nodes < 1:
             raise ConfigurationError(f"need >= 1 node, got {n_nodes}")
-        if n_nodes > len(self._free):
+        if n_nodes > self.free_nodes:
             raise ResourceError(
-                f"requested {n_nodes} nodes but only {len(self._free)} are free"
+                f"requested {n_nodes} nodes but only {self.free_nodes} are free"
             )
-        taken, self._free = self._free[:n_nodes], self._free[n_nodes:]
-        partition = Partition(name=name, nodes=taken)
+        taken: list[NodeGroup] = []
+        while n_nodes:
+            group = self._free.pop(0)
+            if group.count > n_nodes:
+                self._free.insert(0, self.cluster.split(group, n_nodes))
+            taken.append(group)
+            n_nodes -= group.count
+        partition = Partition(name=name, cluster=self.cluster, groups=taken)
         self._partitions[name] = partition
         return partition
 
@@ -104,7 +121,7 @@ class Allocator:
             partition.set_utilization(0.0)
         partition._released = True
         del self._partitions[partition.name]
-        self._free.extend(partition.nodes)
+        self._free.extend(partition.groups)
 
     def get(self, name: str) -> Optional[Partition]:
         """Look up a live partition by name."""

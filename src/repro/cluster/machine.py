@@ -12,16 +12,17 @@ ablate them (e.g. "what if MPI blocked instead of polling?").
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Generator, Iterable, Optional
 
-from repro.cluster.node import Node
+from repro.cluster.node import NodeGroup, per_node
 from repro.cluster.power import NodePowerModel, e5_2670_node
-from repro.cluster.topology import Cage, Interconnect
+from repro.cluster.topology import Interconnect
 from repro.errors import ConfigurationError
 from repro.events.engine import Simulator
 from repro.power.meter import CageMonitor
-from repro.power.signal import PowerSignal
 from repro.power.trace import PowerTrace
 
 __all__ = ["PhaseProfile", "ComputeCluster", "caddy"]
@@ -50,7 +51,14 @@ class PhaseProfile:
 
 
 class ComputeCluster:
-    """A simulated compute cluster: nodes in cages plus an interconnect."""
+    """A simulated compute cluster: node groups in cages plus an interconnect.
+
+    ``groups`` lists the node groups in node-id order.  They start as one
+    group, and only an :class:`~repro.cluster.allocation.Allocator`
+    partition splits one (:meth:`split`).  ``nodes[i]`` is the group of
+    node ``i``.  ``cages`` are ranges of node ids; ``monitors[c]`` meters
+    cage ``c`` by attaching each node's group signal.
+    """
 
     def __init__(
         self,
@@ -66,33 +74,40 @@ class ComputeCluster:
     ) -> None:
         if n_nodes < 1:
             raise ConfigurationError(f"cluster needs >= 1 node, got {n_nodes}")
-        if nodes_per_cage < 1:
-            raise ConfigurationError(f"nodes_per_cage must be >= 1, got {nodes_per_cage}")
+        if not 1 <= nodes_per_cage <= CageMonitor.NODES_PER_CAGE:
+            raise ConfigurationError(
+                f"nodes_per_cage must be in [1, {CageMonitor.NODES_PER_CAGE}], "
+                f"got {nodes_per_cage}"
+            )
         self.sim = sim
         self.name = name
         model = node_model if node_model is not None else e5_2670_node()
         self.node_model = model
-        self.nodes = [
-            Node(sim, i, model, cores_per_socket=cores_per_socket) for i in range(n_nodes)
+        self.n_nodes = n_nodes
+        self.groups = [
+            NodeGroup(sim, 0, model, count=n_nodes, cores_per_socket=cores_per_socket)
         ]
         self.cages = [
-            Cage(c, self.nodes[c * nodes_per_cage : (c + 1) * nodes_per_cage])
-            for c in range((n_nodes + nodes_per_cage - 1) // nodes_per_cage)
+            range(first, min(first + nodes_per_cage, n_nodes))
+            for first in range(0, n_nodes, nodes_per_cage)
         ]
+        self._reindex()
         self.interconnect = interconnect if interconnect is not None else Interconnect()
         self.phases = phase_profile if phase_profile is not None else PhaseProfile()
+
+    def _reindex(self) -> None:
+        """Index each node's group and meter the cages over the groups."""
+        self.nodes = tuple(g for g in self.groups for _ in g.node_ids)
+        self.monitors = [CageMonitor(c) for c in range(len(self.cages))]
+        for monitor, cage in zip(self.monitors, self.cages):
+            monitor.attach_all(self.nodes[i].power_signal for i in cage)
 
     # --------------------------------------------------------------- queries
 
     @property
-    def n_nodes(self) -> int:
-        """Number of nodes in the cluster."""
-        return len(self.nodes)
-
-    @property
     def n_cores(self) -> int:
         """Total core count."""
-        return sum(n.n_cores for n in self.nodes)
+        return sum(g.n_cores * g.count for g in self.groups)
 
     @property
     def idle_watts(self) -> float:
@@ -107,23 +122,33 @@ class ComputeCluster:
     @property
     def current_power(self) -> float:
         """Instantaneous cluster power in watts."""
-        return sum(n.current_power for n in self.nodes)
-
-    @property
-    def monitors(self) -> list[CageMonitor]:
-        """The cage-level power monitors (15 on Caddy)."""
-        return [c.monitor for c in self.cages]
-
-    def power_signals(self) -> list[PowerSignal]:
-        """Per-node true power signals."""
-        return [n.power_signal for n in self.nodes]
+        return sum(per_node(self.groups, attrgetter("current_power")))
 
     # --------------------------------------------------------------- control
 
-    def set_utilization(self, utilization: float, nodes: Optional[Iterable[Node]] = None) -> None:
-        """Set utilization on ``nodes`` (default: all) at the current time."""
-        for node in self.nodes if nodes is None else nodes:
-            node.set_utilization(utilization)
+    def set_utilization(
+        self, utilization: float, groups: Optional[Iterable[NodeGroup]] = None
+    ) -> None:
+        """Set utilization on ``groups`` (default: all) at the current time."""
+        for group in self.groups if groups is None else groups:
+            group.set_utilization(utilization)
+
+    def split(self, group: NodeGroup, count: int) -> NodeGroup:
+        """Split ``group`` after its first ``count`` nodes; returns the rest.
+
+        The rest carries on the group's state and a copy of its signal
+        history, so every node's record reads as before, and the cages are
+        re-metered.  Allocation partitions are the only caller.
+        """
+        if not 0 < count < group.count:
+            raise ConfigurationError(f"cannot split {group.count} nodes after {count}")
+        rest = copy.copy(group)
+        rest.first, rest.count = group.first + count, group.count - count
+        rest.power_signal = group.power_signal.copy(name=f"nodes-{rest.first:03d}")
+        group.count = count
+        self.groups.insert(self.groups.index(group) + 1, rest)
+        self._reindex()
+        return rest
 
     def run_phase(
         self, duration: float, utilization: float, after: Optional[float] = None
@@ -144,8 +169,21 @@ class ComputeCluster:
     # ------------------------------------------------------------ measurement
 
     def read_monitors(self, t0: float, t1: float) -> list[PowerTrace]:
-        """One trace per cage monitor over ``[t0, t1]`` (1-minute averages)."""
-        return [m.read(t0, t1) for m in self.monitors]
+        """One trace per cage monitor over ``[t0, t1]`` (1-minute averages).
+
+        Cages whose nodes fall in the same groups read the same power, so
+        the first such cage reads and the others share its trace.
+        """
+        readings: dict[tuple, PowerTrace] = {}
+        traces = []
+        for monitor, cage in zip(self.monitors, self.cages):
+            members = self.nodes[cage.start : cage.stop]
+            if members in readings:
+                trace = monitor.share(readings[members])
+            else:
+                trace = readings[members] = monitor.read(t0, t1)
+            traces.append(trace)
+        return traces
 
     def read_total(self, t0: float, t1: float) -> PowerTrace:
         """Whole-cluster trace: the sum of all cage monitors."""

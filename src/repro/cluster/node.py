@@ -1,43 +1,50 @@
-"""A simulated compute node.
+"""Node groups: compute nodes that move in lockstep.
 
-A node tracks its current utilization (set by the workflow phases running on
-the cluster) and mirrors every change into an exact
-:class:`~repro.power.signal.PowerSignal` via its
-:class:`~repro.cluster.power.NodePowerModel`.  It also accumulates
-busy-seconds so CPU-utilization statistics can be reported per run.
+A :class:`NodeGroup` is a contiguous run of node ids that share one
+utilization (set by the workflow phases running on the cluster), one DVFS
+frequency and so one power draw, which every member follows through the
+group's exact :class:`~repro.power.signal.PowerSignal`.  The group also
+accumulates each member's busy-core-seconds so CPU-utilization statistics
+can be reported per run.  A one-node group is a single node.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.cluster.power import NodePowerModel
 from repro.errors import ConfigurationError
 from repro.events.engine import Simulator
 from repro.power.signal import PowerSignal
 
-__all__ = ["Node"]
+__all__ = ["NodeGroup", "per_node"]
 
 
-class Node:
-    """One compute node: sockets × cores, a power model, and a power signal."""
+class NodeGroup:
+    """``count`` identical nodes from id ``first`` on, driven as one."""
 
     def __init__(
         self,
         sim: Simulator,
-        node_id: int,
+        first: int,
         power_model: NodePowerModel,
+        *,
+        count: int = 1,
         cores_per_socket: int = 8,
         memory_gb: float = 64.0,
     ) -> None:
-        if node_id < 0:
-            raise ConfigurationError(f"negative node id: {node_id}")
+        if first < 0:
+            raise ConfigurationError(f"negative node id: {first}")
+        if count < 1:
+            raise ConfigurationError(f"a node group needs >= 1 node, got {count}")
         if cores_per_socket < 1:
             raise ConfigurationError(f"cores_per_socket must be >= 1, got {cores_per_socket}")
         if memory_gb <= 0:
             raise ConfigurationError(f"memory must be positive, got {memory_gb}")
         self.sim = sim
-        self.node_id = node_id
+        self.first = first
+        self.count = count
         self.power_model = power_model
         self.cores_per_socket = cores_per_socket
         self.memory_gb = memory_gb
@@ -46,14 +53,19 @@ class Node:
         self._busy_core_seconds = 0.0
         self._last_change = sim.now
         self.power_signal = PowerSignal(
-            power_model.idle_watts, start_time=sim.now, name=f"node-{node_id:03d}"
+            power_model.idle_watts, start_time=sim.now, name=f"nodes-{first:03d}"
         )
 
     # --------------------------------------------------------------- queries
 
     @property
+    def node_ids(self) -> range:
+        """The member node ids."""
+        return range(self.first, self.first + self.count)
+
+    @property
     def n_cores(self) -> int:
-        """Total core count of the node."""
+        """Core count of one member node."""
         return self.power_model.n_sockets * self.cores_per_socket
 
     @property
@@ -70,11 +82,11 @@ class Node:
 
     @property
     def current_power(self) -> float:
-        """Instantaneous node power draw in watts."""
+        """Instantaneous power draw of one member node in watts."""
         return self.power_model.power(self._utilization, self._frequency_ghz)
 
     def busy_core_seconds(self) -> float:
-        """Accumulated core-busy-seconds up to the current simulated time."""
+        """One member node's core-busy-seconds up to the current simulated time."""
         return self._busy_core_seconds + self._utilization * self.n_cores * (
             self.sim.now - self._last_change
         )
@@ -82,7 +94,7 @@ class Node:
     # --------------------------------------------------------------- control
 
     def set_utilization(self, utilization: float, frequency_ghz: Optional[float] = None) -> None:
-        """Change the node's utilization (and optionally DVFS frequency) *now*."""
+        """Change every member's utilization (and optionally DVFS frequency) *now*."""
         if not 0.0 <= utilization <= 1.0:
             raise ConfigurationError(f"utilization outside [0, 1]: {utilization}")
         now = self.sim.now
@@ -94,6 +106,17 @@ class Node:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Node {self.node_id} util={self._utilization:.2f} "
-            f"{self.current_power:.0f} W @ {self.sim.now:.1f}s>"
+            f"<NodeGroup {self.first}+{self.count} util={self._utilization:.2f} "
+            f"{self.current_power:.0f} W/node @ {self.sim.now:.1f}s>"
         )
+
+
+def per_node(
+    groups: Iterable[NodeGroup], value: Callable[[NodeGroup], float]
+) -> Iterator[float]:
+    """``value(group)`` once per member node, in node order.
+
+    Summing these adds the same floats as a node-by-node sum while calling
+    ``value`` once per group.
+    """
+    return (v for group in groups for v in repeat(value(group), group.count))

@@ -1,7 +1,9 @@
-"""Cluster topology: cages of nodes and the InfiniBand interconnect.
+"""Cluster topology: the InfiniBand interconnect.
 
 *Cages* follow the paper's Appro GreenBlade layout — ten nodes per cage, one
-power monitor per cage, fifteen cages covering all 150 nodes.
+power monitor per cage, fifteen cages covering all 150 nodes.  A cage is a
+range of node ids (:attr:`ComputeCluster.cages
+<repro.cluster.machine.ComputeCluster>`).
 
 The :class:`Interconnect` is an analytical QLogic QDR InfiniBand model used
 for collective-cost estimates (image compositing in the renderer, aggregation
@@ -13,35 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from repro.cluster.node import Node
 from repro.errors import ConfigurationError
-from repro.power.meter import CageMonitor
 
-__all__ = ["Cage", "Interconnect"]
-
-
-class Cage:
-    """A group of (up to) ten nodes behind one cage-level power monitor."""
-
-    def __init__(self, index: int, nodes: Sequence[Node]) -> None:
-        if not nodes:
-            raise ConfigurationError("a cage needs at least one node")
-        if len(nodes) > CageMonitor.NODES_PER_CAGE:
-            raise ConfigurationError(
-                f"cage holds at most {CageMonitor.NODES_PER_CAGE} nodes, got {len(nodes)}"
-            )
-        self.index = index
-        self.nodes = list(nodes)
-        self.monitor = CageMonitor(index)
-        self.monitor.attach_all(n.power_signal for n in self.nodes)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Cage {self.index}: {len(self.nodes)} nodes>"
+__all__ = ["Interconnect"]
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -294,27 +295,38 @@ def storage_probes(fs) -> List[Tuple[str, Probe]]:
 
 
 def power_probes(
-    meter,
     cluster,
     storage=None,
     cap_watts: Optional[float] = None,
 ) -> List[Tuple[str, Probe]]:
-    """Power gauges: draw vs cap, headroom, per-state node counts."""
+    """Power gauges: draw vs cap, headroom, per-state node counts.
+
+    The draw is the true power of every node, in node order, plus the
+    storage rack's: the additions a meter over all those signals makes.
+    """
+    rack = () if storage is None else (storage.power_signal,)
+
+    def draw(t: float) -> float:
+        nodes = (
+            w for g in cluster.groups for w in repeat(g.power_signal.value_at(t), g.count)
+        )
+        return sum(chain(nodes, (s.value_at(t) for s in rack)))
 
     def nodes_in_band(lo: float, hi: Optional[float]) -> Probe:
         # Band is [lo, hi); the busy band passes hi=None for an open top.
         def probe(t: float) -> float:
-            count = 0
-            for node in cluster.nodes:
-                u = node.utilization
-                if u >= lo and (hi is None or u < hi):
-                    count += 1
-            return float(count)
+            return float(
+                sum(
+                    g.count
+                    for g in cluster.groups
+                    if g.utilization >= lo and (hi is None or g.utilization < hi)
+                )
+            )
 
         return probe
 
     probes: List[Tuple[str, Probe]] = [
-        ("repro_timeline_power_draw_watts", lambda t: meter.total_watts(t)),
+        ("repro_timeline_power_draw_watts", draw),
         ("repro_timeline_power_compute_watts", lambda t: cluster.current_power),
     ]
     if storage is not None:
@@ -324,12 +336,7 @@ def power_probes(
     if cap_watts is not None:
         cap = float(cap_watts)
         probes.append(("repro_timeline_power_cap_watts", lambda t: cap))
-        probes.append(
-            (
-                "repro_timeline_power_headroom_watts",
-                lambda t: cap - meter.total_watts(t),
-            )
-        )
+        probes.append(("repro_timeline_power_headroom_watts", lambda t: cap - draw(t)))
     probes.extend(
         [
             (

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Generator
 import numpy as np
 
 from repro import obs
+from repro.cluster.allocation import Allocator
 from repro.core.metrics import Measurement, PhaseTimeline
 from repro.errors import ConfigurationError
 from repro.events.resources import Store
@@ -39,7 +40,7 @@ from repro.viz.render import render_okubo_weiss
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipelines.platform import RealPlatform, SimulatedPlatform
 
-__all__ = ["IN_TRANSIT", "InTransitPipeline"]
+__all__ = ["DEFAULT_STAGING_NODES", "IN_TRANSIT", "InTransitPipeline"]
 
 IN_TRANSIT = "in-transit"
 
@@ -47,13 +48,16 @@ IN_TRANSIT = "in-transit"
 #: blocks (back-pressure), mirroring a bounded staging-memory budget.
 STAGING_QUEUE_DEPTH = 4
 
+#: Staging-partition size when none is given: a tenth of Caddy.
+DEFAULT_STAGING_NODES = 15
+
 
 class InTransitPipeline(Pipeline):
     """Simulation on one partition; rendering concurrently on another."""
 
     name = IN_TRANSIT
 
-    def __init__(self, *, n_staging_nodes: int = 15) -> None:
+    def __init__(self, *, n_staging_nodes: int = DEFAULT_STAGING_NODES) -> None:
         if n_staging_nodes < 1:
             raise ConfigurationError(
                 f"need at least one staging node, got {n_staging_nodes}"
@@ -80,8 +84,9 @@ class InTransitPipeline(Pipeline):
                 f"nodes on a {cluster.n_nodes}-node cluster"
             )
         n_sim_nodes = cluster.n_nodes - self.n_staging_nodes
-        sim_nodes = cluster.nodes[:n_sim_nodes]
-        staging_nodes = cluster.nodes[n_sim_nodes:]
+        allocator = Allocator(cluster)
+        sim_nodes = allocator.allocate("simulation", n_sim_nodes)
+        staging_nodes = allocator.allocate("staging", self.n_staging_nodes)
 
         k = spec.steps_between_outputs
         n_out = spec.n_outputs
@@ -111,27 +116,23 @@ class InTransitPipeline(Pipeline):
             for i in range(n_out):
                 item = yield inbox.get()
                 # Receive the shipped shards onto the staging partition.
-                for node in staging_nodes:
-                    node.set_utilization(cluster.phases.io_wait)
+                staging_nodes.set_utilization(cluster.phases.io_wait)
                 yield sim.timeout(transfer_s)
                 # Render concurrently with the ongoing simulation.
                 t0 = sim.now
-                for node in staging_nodes:
-                    node.set_utilization(cluster.phases.render)
+                staging_nodes.set_utilization(cluster.phases.render)
                 yield sim.timeout(render_s)
                 timeline.add("viz", t0, sim.now)
                 # Commit the image set.
                 t0 = sim.now
-                for node in staging_nodes:
-                    node.set_utilization(cluster.phases.io_wait)
+                staging_nodes.set_utilization(cluster.phases.io_wait)
                 yield from platform.pio.write_simulated(
                     platform.io_backend,
                     f"{spec.output_prefix}/cinema/sample-{item:05d}.png",
                     sample_bytes,
                 )
                 timeline.add("io", t0, sim.now)
-                for node in staging_nodes:
-                    node.set_utilization(cluster.phases.idle)
+                staging_nodes.set_utilization(cluster.phases.idle)
                 for cam in range(spec.images.images_per_sample):
                     cinema.add_accounted({"time": item, "camera": cam}, int(image_bytes))
                 artifacts["n_images"] += spec.images.images_per_sample
@@ -142,12 +143,10 @@ class InTransitPipeline(Pipeline):
 
         for i in range(n_out):
             t0 = sim.now
-            for node in sim_nodes:
-                node.set_utilization(cluster.phases.simulation)
+            sim_nodes.set_utilization(cluster.phases.simulation)
             yield sim.timeout(k * step_s)
             timeline.add("simulation", t0, sim.now)
-            for node in sim_nodes:
-                node.set_utilization(cluster.phases.idle)
+            sim_nodes.set_utilization(cluster.phases.idle)
             # Back-pressure: wait for a staging slot, then hand the sample off.
             t0 = sim.now
             yield slots.get()
@@ -158,12 +157,10 @@ class InTransitPipeline(Pipeline):
         leftover = spec.ocean.n_timesteps - n_out * k
         if leftover > 0:
             t0 = sim.now
-            for node in sim_nodes:
-                node.set_utilization(cluster.phases.simulation)
+            sim_nodes.set_utilization(cluster.phases.simulation)
             yield sim.timeout(leftover * step_s)
             timeline.add("simulation", t0, sim.now)
-            for node in sim_nodes:
-                node.set_utilization(cluster.phases.idle)
+            sim_nodes.set_utilization(cluster.phases.idle)
         # Drain the staging partition.
         t0 = sim.now
         yield done

@@ -42,7 +42,6 @@ from repro.obs.watch import Watchdog, default_rules
 from repro.ocean.driver import MiniOceanDriver, OceanCostModel
 from repro.paper import TIMESTEP_SECONDS
 from repro.pipelines.base import CHECKPOINT_FILENAME, Pipeline, PipelineSpec
-from repro.power.meter import PowerMeter
 from repro.power.report import PowerReport
 from repro.storage.lustre import StorageCluster
 from repro.units import HOUR
@@ -306,12 +305,6 @@ class SimulatedPlatform:
                 * run_spec.ocean.n_timesteps
             )
             interval = estimate / DEFAULT_TIMELINE_POINTS
-        # A passive meter over every power signal on the platform; reads go
-        # through total_watts(), which leaves the instrument-read counters
-        # untouched so sampling does not perturb the power metrics.
-        meter = PowerMeter("timeline-total")
-        meter.attach_all(self.cluster.power_signals())
-        meter.attach(self.storage.power_signal)
         watchdog = Watchdog(
             default_rules(
                 power_cap_watts=tcfg.power_cap_watts,
@@ -330,9 +323,7 @@ class SimulatedPlatform:
         sampler.add_probes(storage_probes(self.storage.fs))
         sampler.add_probes(resource_probes("mds", self.storage.fs.mds))
         sampler.add_probes(
-            power_probes(
-                meter, self.cluster, self.storage, cap_watts=tcfg.power_cap_watts
-            )
+            power_probes(self.cluster, self.storage, cap_watts=tcfg.power_cap_watts)
         )
         if checkpoints is not None:
             sampler.add_probe(

@@ -86,21 +86,18 @@ class PowerMeter:
             trace = PowerTrace(
                 trace.start, trace.dt, trace.watts * self.loss_factor, name=self.name
             )
+        self._count_read(trace)
+        return trace
+
+    def _count_read(self, trace: PowerTrace) -> None:
         obs.counter("repro_power_meter_reads_total", meter=self.name)
         obs.counter(
             "repro_power_samples_total", len(trace.watts), meter=self.name
         )
-        return trace
 
     def instantaneous(self, time: float) -> float:  # repro-unit: watts, time=seconds
         """True total power behind the inlet at ``time`` (watts)."""
         obs.counter("repro_power_instantaneous_reads_total", meter=self.name)
-        return self.total_watts(time)
-
-    def total_watts(self, time: float) -> float:  # repro-unit: watts, time=seconds
-        """Like :meth:`instantaneous`, but without touching the read
-        counters — the passive variant timeline probes poll, so sampling
-        does not perturb the instrument-read metrics."""
         if not self._signals:
             raise MeterError(f"meter {self.name!r} has no attached signals")
         return self.loss_factor * sum(s.value_at(time) for s in self._signals)
@@ -131,3 +128,22 @@ class CageMonitor(PowerMeter):
                 f"cage {self.cage_index} already monitors {self.NODES_PER_CAGE} nodes"
             )
         super().attach(signal)
+
+    def share(self, trace: PowerTrace) -> PowerTrace:
+        """Report another cage's ``trace`` as this monitor's own read.
+
+        For a cage whose nodes follow the same signals as the cage that
+        read ``trace`` over the same window: the copy takes this monitor's
+        name and counts as one of its reads, so a cluster integrates each
+        distinct cage composition once.
+        """
+        # The interval count PowerTrace.from_signal records for a read.
+        obs.counter(
+            "repro_power_trace_intervals_total", len(trace.watts), signal=self.name
+        )
+        shared = PowerTrace(
+            trace.start, trace.dt, trace.watts.copy(), name=self.name,
+            final_dt=trace.final_dt,
+        )
+        self._count_read(shared)
+        return shared

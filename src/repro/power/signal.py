@@ -60,6 +60,13 @@ class PowerSignal:
             self._times.append(float(time))
             self._watts.append(float(watts))
 
+    def copy(self, name: str = "") -> "PowerSignal":
+        """An independent signal with the same breakpoints."""
+        out = PowerSignal(self._watts[0], start_time=self._times[0], name=name or self.name)
+        out._times = list(self._times)
+        out._watts = list(self._watts)
+        return out
+
     # --------------------------------------------------------------- queries
 
     @property
@@ -130,22 +137,26 @@ class PowerSignal:
         """Sum of several signals as a new signal.
 
         The result starts at the latest of the inputs' start times (before
-        that, at least one component's power is undefined).
+        that, at least one component's power is undefined).  A signal may
+        appear more than once (every node of a group follows the group's
+        signal); it is sampled once and added once per appearance, in order.
         """
         signals = list(signals)
         if not signals:
             raise ConfigurationError("total() of zero signals")
-        start = max(s.start_time for s in signals)
+        distinct = list({id(s): s for s in signals}.values())
+        start = max(s.start_time for s in distinct)
         merged = np.unique(
             np.concatenate(
-                [np.asarray(s._times)[np.asarray(s._times) >= start] for s in signals]
+                [np.asarray(s._times)[np.asarray(s._times) >= start] for s in distinct]
                 + [np.array([start])]
             )
         )
         # Vectorized sum: sample every signal at every merged breakpoint.
+        samples = {id(s): s.samples(merged) for s in distinct}
         total_watts = np.zeros(merged.size)
         for s in signals:
-            total_watts += s.samples(merged)
+            total_watts += samples[id(s)]
         out = PowerSignal(float(total_watts[0]), start_time=float(merged[0]), name=name)
         for t, w in zip(merged[1:], total_watts[1:]):
             out.set(float(t), float(w))

@@ -45,6 +45,8 @@ from repro.paper import (
     TIMESTEP_SECONDS,
     WHATIF_YEARS,
 )
+from repro.pipelines.intransit import DEFAULT_STAGING_NODES
+from repro.power.meter import CageMonitor
 from repro.units import MB, MONTH
 
 __all__ = [
@@ -199,6 +201,12 @@ class ClusterConfig:
             self.nodes_per_cage >= 1,
             "cluster.nodes_per_cage",
             f"need >= 1 node per cage, got {self.nodes_per_cage}",
+        )
+        _require(
+            self.nodes_per_cage <= CageMonitor.NODES_PER_CAGE,
+            "cluster.nodes_per_cage",
+            f"a cage monitor meters at most {CageMonitor.NODES_PER_CAGE} nodes, "
+            f"got {self.nodes_per_cage}",
         )
         _require(bool(self.name), "cluster.name", "must be non-empty")
 
@@ -621,6 +629,19 @@ class Scenario:
                 "pipelines",
                 "each pipeline kind may appear once",
             )
+            for i, pipeline in enumerate(self.pipelines):
+                if pipeline.kind == "in-transit":
+                    staging = pipeline.staging_nodes
+                    if staging is None:
+                        staging = DEFAULT_STAGING_NODES
+                    _require(
+                        staging < self.cluster.nodes,
+                        f"pipelines.{i}.staging_nodes",
+                        f"{staging} staging nodes leave no simulation nodes on a "
+                        f"{self.cluster.nodes}-node cluster",
+                        f"set staging_nodes below {self.cluster.nodes} "
+                        f"(the default is {DEFAULT_STAGING_NODES})",
+                    )
             if kind == "characterize":
                 for required in ("in-situ", "post-processing"):
                     _require(

@@ -6,12 +6,17 @@ import math
 
 import pytest
 
+from repro.cluster.allocation import Allocator
 from repro.cluster.machine import ComputeCluster, PhaseProfile, caddy
-from repro.cluster.node import Node
+from repro.cluster.node import NodeGroup
 from repro.cluster.power import CpuPowerModel, NodePowerModel, PState, e5_2670_node
-from repro.cluster.topology import Cage, Interconnect
+from repro.cluster.topology import Interconnect
 from repro.errors import ConfigurationError
 from repro.events.engine import Simulator
+from repro.obs.timeline import power_probes
+from repro.power.meter import PowerMeter
+from repro.power.signal import PowerSignal
+from repro.power.trace import PowerTrace
 
 
 class TestCpuPowerModel:
@@ -86,7 +91,7 @@ class TestNodePowerModel:
 
 class TestNode:
     def test_utilization_drives_power_signal(self, sim):
-        node = Node(sim, 0, e5_2670_node())
+        node = NodeGroup(sim, 0, e5_2670_node())
         assert node.power_signal.value_at(0.0) == pytest.approx(100.0)
         sim.timeout(10.0)
         sim.run()
@@ -94,7 +99,7 @@ class TestNode:
         assert node.power_signal.value_at(10.0) == pytest.approx(293.33, abs=0.01)
 
     def test_busy_core_seconds_accounting(self, sim):
-        node = Node(sim, 0, e5_2670_node())
+        node = NodeGroup(sim, 0, e5_2670_node())
         node.set_utilization(0.5)
         sim.timeout(10.0)
         sim.run()
@@ -102,11 +107,11 @@ class TestNode:
         assert node.busy_core_seconds() == pytest.approx(80.0)
 
     def test_n_cores(self, sim):
-        node = Node(sim, 0, e5_2670_node(), cores_per_socket=8)
+        node = NodeGroup(sim, 0, e5_2670_node(), cores_per_socket=8)
         assert node.n_cores == 16
 
     def test_frequency_default_and_override(self, sim):
-        node = Node(sim, 0, e5_2670_node())
+        node = NodeGroup(sim, 0, e5_2670_node())
         assert node.frequency_ghz == 2.6
         node.set_utilization(1.0, frequency_ghz=1.3)
         assert node.frequency_ghz == 1.3
@@ -114,28 +119,46 @@ class TestNode:
 
     def test_invalid_construction(self, sim):
         with pytest.raises(ConfigurationError):
-            Node(sim, -1, e5_2670_node())
+            NodeGroup(sim, -1, e5_2670_node())
         with pytest.raises(ConfigurationError):
-            Node(sim, 0, e5_2670_node(), cores_per_socket=0)
+            NodeGroup(sim, 0, e5_2670_node(), cores_per_socket=0)
         with pytest.raises(ConfigurationError):
-            Node(sim, 0, e5_2670_node(), memory_gb=0.0)
+            NodeGroup(sim, 0, e5_2670_node(), memory_gb=0.0)
+        with pytest.raises(ConfigurationError):
+            NodeGroup(sim, 0, e5_2670_node(), count=0)
+
+    def test_split_keeps_state_and_history(self, sim):
+        cluster = ComputeCluster(sim, n_nodes=10)
+        (group,) = cluster.groups
+        group.set_utilization(0.5)
+        sim.timeout(10.0)
+        sim.run()
+        rest = cluster.split(group, 4)
+        assert cluster.groups == [group, rest]
+        assert (group.node_ids, rest.node_ids) == (range(0, 4), range(4, 10))
+        assert rest.utilization == 0.5
+        assert rest.busy_core_seconds() == group.busy_core_seconds()
+        assert rest.power_signal.breakpoints == group.power_signal.breakpoints
+        rest.set_utilization(1.0)
+        assert group.power_signal.value_at(10.0) != rest.power_signal.value_at(10.0)
+        assert cluster.nodes == (group,) * 4 + (rest,) * 6
+        with pytest.raises(ConfigurationError):
+            cluster.split(group, 4)
 
 
 class TestCageAndInterconnect:
     def test_cage_attaches_monitor(self, sim):
-        nodes = [Node(sim, i, e5_2670_node()) for i in range(10)]
-        cage = Cage(0, nodes)
-        assert cage.monitor.n_signals == 10
-        assert len(cage) == 10
+        cluster = ComputeCluster(sim, n_nodes=10)
+        assert cluster.monitors[0].n_signals == 10
+        assert len(cluster.cages[0]) == 10
 
     def test_cage_size_limit(self, sim):
-        nodes = [Node(sim, i, e5_2670_node()) for i in range(11)]
-        with pytest.raises(ConfigurationError):
-            Cage(0, nodes)
+        with pytest.raises(ConfigurationError, match="nodes_per_cage"):
+            ComputeCluster(sim, n_nodes=11, nodes_per_cage=11)
 
-    def test_empty_cage_rejected(self):
+    def test_empty_cage_rejected(self, sim):
         with pytest.raises(ConfigurationError):
-            Cage(0, [])
+            ComputeCluster(sim, n_nodes=10, nodes_per_cage=0)
 
     def test_point_to_point_time(self):
         ic = Interconnect(latency_s=1e-6, bandwidth_bytes_per_s=1e9)
@@ -238,3 +261,136 @@ class TestComputeCluster:
     def test_zero_nodes_rejected(self, sim):
         with pytest.raises(ConfigurationError):
             ComputeCluster(sim, n_nodes=0)
+
+
+#: (time, nodes, utilization): ``all`` drives the cluster, ``a``/``b`` the
+#: 13/12 partition (cage 1 holds nodes of both), ``release`` idles and
+#: returns both partitions.  Off-minute times leave partial meter windows.
+PHASE_SCRIPT = [
+    (0.0, "all", 0.95),
+    (95.5, "all", 0.85),
+    (250.0, "a", 0.95),
+    (250.0, "b", 0.92),
+    (371.25, "b", 0.85),
+    (430.0, "a", 0.0),
+    (500.0, "b", 0.04),
+    (610.0, "all", 0.5),
+    (700.0, "a", 1.0),
+    (777.7, "release", 0.0),
+    (801.0, "all", 0.93),
+]
+SCRIPT_END = 845.0
+BANDS = {
+    "busy": lambda u: u >= 0.9,
+    "io": lambda u: 0.05 <= u < 0.9,
+    "idle": lambda u: u < 0.05,
+}
+
+
+class TestNodeGroupsMatchPerNodeReference:
+    """A grouped 25-node cluster reads exactly what 25 per-node signals read."""
+
+    def test_exact_identity(self):
+        sim = Simulator()
+        cluster = ComputeCluster(sim, n_nodes=25, nodes_per_cage=10)
+        model = cluster.node_model
+        n_cores = model.n_sockets * 8
+        signals = [PowerSignal(model.idle_watts) for _ in range(25)]
+        util = [0.0] * 25
+        busy = [0.0] * 25
+        last = [0.0] * 25
+        node_ids = {"all": range(25), "release": range(25), "a": range(13), "b": range(13, 25)}
+        probes = dict(power_probes(cluster))
+        allocator = Allocator(cluster)
+        partitions = {}
+
+        def reference(nodes, utilization):
+            for i in nodes:
+                busy[i] += util[i] * n_cores * (sim.now - last[i])
+                last[i] = sim.now
+                util[i] = utilization
+                signals[i].set(sim.now, model.power(utilization))
+
+        def check_instant():
+            assert cluster.current_power == sum(model.power(u) for u in util)
+            assert probes["repro_timeline_power_draw_watts"](sim.now) == sum(
+                s.value_at(sim.now) for s in signals
+            )
+            for band, member in BANDS.items():
+                assert probes[f"repro_timeline_power_nodes_{band}_total"](sim.now) == float(
+                    sum(1 for u in util if member(u))
+                )
+            for i in range(25):
+                assert cluster.nodes[i].busy_core_seconds() == busy[i] + util[i] * n_cores * (
+                    sim.now - last[i]
+                )
+
+        def script():
+            for t, target, utilization in PHASE_SCRIPT:
+                yield sim.timeout(t - sim.now)
+                if target == "all":
+                    cluster.set_utilization(utilization)
+                elif target == "release":
+                    for partition in partitions.values():
+                        allocator.release(partition)
+                else:
+                    if not partitions:
+                        partitions["a"] = allocator.allocate("a", 13)
+                        partitions["b"] = allocator.allocate("b", 12)
+                    partitions[target].set_utilization(utilization)
+                reference(node_ids[target], utilization)
+                check_instant()
+            yield sim.timeout(SCRIPT_END - sim.now)
+            check_instant()
+
+        sim.process(script())
+        sim.run()
+        assert len(cluster.groups) == 2
+        assert len(set(cluster.nodes[10:20])) == 2  # cage 1 mixes both groups
+
+        expected = [
+            PowerTrace.from_signal(
+                PowerSignal.total(signals[c * 10 : (c + 1) * 10]), 0.0, SCRIPT_END, 60.0,
+                name=f"cage-{c:02d}",
+            )
+            for c in range(3)
+        ]
+        traces = cluster.read_monitors(0.0, SCRIPT_END)
+        assert [len(cage) for cage in cluster.cages] == [10, 10, 5]
+        for got, want in zip(traces, expected):
+            assert (got.name, got.start, got.dt, got.final_dt) == (
+                want.name, want.start, want.dt, want.final_dt,
+            )
+            assert got.watts.tolist() == want.watts.tolist()
+        total = cluster.read_total(0.0, SCRIPT_END)
+        want_total = PowerTrace.aligned_sum(expected, name="cluster-compute")
+        assert total.name == want_total.name
+        assert total.final_dt == want_total.final_dt
+        assert total.watts.tolist() == want_total.watts.tolist()
+
+
+class TestTracedSurface:
+    """What the end-to-end benchmark's tracer wraps through class ``__dict__``.
+
+    ``benchmarks/e2e/spans.py`` replaces these attributes for its traced rep
+    and calls the originals; renaming or reshaping them breaks that rep.
+    """
+
+    def test_cluster_entry_points(self, sim):
+        cluster = ComputeCluster(sim, n_nodes=25)
+        set_utilization = ComputeCluster.__dict__["set_utilization"]
+        set_utilization(cluster, 0.5, None)
+        set_utilization(cluster, 0.9, list(cluster.groups))
+        assert len(cluster.nodes) == 25
+        assert all(n.utilization == 0.9 for n in cluster.nodes)
+        current_power = ComputeCluster.__dict__["current_power"]
+        assert isinstance(current_power, property)
+        assert current_power.fget(cluster) == cluster.current_power
+
+    def test_power_entry_points(self):
+        assert callable(PowerMeter.__dict__["read"])
+        assert isinstance(PowerTrace.__dict__["aligned_sum"], staticmethod)
+        assert callable(PowerSignal.__dict__["__init__"])
+        signal = PowerSignal(100.0)
+        signal.set(10.0, 200.0)
+        assert len(signal._times) == 2

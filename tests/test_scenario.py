@@ -200,6 +200,27 @@ class TestValidationErrors:
             PipelineConfig(kind="in-situ", staging_nodes=5)
         assert exc.value.path == "pipelines.staging_nodes"
 
+    def test_cage_larger_than_its_monitor_rejected(self):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(_minimal(cluster={"nodes": 24, "nodes_per_cage": 12}))
+        assert exc.value.path == "cluster.nodes_per_cage"
+        parse_scenario(_minimal(cluster={"nodes": 24, "nodes_per_cage": 10}))
+
+    def test_staging_must_leave_simulation_nodes(self):
+        pipelines = ["in-situ", "post-processing", {"kind": "in-transit", "staging_nodes": 20}]
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(_minimal(cluster={"nodes": 20}, pipelines=pipelines))
+        assert exc.value.path == "pipelines.2.staging_nodes"
+        parse_scenario(_minimal(cluster={"nodes": 21}, pipelines=pipelines))
+
+    def test_default_staging_partition_checked(self):
+        pipelines = ["in-transit", "in-situ", "post-processing"]
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(_minimal(cluster={"nodes": 15}, pipelines=pipelines))
+        assert exc.value.path == "pipelines.0.staging_nodes"
+        assert "15 staging nodes" in str(exc.value)
+        parse_scenario(_minimal(cluster={"nodes": 16}, pipelines=pipelines))
+
     def test_custom_topology_rejects_engine_options(self):
         with pytest.raises(ScenarioError) as exc:
             Scenario(
