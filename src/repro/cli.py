@@ -374,80 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _engine(args: argparse.Namespace):
-    """The execution engine an invocation asked for (None = default inline).
-
-    Any supervision flag upgrades the plain engine to a
-    :class:`~repro.exec.supervise.SupervisedExecutor`.
-    """
-    workers = getattr(args, "workers", None)
-    cache_dir = getattr(args, "cache", None)
-    supervise_flags = {
-        "deadline_seconds": getattr(args, "deadline", None),
-        "task_retries": getattr(args, "task_retries", None),
-        "max_worker_crashes": getattr(args, "max_worker_crashes", None),
-        "fail_policy": getattr(args, "fail_policy", None),
-        "journal": getattr(args, "journal", None),
-    }
-    resume = bool(getattr(args, "resume", False))
-    supervised = (
-        bool(getattr(args, "supervise", False))
-        or resume
-        or any(v is not None for v in supervise_flags.values())
-    )
-    if workers is None and cache_dir is None and not supervised:
-        return None
-    from repro.exec.cache import DiskCache
-
-    cache = DiskCache(cache_dir) if cache_dir is not None else None
-    if not supervised:
-        from repro.exec.engine import ExecutionEngine
-
-        return ExecutionEngine(max_workers=workers, cache=cache)
-    from repro.exec.supervise import SupervisedExecutor, TaskPolicy
-    from repro.faults.retry import RetryPolicy
-
-    defaults = TaskPolicy()
-    retry = defaults.retry
-    if supervise_flags["task_retries"] is not None:
-        retry = RetryPolicy(
-            max_attempts=supervise_flags["task_retries"],
-            base_delay_seconds=retry.base_delay_seconds,
-            backoff_factor=retry.backoff_factor,
-            max_delay_seconds=retry.max_delay_seconds,
-            jitter=retry.jitter,
-        )
-    policy = TaskPolicy(
-        deadline_seconds=supervise_flags["deadline_seconds"],
-        retry=retry,
-        max_worker_crashes=(
-            supervise_flags["max_worker_crashes"]
-            if supervise_flags["max_worker_crashes"] is not None
-            else defaults.max_worker_crashes
-        ),
-        fail_policy=(
-            supervise_flags["fail_policy"]
-            if supervise_flags["fail_policy"] is not None
-            else defaults.fail_policy
-        ),
-    )
-    return SupervisedExecutor(
-        max_workers=workers,
-        cache=cache,
-        policy=policy,
-        journal=supervise_flags["journal"],
-        resume=resume,
-    )
-
-
 def _study(
     intervals: Sequence[float] = (8.0, 24.0, 72.0), engine=None
 ) -> CharacterizationStudy:
     print("running the characterization grid "
           f"({2 * len(intervals)} campaign-scale simulations)...", file=sys.stderr)
-    if engine is not None:
-        return run_characterization(intervals_hours=tuple(intervals), engine=engine)
-    return run_characterization(intervals_hours=tuple(intervals))
+    return run_characterization(intervals_hours=tuple(intervals), engine=engine)
 
 
 def _emit_scenario(scenario, args: argparse.Namespace) -> bool:
@@ -608,8 +540,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.core.report import StudyReport
+    from repro.scenario.build import _execution_from_args, build_engine
+    from repro.scenario.schema import Scenario
 
-    study = _study(engine=_engine(args))
+    scenario = Scenario(name="report", execution=_execution_from_args(args))
+    study = _study(engine=build_engine(scenario))
     n = StudyReport(study, whatif_years=args.years).write(args.output)
     print(f"wrote {args.output} ({n} bytes)")
     return 0

@@ -16,7 +16,7 @@ can then:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -30,14 +30,16 @@ from repro.core.metrics import IN_SITU, POST_PROCESSING, Measurement, MetricSet
 from repro.core.model import DataModel, PipelinePredictor
 from repro.core.whatif import WhatIfAnalyzer
 from repro.errors import ConfigurationError, SweepError
-from repro.exec.api import RunRequest
+from repro.exec.api import RunRequest, require_registered
 from repro.exec.engine import ExecutionEngine
-from repro.pipelines.base import PipelineSpec
+from repro.pipelines.base import Pipeline, PipelineSpec
 from repro.pipelines.insitu import InSituPipeline
-from repro.pipelines.platform import SimulatedPlatform
 from repro.pipelines.postprocessing import PostProcessingPipeline
 from repro.pipelines.sampling import SamplingPolicy
 from repro.storage.lustre import StorageCluster
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.scenario.schema import ClusterConfig, StorageConfig
 
 __all__ = ["CharacterizationStudy", "run_characterization", "storage_power_sweep"]
 
@@ -151,12 +153,13 @@ class CharacterizationStudy:
 
 
 def run_characterization(
-    platform_factory: Optional[Callable[[], SimulatedPlatform]] = None,
+    *,
     intervals_hours: Sequence[float] = (8.0, 24.0, 72.0),
     spec: Optional[PipelineSpec] = None,
-    engine: Optional["ExecutionEngine"] = None,
-    *,
-    pipelines: Optional[Sequence] = None,
+    engine: Optional[ExecutionEngine] = None,
+    pipelines: Optional[Sequence[Pipeline]] = None,
+    cluster: Optional["ClusterConfig"] = None,
+    storage: Optional["StorageConfig"] = None,
 ) -> CharacterizationStudy:
     """Run the full experiment grid and return the study.
 
@@ -166,67 +169,48 @@ def run_characterization(
     application").  The grid goes through the execution engine, so passing
     an ``engine`` with workers and/or a cache fans the cells out in parallel
     and memoizes them; the default engine runs them inline, bit-identical
-    to the historical serial loop.  ``platform_factory`` (custom clusters,
-    instrumented storage) forces the inline path: bespoke platform objects
-    cannot cross the engine's process/cache boundary.
+    to the historical serial loop.
 
-    ``pipelines`` (keyword-only) widens or reorders the grid: a sequence of
+    ``pipelines`` widens or reorders the grid: a sequence of registered
     :class:`~repro.pipelines.base.Pipeline` instances replacing the default
     in-situ / post-processing pair (e.g. adding
-    :class:`~repro.pipelines.intransit.InTransitPipeline`).  The default
-    ``None`` keeps the historical request list byte-for-byte.
+    :class:`~repro.pipelines.intransit.InTransitPipeline`).  ``cluster``
+    and ``storage`` are a scenario's topology sections; ``None`` is the
+    paper's testbed.  They travel in every request, so a custom topology
+    gets the same pool, cache and supervision as the paper's.
     """
     if not intervals_hours:
         raise ConfigurationError("need at least one sampling interval")
     base = spec if spec is not None else PipelineSpec()
+    if pipelines is None:
+        pipelines = (InSituPipeline(), PostProcessingPipeline())
+    for pipeline in pipelines:
+        require_registered(pipeline)
+    requests = [
+        RunRequest(
+            spec=base.with_sampling(SamplingPolicy(hours)),
+            cluster=cluster,
+            storage=storage,
+        ).bound_to(pipeline)
+        for hours in intervals_hours
+        for pipeline in pipelines
+    ]
+    runner = engine if engine is not None else ExecutionEngine()
+    results = runner.map(requests)
+    failed = [r.failure for r in results if r.failure is not None]
+    if failed:
+        # The study aggregates every cell of the grid; a missing cell
+        # would silently skew Fig. 6/7 tables, so surface the failures
+        # instead of averaging around the hole.
+        raise SweepError(
+            f"characterization grid lost {len(failed)} of "
+            f"{len(results)} cells to task failures",
+            failures=failed,
+            results=results,
+        )
     metrics = MetricSet()
-    if platform_factory is not None:
-        for hours in intervals_hours:
-            cell_pipelines = (
-                (InSituPipeline(), PostProcessingPipeline())
-                if pipelines is None
-                else pipelines
-            )
-            for pipeline in cell_pipelines:
-                cell_spec = base.with_sampling(SamplingPolicy(hours))
-                result = pipeline.execute(
-                    RunRequest(spec=cell_spec), platform=platform_factory()
-                )
-                metrics.add(result.measurement)
-    else:
-        runner = engine if engine is not None else ExecutionEngine()
-        if pipelines is None:
-            requests = [
-                RunRequest(
-                    pipeline=name, spec=base.with_sampling(SamplingPolicy(hours))
-                )
-                for hours in intervals_hours
-                for name in (InSituPipeline.name, PostProcessingPipeline.name)
-            ]
-        else:
-            requests = [
-                RunRequest(
-                    pipeline=pipeline.name,
-                    pipeline_args=pipeline.request_args(),
-                    spec=base.with_sampling(SamplingPolicy(hours)),
-                )
-                for hours in intervals_hours
-                for pipeline in pipelines
-            ]
-        results = runner.map(requests)
-        failed = [r.failure for r in results if r.failure is not None]
-        if failed:
-            # The study aggregates every cell of the grid; a missing cell
-            # would silently skew Fig. 6/7 tables, so surface the failures
-            # instead of averaging around the hole.
-            raise SweepError(
-                f"characterization grid lost {len(failed)} of "
-                f"{len(results)} cells to task failures",
-                failures=failed,
-                results=results,
-            )
-        for result in results:
-            metrics.add(result.measurement)
+    for result in results:
+        metrics.add(result.measurement)
     return CharacterizationStudy(metrics, base)
 
 

@@ -4,8 +4,8 @@ Every way of executing a pipeline — serial, fanned out over a process pool,
 or replayed from the on-disk cache — goes through the same two frozen
 dataclasses.  A request is *pure data*: the pipeline is named (not held as
 an object), its constructor arguments are a normalized tuple of pairs, and
-the spec/faults/checkpoints payloads are the existing JSON-round-trippable
-config objects.  That buys three properties at once:
+the spec/faults/checkpoints/topology payloads are the existing
+JSON-round-trippable config objects.  That buys three properties at once:
 
 * **picklability** — requests cross the ``ProcessPoolExecutor`` boundary
   without dragging simulator state along;
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.errors import ConfigurationError
@@ -33,6 +33,7 @@ from repro.obs.trace import TraceContext
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.metrics import Measurement
     from repro.pipelines.base import Pipeline, PipelineSpec
+    from repro.scenario.schema import ClusterConfig, StorageConfig
 
 __all__ = [
     "MODE_REAL",
@@ -41,6 +42,7 @@ __all__ = [
     "RunResult",
     "build_pipeline",
     "pipeline_factories",
+    "require_registered",
 ]
 
 MODE_SIMULATED = "simulated"
@@ -48,33 +50,11 @@ MODE_REAL = "real"
 
 _MODES = (MODE_SIMULATED, MODE_REAL)
 
+#: The request fields naming the simulated platform's topology.
+_TOPOLOGY = ("cluster", "storage")
+
 
 # ------------------------------------------------------------- serialization
-
-
-def _spec_to_dict(spec: "PipelineSpec") -> dict:
-    ocean = spec.ocean
-    return {
-        "ocean": {
-            "resolution_km": ocean.resolution_km,
-            "n_vertical_levels": ocean.n_vertical_levels,
-            "timestep_seconds": ocean.timestep_seconds,
-            "duration_seconds": ocean.duration_seconds,
-            "vars_3d": list(ocean.vars_3d),
-            "vars_2d": list(ocean.vars_2d),
-            "bytes_per_value": ocean.bytes_per_value,
-        },
-        "sampling": {"interval_hours": spec.sampling.interval_hours},
-        "images": {
-            "width": spec.images.width,
-            "height": spec.images.height,
-            "cameras": [
-                {"center": list(camera.center), "zoom": camera.zoom}
-                for camera in spec.images.cameras
-            ],
-        },
-        "output_prefix": spec.output_prefix,
-    }
 
 
 def _spec_from_dict(data: Mapping[str, Any]) -> "PipelineSpec":
@@ -156,6 +136,12 @@ class RunRequest:
     #: is active.  Like ``workdir`` it is transport, not identity: excluded
     #: from :meth:`to_dict`, the cache key and request equality.
     trace: Optional[TraceContext] = field(default=None, compare=False)
+    #: Compute-cluster topology of the simulated platform; ``None`` is the
+    #: paper's 150-node Caddy cluster.
+    cluster: Optional["ClusterConfig"] = None
+    #: Storage-rack configuration of the simulated platform; ``None`` is
+    #: the paper's Lustre rack.
+    storage: Optional["StorageConfig"] = None
 
     def __post_init__(self) -> None:
         if self.spec is None:
@@ -163,6 +149,12 @@ class RunRequest:
 
             object.__setattr__(self, "spec", PipelineSpec())
         object.__setattr__(self, "pipeline_args", _normalize_args(self.pipeline_args))
+        for name in _TOPOLOGY:
+            config = getattr(self, name)
+            # The paper's testbed is always spelled ``None``, so spelling its
+            # defaults out changes neither equality nor the cache key.
+            if config is not None and config == type(config)():
+                object.__setattr__(self, name, None)
         if self.mode not in _MODES:
             raise ConfigurationError(
                 f"unknown run mode {self.mode!r}; expected one of {_MODES}"
@@ -206,12 +198,16 @@ class RunRequest:
     # -------------------------------------------------------------- hash/seed
 
     def to_dict(self) -> dict:
-        """JSON-safe representation (manifest / cache meta / ``--json``)."""
-        return {
+        """JSON-safe representation (manifest / cache meta / ``--json``).
+
+        The ``cluster``/``storage`` keys appear only off the paper's
+        testbed, so every request on it keeps a stable cache key.
+        """
+        out = {
             "schema_version": SCHEMA_VERSION,
             "pipeline": self.pipeline,
             "pipeline_args": [list(pair) for pair in self.pipeline_args],
-            "spec": _spec_to_dict(self.spec),
+            "spec": asdict(self.spec),
             "mode": self.mode,
             "faults": None if self.faults is None else self.faults.to_dict(),
             "checkpoints": (
@@ -219,6 +215,11 @@ class RunRequest:
             ),
             "seed": self.seed,
         }
+        for name in _TOPOLOGY:
+            config = getattr(self, name)
+            if config is not None:
+                out[name] = asdict(config)
+        return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunRequest":
@@ -226,6 +227,14 @@ class RunRequest:
         serialized: it is machine-local and never part of run identity)."""
         faults = data.get("faults")
         checkpoints = data.get("checkpoints")
+        topology = {name: data[name] for name in _TOPOLOGY if name in data}
+        if topology:
+            from repro.scenario.schema import ClusterConfig, StorageConfig
+
+            configs = {"cluster": ClusterConfig, "storage": StorageConfig}
+            topology = {
+                name: configs[name](**fields) for name, fields in topology.items()
+            }
         return cls(
             pipeline=str(data.get("pipeline", "")),
             pipeline_args=tuple(
@@ -238,6 +247,7 @@ class RunRequest:
                 None if checkpoints is None else CheckpointPolicy(**checkpoints)
             ),
             seed=int(data.get("seed", 0)),
+            **topology,
         )
 
     def cache_key(self, code_version: str) -> str:
@@ -336,6 +346,24 @@ def pipeline_factories() -> dict:
         PostProcessingPipeline.name: PostProcessingPipeline,
         InTransitPipeline.name: InTransitPipeline,
     }
+
+
+def require_registered(pipeline: "Pipeline") -> None:
+    """Reject a pipeline the engine would not rebuild as itself.
+
+    Requests name their pipeline, and the engine rebuilds the class
+    registered under that name (:func:`build_pipeline`), so a subclass or an
+    unregistered pipeline would silently run as something else.  Such a
+    pipeline can still run through its own
+    :meth:`~repro.pipelines.base.Pipeline.execute`.
+    """
+    registered = pipeline_factories().get(pipeline.name)
+    if type(pipeline) is not registered:
+        raise ConfigurationError(
+            f"{type(pipeline).__qualname__} cannot run on the execution "
+            f"engine: it rebuilds pipeline {pipeline.name!r} from its name, "
+            f"which registers {getattr(registered, '__qualname__', 'nothing')}"
+        )
 
 
 def build_pipeline(request: RunRequest) -> "Pipeline":

@@ -13,14 +13,14 @@ controlled experiment:
 4. report time/energy recovery overhead per pipeline, alongside the
    analytic :class:`~repro.faults.model.FailureModel` prediction.
 
-Every run uses a fresh platform from ``platform_factory`` so measurements
+Every run uses a fresh platform built from its request, so measurements
 never share simulator state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.core.metrics import Measurement
@@ -32,6 +32,10 @@ from repro.pipelines.base import Pipeline, PipelineSpec
 from repro.pipelines.insitu import InSituPipeline
 from repro.pipelines.postprocessing import PostProcessingPipeline
 from repro.units import HOUR, format_energy, format_seconds
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.exec.api import RunRequest
+    from repro.scenario.schema import ClusterConfig, StorageConfig
 
 __all__ = ["PipelineFaultReport", "FaultCampaignResult", "run_fault_campaign"]
 
@@ -156,7 +160,7 @@ def _default_pipelines() -> Sequence[Pipeline]:
 
 def run_fault_campaign(
     spec: PipelineSpec,
-    platform_factory: Optional[Callable[[], object]] = None,
+    *,
     seed: int = 0,
     mtbf_hours: Optional[float] = 6.0,
     checkpoint_every: int = 8,
@@ -166,14 +170,16 @@ def run_fault_campaign(
     pipelines: Optional[Sequence[Pipeline]] = None,
     include_unprotected: bool = True,
     engine: Optional["ExecutionEngine"] = None,
+    cluster: Optional["ClusterConfig"] = None,
+    storage: Optional["StorageConfig"] = None,
 ) -> FaultCampaignResult:
     """Run the full controlled campaign described in the module docstring.
 
-    Runs route through the execution engine by default (pass ``engine`` to
-    fan the per-pipeline runs out or memoize them); ``platform_factory``
-    — a callable returning a *fresh* simulated platform per call — forces
-    every run onto those bespoke platforms, inline.  Deterministic either
-    way: the same arguments produce bit-identical measurements.
+    Runs route through the execution engine (pass ``engine`` to fan the
+    per-pipeline runs out or memoize them), so ``pipelines`` must be
+    registered classes.  ``cluster`` and ``storage`` are a scenario's
+    topology sections (``None`` = the paper's testbed).  Deterministic:
+    the same arguments produce bit-identical measurements.
     """
     if checkpoint_every < 1:
         raise ConfigurationError(f"checkpoint cadence must be >= 1: {checkpoint_every}")
@@ -182,24 +188,17 @@ def run_fault_campaign(
         raise ConfigurationError("campaign needs at least one pipeline")
     # Imported here, not at module top: repro.exec.api itself imports the
     # fault config objects, so a top-level import would be circular.
-    from repro.exec.api import RunRequest, pipeline_factories
+    from repro.exec.api import RunRequest, require_registered
     from repro.exec.engine import ExecutionEngine
 
-    registry = pipeline_factories()
-    runner: Optional[ExecutionEngine] = None
-    if platform_factory is None and all(p.name in registry for p in workloads):
-        runner = engine if engine is not None else ExecutionEngine()
-
-    def _run(pipeline: Pipeline, request: RunRequest):
-        """One run: through the engine when possible, else a fresh platform."""
-        if runner is not None:
-            return runner.run(request.bound_to(pipeline))
-        platform = platform_factory() if platform_factory is not None else None
-        return pipeline.execute(request, platform=platform)
+    for pipeline in workloads:
+        require_registered(pipeline)
+    runner = engine if engine is not None else ExecutionEngine()
+    request = RunRequest(spec=spec, cluster=cluster, storage=storage)
 
     baselines: Dict[str, Measurement] = {}
     for pipeline in workloads:
-        result = _run(pipeline, RunRequest(spec=spec))
+        result = runner.run(request.bound_to(pipeline))
         baselines[pipeline.name] = result.measurement
 
     horizon = HORIZON_SAFETY_FACTOR * max(m.execution_time for m in baselines.values())
@@ -226,12 +225,10 @@ def run_fault_campaign(
     result = FaultCampaignResult(
         spec=fault_spec, mtbf_hours=mtbf_hours, checkpoint_every=checkpoint_every
     )
+    faulted = replace(request, faults=fault_spec)
     for pipeline in workloads:
         baseline = baselines[pipeline.name]
-        run = _run(
-            pipeline,
-            RunRequest(spec=spec, faults=fault_spec, checkpoints=policy),
-        )
+        run = runner.run(replace(faulted, checkpoints=policy).bound_to(pipeline))
         protected = run.measurement
         summary = dict(run.fault_summary or {})
         report = PipelineFaultReport(
@@ -244,9 +241,7 @@ def run_fault_campaign(
             ),
         )
         if include_unprotected:
-            report.unprotected_outcome = _unprotected_outcome(
-                platform_factory, pipeline, spec, fault_spec
-            )
+            report.unprotected_outcome = _unprotected_outcome(pipeline, faulted)
         result.reports.append(report)
     return result
 
@@ -275,22 +270,14 @@ def _model_overhead(
         return None
 
 
-def _unprotected_outcome(
-    platform_factory: Optional[Callable[[], object]],
-    pipeline: Pipeline,
-    spec: PipelineSpec,
-    fault_spec: FaultSpec,
-) -> str:
+def _unprotected_outcome(pipeline: Pipeline, request: "RunRequest") -> str:
     """What the same fault load does to a run with no checkpoint policy.
 
     Always inline and uncached: the interesting outcome is the *exception*,
     which a cache entry could never replay.
     """
-    from repro.exec.api import RunRequest
-
-    platform = platform_factory() if platform_factory is not None else None
     try:
-        pipeline.execute(RunRequest(spec=spec, faults=fault_spec), platform=platform)
+        pipeline.execute(request)
     except FaultError as exc:
         return f"aborted: {type(exc).__name__}: {exc}"
     return "completed (no crash landed inside its shorter exposure window)"

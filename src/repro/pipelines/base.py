@@ -106,7 +106,8 @@ class Pipeline(ABC):
 
         Dispatches on ``request.mode``: simulated requests run at campaign
         scale on a :class:`~repro.pipelines.platform.SimulatedPlatform`
-        (a fresh one per call unless ``platform`` is given — fresh platforms
+        (a fresh one per call, built from the request's ``cluster`` and
+        ``storage`` topology, unless ``platform`` is given — fresh platforms
         are what make runs pure functions of the request, hence cacheable
         and pool-safe), real requests run the miniature version in
         ``request.workdir``.  ``None`` means "this pipeline with every
@@ -146,9 +147,13 @@ class Pipeline(ABC):
         resumable sweep that replays completed work from ``cache``.
         Results come back in request order; with a non-abort fail policy,
         exhausted tasks carry ``RunResult.failure`` instead of raising.
+        The engine rebuilds the pipeline from its name, so this pipeline
+        must be a registered class, not a subclass of one.
         """
+        from repro.exec.api import require_registered
         from repro.exec.supervise import SupervisedExecutor
 
+        require_registered(self)
         bound = [request.bound_to(self) for request in requests]
         executor = SupervisedExecutor(
             max_workers=workers,
@@ -185,7 +190,9 @@ class Pipeline(ABC):
             from repro.pipelines.platform import SimulatedPlatform
 
             if platform is None:
-                platform = SimulatedPlatform()
+                platform = SimulatedPlatform.from_topology(
+                    request.cluster, request.storage
+                )
             measurement = platform._execute(
                 self,
                 request.spec,

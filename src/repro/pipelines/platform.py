@@ -18,7 +18,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro import obs
 from repro.cluster.machine import ComputeCluster, PhaseProfile, caddy
@@ -43,9 +43,12 @@ from repro.ocean.driver import MiniOceanDriver, OceanCostModel
 from repro.paper import TIMESTEP_SECONDS
 from repro.pipelines.base import CHECKPOINT_FILENAME, Pipeline, PipelineSpec
 from repro.power.report import PowerReport
-from repro.storage.lustre import StorageCluster
+from repro.storage.lustre import LustreFileSystem, StorageCluster
 from repro.units import HOUR
 from repro.viz.render import ImageSpec, RenderCostModel
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.scenario.schema import ClusterConfig, StorageConfig
 
 __all__ = ["ImageSizeModel", "SimulatedPlatform", "RealScale", "RealPlatform"]
 
@@ -128,6 +131,45 @@ class SimulatedPlatform:
         self.last_fault_summary: Optional[dict] = None
         #: Recoveries performed during the most recent run.
         self.last_recoveries = 0
+
+    @classmethod
+    def from_topology(
+        cls,
+        cluster: Optional["ClusterConfig"] = None,
+        storage: Optional["StorageConfig"] = None,
+    ) -> "SimulatedPlatform":
+        """A fresh platform with a scenario's cluster and storage sections.
+
+        ``None`` keeps the paper's Caddy cluster or Lustre rack, so
+        ``from_topology()`` is ``SimulatedPlatform()``.
+        """
+        sim = Simulator()
+        if cluster is None:
+            compute = caddy(sim)
+        else:
+            compute = ComputeCluster(
+                sim,
+                n_nodes=cluster.nodes,
+                cores_per_socket=cluster.cores_per_socket,
+                nodes_per_cage=cluster.nodes_per_cage,
+                name=cluster.name,
+            )
+        if storage is None:
+            return cls(cluster=compute)
+        filesystem = LustreFileSystem(
+            sim,
+            capacity_bytes=storage.capacity_bytes,
+            write_bandwidth=storage.write_bandwidth,
+            read_bandwidth=storage.read_bandwidth,
+            n_mds=storage.mds,
+            n_ost=storage.ost,
+            metadata_latency=storage.metadata_latency_seconds,
+        )
+        return cls(
+            cluster=compute,
+            storage=StorageCluster(sim, filesystem=filesystem),
+            n_io_aggregators=storage.io_aggregators,
+        )
 
     # ------------------------------------------------------------ cost hooks
 

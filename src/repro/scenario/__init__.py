@@ -22,7 +22,6 @@ Entry points:
 from repro.scenario.build import (
     build_engine,
     build_pipelines,
-    build_platform_factory,
     build_spec,
     scenario_from_args,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "apply_overrides",
     "build_engine",
     "build_pipelines",
-    "build_platform_factory",
     "build_spec",
     "load_scenario",
     "parse_bandwidth",

@@ -1,20 +1,23 @@
 """Build the runtime objects a :class:`Scenario` describes.
 
-This is the single place where declarative scenario data turns into the
-live Platform / Pipeline / engine objects the experiments run on.  The
-flag-driven CLI path goes through :func:`scenario_from_args`, so both
-spellings construct the *same* scenario and therefore the same objects —
-the byte-identical-telemetry guarantee holds by construction.
+This is where declarative scenario data turns into the spec, pipelines
+and engine the experiments run on.  The flag-driven CLI path goes through
+:func:`scenario_from_args`, so both spellings construct the *same*
+scenario and therefore the same objects — the byte-identical-telemetry
+guarantee holds by construction.
 
-Builders return ``None`` whenever the scenario asks for the library
-default, so the default code path (and its cache keys, event streams and
-request lists) stays exactly what it was before scenarios existed.
+The ``cluster`` and ``storage`` sections need no builder: they travel in
+every :class:`~repro.exec.api.RunRequest` as they are, and
+:meth:`~repro.pipelines.platform.SimulatedPlatform.from_topology` builds
+each run's fresh platform from them.  A scenario on the paper's testbed
+builds a spec equal to the library default, so its requests share cache
+keys with plain library calls.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.scenario.schema import (
     ExecutionConfig,
@@ -35,7 +38,6 @@ __all__ = [
     "build_images",
     "build_spec",
     "build_pipelines",
-    "build_platform_factory",
     "build_engine",
     "scenario_from_args",
 ]
@@ -64,10 +66,9 @@ def build_images(config: ImagesConfig):
 def build_spec(scenario: Scenario):
     """The :class:`~repro.pipelines.base.PipelineSpec` for this scenario.
 
-    Returns ``None`` when every field resolves to the library default so
-    the historical ``spec=None`` code path (and its request hashes) is
-    taken verbatim.  Fault campaigns always materialize a spec: their
-    cadence and campaign length live in it.
+    A fault campaign runs at the spec's cadence, its one sampling interval.
+    A characterization grid re-samples the spec per cell, so its spec keeps
+    the library's default cadence.
     """
     from repro.pipelines.base import PipelineSpec
     from repro.pipelines.sampling import SamplingPolicy
@@ -78,8 +79,6 @@ def build_spec(scenario: Scenario):
             sampling=SamplingPolicy(scenario.sampling.intervals_hours[0]),
             images=build_images(scenario.images),
         )
-    if scenario.ocean == OceanConfig() and scenario.images == ImagesConfig():
-        return None
     return PipelineSpec(
         ocean=build_ocean(scenario.ocean), images=build_images(scenario.images)
     )
@@ -105,50 +104,6 @@ def build_pipelines(scenario: Scenario) -> Optional[Tuple]:
         else:
             instances.append(PostProcessingPipeline())
     return tuple(instances)
-
-
-def build_platform_factory(scenario: Scenario) -> Optional[Callable]:
-    """A fresh-platform factory for non-default topologies (``None`` = default).
-
-    Bespoke platform objects cannot cross the engine's process/cache
-    boundary, so a non-``None`` factory forces the inline execution path —
-    scenario validation already rejects combining it with ``execution``.
-    """
-    if not scenario.needs_custom_platform:
-        return None
-    cluster_config = scenario.cluster
-    storage_config = scenario.storage
-
-    def factory():
-        from repro.events.engine import Simulator
-        from repro.cluster.machine import ComputeCluster
-        from repro.pipelines.platform import SimulatedPlatform
-        from repro.storage.lustre import LustreFileSystem, StorageCluster
-
-        sim = Simulator()
-        cluster = ComputeCluster(
-            sim,
-            n_nodes=cluster_config.nodes,
-            cores_per_socket=cluster_config.cores_per_socket,
-            nodes_per_cage=cluster_config.nodes_per_cage,
-            name=cluster_config.name,
-        )
-        filesystem = LustreFileSystem(
-            sim,
-            capacity_bytes=storage_config.capacity_bytes,
-            write_bandwidth=storage_config.write_bandwidth,
-            read_bandwidth=storage_config.read_bandwidth,
-            n_mds=storage_config.mds,
-            n_ost=storage_config.ost,
-            metadata_latency=storage_config.metadata_latency_seconds,
-        )
-        return SimulatedPlatform(
-            cluster=cluster,
-            storage=StorageCluster(sim, filesystem=filesystem),
-            n_io_aggregators=storage_config.io_aggregators,
-        )
-
-    return factory
 
 
 def build_engine(scenario: Scenario):

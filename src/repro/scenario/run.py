@@ -21,12 +21,7 @@ from typing import Optional, Sequence
 
 from repro import obs
 from repro.core.metrics import POST_PROCESSING
-from repro.scenario.build import (
-    build_engine,
-    build_pipelines,
-    build_platform_factory,
-    build_spec,
-)
+from repro.scenario.build import build_engine, build_pipelines, build_spec
 from repro.scenario.schema import Scenario
 from repro.units import years
 
@@ -47,21 +42,13 @@ def _characterize(scenario: Scenario, pipelines=None):
     """Run the characterization grid exactly as the scenario describes it."""
     from repro import run_characterization
 
-    kwargs: dict = {}
-    spec = build_spec(scenario)
-    if spec is not None:
-        kwargs["spec"] = spec
-    factory = build_platform_factory(scenario)
-    if factory is not None:
-        kwargs["platform_factory"] = factory
-    else:
-        engine = build_engine(scenario)
-        if engine is not None:
-            kwargs["engine"] = engine
-    if pipelines is not None:
-        kwargs["pipelines"] = pipelines
     return run_characterization(
-        intervals_hours=scenario.sampling.intervals_hours, **kwargs
+        intervals_hours=scenario.sampling.intervals_hours,
+        spec=build_spec(scenario),
+        engine=build_engine(scenario),
+        pipelines=pipelines,
+        cluster=scenario.cluster,
+        storage=scenario.storage,
     )
 
 
@@ -149,15 +136,6 @@ def _run_faults(scenario: Scenario, json_output: bool) -> int:
         "unprotected runs for both pipelines)...",
         file=sys.stderr,
     )
-    kwargs: dict = {}
-    factory = build_platform_factory(scenario)
-    if factory is not None:
-        kwargs["platform_factory"] = factory
-    else:
-        kwargs["engine"] = build_engine(scenario)
-    pipelines = build_pipelines(scenario)
-    if pipelines is not None:
-        kwargs["pipelines"] = pipelines
     result = run_fault_campaign(
         spec,
         seed=campaign.seed,
@@ -166,8 +144,11 @@ def _run_faults(scenario: Scenario, json_output: bool) -> int:
         restart_penalty_seconds=campaign.restart_penalty_seconds,
         brownout_rate_per_hour=campaign.brownout_rate_per_hour,
         io_error_rate_per_hour=campaign.io_error_rate_per_hour,
+        pipelines=build_pipelines(scenario),
         include_unprotected=campaign.include_unprotected,
-        **kwargs,
+        engine=build_engine(scenario),
+        cluster=scenario.cluster,
+        storage=scenario.storage,
     )
     if json_output:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))

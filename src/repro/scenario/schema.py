@@ -657,26 +657,6 @@ class Scenario:
                 "execution.resume",
                 "resume needs both execution.journal and execution.cache",
             )
-        if self.needs_custom_platform and self.execution.wants_engine:
-            raise ScenarioError(
-                "execution",
-                "a non-default cluster/storage topology runs inline on a "
-                "bespoke platform; workers/cache/supervision are only "
-                "available on the default platform",
-                "drop the execution section or the custom topology",
-            )
-
-    # ------------------------------------------------------------- properties
-
-    @property
-    def needs_custom_platform(self) -> bool:
-        """Whether this scenario needs a bespoke (inline-only) platform.
-
-        Non-default image parameters do *not* force one: they travel inside
-        the :class:`~repro.pipelines.base.PipelineSpec`, which crosses the
-        engine's process/cache boundary as pure data.
-        """
-        return self.cluster != ClusterConfig() or self.storage != StorageConfig()
 
     # ---------------------------------------------------------- serialization
 

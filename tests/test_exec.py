@@ -42,8 +42,9 @@ from repro.pipelines.intransit import InTransitPipeline
 from repro.pipelines.platform import RealPlatform, RealScale, SimulatedPlatform
 from repro.pipelines.postprocessing import PostProcessingPipeline
 from repro.pipelines.sampling import SamplingPolicy
+from repro.scenario.schema import ClusterConfig, StorageConfig
 from repro.storage.lustre import LustreFileSystem, StorageCluster
-from repro.units import MONTH, TB, years
+from repro.units import MB, MONTH, TB, years
 
 
 def tiny_spec(hours: float = 72.0) -> PipelineSpec:
@@ -52,6 +53,11 @@ def tiny_spec(hours: float = 72.0) -> PipelineSpec:
         ocean=MPASOceanConfig(duration_seconds=MONTH),
         sampling=SamplingPolicy(hours),
     )
+
+
+#: A topology off the paper's testbed on each axis.
+SMALL_CLUSTER = ClusterConfig(nodes=12, nodes_per_cage=4)
+FAST_STORAGE = StorageConfig(write_bandwidth=320 * MB)
 
 
 def tiny_requests() -> list:
@@ -101,16 +107,38 @@ class TestRunRequest:
             RunRequest(pipeline=IN_SITU).bound_to(PostProcessingPipeline())
 
     def test_round_trip_preserves_cache_key(self):
-        request = RunRequest(pipeline=IN_SITU, spec=tiny_spec(), seed=7)
-        clone = RunRequest.from_dict(request.to_dict())
-        assert clone.cache_key("v1") == request.cache_key("v1")
-        assert request.to_dict()["schema_version"] == SCHEMA_VERSION
+        for request in (
+            RunRequest(pipeline=IN_SITU, spec=tiny_spec(), seed=7),
+            RunRequest(pipeline=IN_SITU, spec=tiny_spec(), cluster=SMALL_CLUSTER),
+            RunRequest(pipeline=IN_SITU, spec=tiny_spec(), storage=FAST_STORAGE),
+        ):
+            clone = RunRequest.from_dict(request.to_dict())
+            assert clone.cache_key("v1") == request.cache_key("v1")
+            assert request.to_dict()["schema_version"] == SCHEMA_VERSION
 
     def test_cache_key_sensitivity(self):
         base = RunRequest(pipeline=IN_SITU, spec=tiny_spec())
         assert base.cache_key("v1") != base.cache_key("v2")
-        other = RunRequest(pipeline=IN_SITU, spec=tiny_spec(), seed=1)
-        assert base.cache_key("v1") != other.cache_key("v1")
+        for other in (
+            RunRequest(pipeline=IN_SITU, spec=tiny_spec(), seed=1),
+            RunRequest(pipeline=IN_SITU, spec=tiny_spec(), cluster=SMALL_CLUSTER),
+            RunRequest(pipeline=IN_SITU, spec=tiny_spec(), storage=FAST_STORAGE),
+        ):
+            assert base.cache_key("v1") != other.cache_key("v1")
+
+    def test_paper_platform_cache_key_pinned(self):
+        spec = PipelineSpec().with_sampling(SamplingPolicy(72.0))
+        pinned = "aef855deea73618ef77f5e4786c313c07b0c7e6ea2ae579edba349db528e8c29"
+        implicit = RunRequest(pipeline=IN_SITU, spec=spec)
+        explicit = RunRequest(
+            pipeline=IN_SITU,
+            spec=spec,
+            cluster=ClusterConfig(),
+            storage=StorageConfig(),
+        )
+        assert implicit.cache_key("v1") == pinned
+        assert explicit.cache_key("v1") == pinned
+        assert explicit == implicit
 
     def test_task_seed_deterministic(self):
         request = RunRequest(pipeline=IN_SITU, spec=tiny_spec())
@@ -271,6 +299,19 @@ class TestExecutionEngine:
         assert recorded["cache_misses"] == 1
         assert recorded["tasks_executed"] == 1
 
+    @pytest.mark.parametrize("hours", [8.0, 72.0])
+    def test_default_topology_builds_the_paper_platform(self, hours):
+        request = RunRequest(spec=tiny_spec(hours))
+        for pipeline in pipeline_factories().values():
+            paper = pipeline().execute(request, platform=SimulatedPlatform())
+            built = pipeline().execute(
+                request,
+                platform=SimulatedPlatform.from_topology(
+                    ClusterConfig(), StorageConfig()
+                ),
+            )
+            assert built.identity_dict() == paper.identity_dict()
+
     def test_faulted_runs_replay_with_summary(self, tmp_path):
         from repro.faults.resilience import CheckpointPolicy
         from repro.faults.spec import FaultSpec
@@ -287,6 +328,42 @@ class TestExecutionEngine:
         assert warm.cache_hit
         assert warm.fault_summary == cold.fault_summary
         assert warm.recoveries == cold.recoveries
+
+
+class ExplodingInSitu(InSituPipeline):
+    """A subclass the engine would silently replace with its base class."""
+
+    def simulated_process(self, *args, **kwargs):
+        raise RuntimeError("the subclass ran")
+
+
+class TestEngineRejectsSubclasses:
+    """Engine paths name pipelines, so they refuse what they would rebuild."""
+
+    def test_characterization_grid(self):
+        from repro import run_characterization
+
+        with pytest.raises(ConfigurationError, match="ExplodingInSitu"):
+            run_characterization(
+                intervals_hours=(72.0,),
+                spec=tiny_spec(),
+                pipelines=(ExplodingInSitu(), PostProcessingPipeline()),
+            )
+
+    def test_fault_campaign(self):
+        from repro.faults.campaign import run_fault_campaign
+
+        with pytest.raises(ConfigurationError, match="ExplodingInSitu"):
+            run_fault_campaign(
+                tiny_spec(24.0),
+                seed=3,
+                pipelines=(ExplodingInSitu(),),
+                include_unprotected=False,
+            )
+
+    def test_execute_many(self):
+        with pytest.raises(ConfigurationError, match="ExplodingInSitu"):
+            ExplodingInSitu().execute_many([RunRequest(spec=tiny_spec())])
 
 
 #: One positional call per keyword-only builder and sweep method.  Each

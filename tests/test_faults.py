@@ -38,7 +38,6 @@ from repro.faults.spec import IO_ERROR, NODE_CRASH, OST_DROPOUT, WRITE_BROWNOUT
 from repro.ocean.driver import MPASOceanConfig
 from repro.pipelines.base import PipelineSpec
 from repro.pipelines.insitu import InSituPipeline
-from repro.pipelines.platform import SimulatedPlatform
 from repro.pipelines.postprocessing import PostProcessingPipeline
 from repro.pipelines.sampling import SamplingPolicy
 from repro.storage.lustre import LustreFileSystem
@@ -586,7 +585,7 @@ class TestCampaign:
 
         def go():
             result = run_fault_campaign(
-                spec, SimulatedPlatform, seed=3, mtbf_hours=0.05,
+                spec, seed=3, mtbf_hours=0.05,
                 checkpoint_every=2,
             )
             return json.dumps(result.to_dict(), sort_keys=True)
@@ -595,7 +594,7 @@ class TestCampaign:
 
     def test_campaign_reports_both_pipelines(self):
         result = run_fault_campaign(
-            tiny_spec(), SimulatedPlatform, seed=3, mtbf_hours=0.05,
+            tiny_spec(), seed=3, mtbf_hours=0.05,
             checkpoint_every=2, include_unprotected=False,
         )
         assert {r.pipeline for r in result.reports} == {"in-situ", "post-processing"}
@@ -607,7 +606,7 @@ class TestCampaign:
 
     def test_identical_fault_load_for_every_pipeline(self):
         result = run_fault_campaign(
-            tiny_spec(), SimulatedPlatform, seed=3, mtbf_hours=0.05,
+            tiny_spec(), seed=3, mtbf_hours=0.05,
             checkpoint_every=2, include_unprotected=False,
         )
         seeds = {r.fault_summary["seed"] for r in result.reports}

@@ -30,7 +30,6 @@ from repro.scenario import (
 from repro.scenario.build import (
     build_engine,
     build_pipelines,
-    build_platform_factory,
     build_spec,
     scenario_from_args,
 )
@@ -221,15 +220,6 @@ class TestValidationErrors:
         assert "15 staging nodes" in str(exc.value)
         parse_scenario(_minimal(cluster={"nodes": 16}, pipelines=pipelines))
 
-    def test_custom_topology_rejects_engine_options(self):
-        with pytest.raises(ScenarioError) as exc:
-            Scenario(
-                name="x",
-                cluster=ClusterConfig(nodes=75),
-                execution=ExecutionConfig(workers=2),
-            )
-        assert exc.value.path == "execution"
-
     def test_resume_needs_journal_and_cache(self):
         with pytest.raises(ScenarioError) as exc:
             Scenario(name="x", execution=ExecutionConfig(resume=True))
@@ -292,10 +282,11 @@ class TestOverrides:
 
 class TestBuilders:
     def test_default_scenario_builds_all_none(self):
+        from repro.pipelines.base import PipelineSpec
+
         s = parse_scenario(_minimal(name="default"))
-        assert build_spec(s) is None
+        assert build_spec(s) == PipelineSpec()
         assert build_pipelines(s) is None
-        assert build_platform_factory(s) is None
         assert build_engine(s) is None
 
     def test_faults_scenario_spec_matches_legacy_construction(self):
@@ -316,8 +307,10 @@ class TestBuilders:
         assert build_spec(s) == legacy
 
     def test_custom_topology_builds_platform_factory(self):
-        # Every cluster/storage field is set off its default, so a field the
-        # factory drops on its way to the builders shows up here.
+        from repro.pipelines.platform import SimulatedPlatform
+
+        # Every cluster/storage field is set off its default, so a field
+        # from_topology drops on its way to the builders shows up here.
         s = parse_scenario(_minimal(
             cluster={
                 "name": "tiny", "nodes": 12, "cores_per_socket": 4,
@@ -329,8 +322,7 @@ class TestBuilders:
                 "io_aggregators": 4,
             },
         ))
-        factory = build_platform_factory(s)
-        platform = factory()
+        platform = SimulatedPlatform.from_topology(s.cluster, s.storage)
         assert platform.cluster.name == "tiny"
         assert platform.cluster.n_nodes == 12
         assert platform.cluster.nodes[0].cores_per_socket == 4
@@ -443,7 +435,8 @@ class TestGallery:
         paper = load_scenario(str(GALLERY_DIR / "paper-caddy-150.yaml"))
         default = Scenario(name="characterize")
         assert paper.content_digest() == default.content_digest()
-        assert not paper.needs_custom_platform
+        assert paper.cluster == ClusterConfig()
+        assert paper.storage == StorageConfig()
         assert paper.sampling == SamplingConfig()
 
     def test_digest_drift_detected(self, tmp_path):
@@ -512,6 +505,68 @@ class TestCliScenarioCommands:
         from repro.cli import main
 
         assert main(["run", "/nonexistent/scenario.yaml"]) == 2
+
+
+class TestCustomTopology:
+    """A non-default cluster/storage travels in every run request."""
+
+    def test_characterization_runs_on_the_engine(self, tmp_path):
+        """A custom topology gets the pool and the cache, same results."""
+        from repro import run_characterization
+
+        sections = dict(
+            cluster={"nodes": 12, "nodes_per_cage": 4},
+            storage={"write_bandwidth": "320 MB/s", "ost": 4},
+            sampling={"intervals_hours": [72]},
+            ocean={"duration": "1 months"},
+        )
+        inline = parse_scenario(_minimal(name="tiny", **sections))
+        pooled = parse_scenario(_minimal(
+            name="tiny",
+            execution={"workers": 2, "cache": str(tmp_path / "cache")},
+            **sections,
+        ))
+
+        def run(scenario):
+            engine = build_engine(scenario)
+            study = run_characterization(
+                intervals_hours=scenario.sampling.intervals_hours,
+                spec=build_spec(scenario),
+                engine=engine,
+                cluster=scenario.cluster,
+                storage=scenario.storage,
+            )
+            return study.to_dict(), engine
+
+        expected, _ = run(inline)
+        paper, _ = run(parse_scenario(_minimal(
+            name="tiny", sampling=sections["sampling"], ocean=sections["ocean"]
+        )))
+        assert expected != paper
+        first, engine = run(pooled)
+        assert first == expected
+        assert (engine.cache_hits, engine.cache_misses) == (0, 2)
+        again, engine = run(pooled)
+        assert again == expected
+        assert (engine.cache_hits, engine.cache_misses) == (2, 0)
+
+    def test_fault_campaign_runs_on_its_topology(self, capsys):
+        from repro.scenario.run import run_scenario
+
+        sections = dict(
+            experiment={"kind": "faults"},
+            sampling={"intervals_hours": [24]},
+            ocean={"duration": "0.3 months"},
+            faults={"seed": 3, "mtbf_hours": 0.05, "checkpoint_every": 2},
+        )
+        reports = []
+        for cluster in ({}, {"nodes": 12, "nodes_per_cage": 4}):
+            scenario = parse_scenario(_minimal(name="f", cluster=cluster, **sections))
+            assert run_scenario(scenario, json_output=True) == 0
+            reports.append(json.loads(capsys.readouterr().out)["reports"])
+        for paper, small in zip(*reports):
+            assert small["baseline"] != paper["baseline"]
+            assert small["protected"] != paper["protected"]
 
 
 class TestByteIdentity:

@@ -375,18 +375,24 @@ class TestAtomicIO:
         assert (tmp_path / "manifest.json").exists()
 
 
+def _engine_from_flags(**flags):
+    """The engine ``repro report`` builds from these engine flags."""
+    import argparse
+
+    from repro.scenario.build import _execution_from_args, build_engine
+    from repro.scenario.schema import Scenario
+
+    execution = _execution_from_args(argparse.Namespace(**flags))
+    return build_engine(Scenario(name="report", execution=execution))
+
+
 class TestCliIntegration:
     def test_engine_builder_upgrades_to_supervised(self):
-        import argparse
-
-        from repro.cli import _engine
-
-        args = argparse.Namespace(
+        engine = _engine_from_flags(
             workers=2, cache=None, supervise=True, deadline=10.0,
             task_retries=4, max_worker_crashes=2, fail_policy="skip",
             journal=None, resume=False,
         )
-        engine = _engine(args)
         assert isinstance(engine, SupervisedExecutor)
         assert engine.policy.deadline_seconds == 10.0
         assert engine.policy.retry.max_attempts == 4
@@ -394,16 +400,11 @@ class TestCliIntegration:
         assert engine.policy.fail_policy == "skip"
 
     def test_engine_builder_plain_without_supervision(self):
-        import argparse
-
-        from repro.cli import _engine
-
-        args = argparse.Namespace(
+        engine = _engine_from_flags(
             workers=2, cache=None, supervise=False, deadline=None,
             task_retries=None, max_worker_crashes=None, fail_policy=None,
             journal=None, resume=False,
         )
-        engine = _engine(args)
         assert isinstance(engine, ExecutionEngine)
         assert not isinstance(engine, SupervisedExecutor)
 
