@@ -10,7 +10,7 @@ can be reported per run.  A one-node group is a single node.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.cluster.power import NodePowerModel
@@ -117,6 +117,6 @@ def per_node(
     """``value(group)`` once per member node, in node order.
 
     Summing these adds the same floats as a node-by-node sum while calling
-    ``value`` once per group.
+    ``value`` once per group; the per-node steps run in C.
     """
-    return (v for group in groups for v in repeat(value(group), group.count))
+    return chain.from_iterable(repeat(value(group), group.count) for group in groups)

@@ -19,6 +19,9 @@ from repro.obs.registry import DEFAULT_BUCKETS, Histogram, MetricsRegistry
 
 __all__ = ["JsonlWriter", "read_jsonl", "to_prometheus", "write_prometheus"]
 
+#: The one encoder every JSON-lines record goes through (stateless per call).
+_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
 
 class JsonlWriter:
     """Append-only JSON-lines stream with deterministic key order.
@@ -40,8 +43,7 @@ class JsonlWriter:
         """Serialize one record onto its own line (flushed whole)."""
         if self._fh is None:
             raise ValueError(f"writer for {self.path!r} is closed")
-        line = json.dumps(record, sort_keys=True, default=str)
-        self._fh.write(line + "\n")
+        self._fh.write(_ENCODER.encode(record) + "\n")
         self._fh.flush()
         self.n_written += 1
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -151,8 +151,13 @@ class TimelineSampler:
         #: Most recent samples, oldest first (ring buffer).
         self.recent: Deque[dict] = deque(maxlen=capacity)
         self.n_samples = 0
-        self._probes: List[Tuple[str, Probe]] = []
-        self._names: set = set()
+        #: Registered probes by series name, in registration order.
+        self._probes: Dict[str, Probe] = {}
+        #: The same probes sorted by series name: the order samples list them.
+        self._by_name: List[Tuple[str, Probe]] = []
+        #: ``repro_obs_timeline_samples_total{label}``, looked up at the
+        #: first sample so that a sampler that never samples adds no series.
+        self._samples_counter = None
         self._next: Optional[float] = None
         self._last_t: Optional[float] = None
         self._attached = False
@@ -166,10 +171,10 @@ class TimelineSampler:
             raise ConfigurationError(
                 f"probe name {name!r} may not be a wildcard selector"
             )
-        if name in self._names:
+        if name in self._probes:
             raise ConfigurationError(f"duplicate timeline probe {name!r}")
-        self._names.add(name)
-        self._probes.append((name, fn))
+        self._probes[name] = fn
+        self._by_name = sorted(self._probes.items())
 
     def add_probes(self, probes: Sequence[Tuple[str, Probe]]) -> None:
         """Register a probe-builder's ``(name, fn)`` pairs in order."""
@@ -179,7 +184,7 @@ class TimelineSampler:
     @property
     def series_names(self) -> Tuple[str, ...]:
         """Registered series, in registration order."""
-        return tuple(name for name, _ in self._probes)
+        return tuple(self._probes)
 
     # ---------------------------------------------------------- lifecycle
 
@@ -210,23 +215,18 @@ class TimelineSampler:
             self._next += self.interval
 
     def _sample(self, t: float) -> None:
-        values: Dict[str, float] = {}
-        for name, fn in self._probes:
-            values[name] = float(fn(t))
-        record = {
-            "type": "sample",
-            "t": t,
-            "label": self.label,
-            "values": {name: values[name] for name in sorted(values)},
-        }
+        values = {name: float(fn(t)) for name, fn in self._by_name}
+        record = {"type": "sample", "t": t, "label": self.label, "values": values}
         self.recent.append(record)
         self.n_samples += 1
         self._last_t = t
         if self.session is not None:
             self.session.emit_timeline(record)
-            self.session.registry.counter(
-                "repro_obs_timeline_samples_total", label=self.label
-            ).inc()
+            if self._samples_counter is None:
+                self._samples_counter = self.session.registry.counter(
+                    "repro_obs_timeline_samples_total", label=self.label
+                )
+            self._samples_counter.inc()
         if self.watchdog is not None:
             for alert in self.watchdog.observe(t, values):
                 self._emit_alert(alert)
@@ -260,18 +260,10 @@ def engine_probes(sim) -> List[Tuple[str, Probe]]:
 
 def storage_probes(fs) -> List[Tuple[str, Probe]]:
     """Lustre gauges: fill fractions, MDS queue, bandwidth in flight."""
-    # Per-OST fills come from one namespace scan per sample, shared across
-    # the per-OST probes through a tiny (t -> fractions) memo.
-    memo: Dict[str, object] = {"t": None, "vals": ()}
 
     def ost_fraction(index: int) -> Probe:
-        def probe(t: float) -> float:
-            if memo["t"] != t:
-                memo["t"] = t
-                memo["vals"] = fs.ost_fill_fractions()
-            return memo["vals"][index]
-
-        return probe
+        # The filesystem rescans its namespace only after a write or delete.
+        return lambda t: fs.ost_fill_fractions()[index]
 
     probes: List[Tuple[str, Probe]] = [
         ("repro_timeline_storage_fill_ratio", lambda t: fs.fill_ratio),
@@ -304,12 +296,12 @@ def power_probes(
     The draw is the true power of every node, in node order, plus the
     storage rack's: the additions a meter over all those signals makes.
     """
+    from repro.cluster.node import per_node
+
     rack = () if storage is None else (storage.power_signal,)
 
     def draw(t: float) -> float:
-        nodes = (
-            w for g in cluster.groups for w in repeat(g.power_signal.value_at(t), g.count)
-        )
+        nodes = per_node(cluster.groups, lambda g: g.power_signal.value_at(t))
         return sum(chain(nodes, (s.value_at(t) for s in rack)))
 
     def nodes_in_band(lo: float, hi: Optional[float]) -> Probe:

@@ -164,6 +164,10 @@ class _RuleState:
         self.history: Deque[float] = deque(maxlen=window)
 
 
+#: One rule bound to one series it selects, with that pair's state.
+_Binding = Tuple[WatchRule, str, _RuleState]
+
+
 class Watchdog:
     """Evaluates a rule set against successive timeline samples."""
 
@@ -176,6 +180,9 @@ class Watchdog:
             )
         self.rules: Tuple[WatchRule, ...] = tuple(rules)
         self._state: Dict[Tuple[str, str], _RuleState] = {}
+        #: ``(rule, series, state)`` triples per sampled series-name set, in
+        #: evaluation order: rules outer, sorted series inner.
+        self._bindings: Dict[Tuple[str, ...], List[_Binding]] = {}
         #: Every alert ever returned by :meth:`observe`, in firing order.
         self.alerts: List[Alert] = []
 
@@ -187,27 +194,37 @@ class Watchdog:
             self._state[key] = state
         return state
 
+    def _bind(self, names: Tuple[str, ...]) -> List[_Binding]:
+        ordered = sorted(names)
+        return [
+            (rule, series, self._state_for(rule, series))
+            for rule in self.rules
+            for series in ordered
+            if rule.matches(series)
+        ]
+
     def observe(self, t: float, values: Mapping[str, float]) -> List[Alert]:
         """Evaluate every rule against one sample; returns fresh alerts.
 
         ``values`` is the sample's ``{series: value}`` mapping.  Series a
         rule selects but the sample lacks are skipped (their breach state is
-        untouched), so heterogeneous samplers can share one watchdog.
+        untouched), so heterogeneous samplers can share one watchdog.  Rules
+        are matched once per distinct set of series names.
         """
+        names = tuple(values)
+        bindings = self._bindings.get(names)
+        if bindings is None:
+            bindings = self._bindings[names] = self._bind(names)
         fired: List[Alert] = []
-        for rule in self.rules:
-            for series in sorted(values):
-                if not rule.matches(series):
-                    continue
-                value = float(values[series])
-                state = self._state_for(rule, series)
-                if rule.kind == "growth":
-                    breached = self._growth_breached(state, value)
-                else:
-                    breached = _OPS[rule.op](value, rule.threshold)
-                alert = self._advance(rule, series, state, t, value, breached)
-                if alert is not None:
-                    fired.append(alert)
+        for rule, series, state in bindings:
+            value = float(values[series])
+            if rule.kind == "growth":
+                breached = self._growth_breached(state, value)
+            else:
+                breached = _OPS[rule.op](value, rule.threshold)
+            alert = self._advance(rule, series, state, t, value, breached)
+            if alert is not None:
+                fired.append(alert)
         self.alerts.extend(fired)
         return fired
 

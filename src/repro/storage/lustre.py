@@ -94,6 +94,11 @@ class LustreFileSystem:
         self.write_pipe = BandwidthPipe(sim, write_bandwidth)
         self.read_pipe = BandwidthPipe(sim, read_bandwidth)
         self._files: dict[str, FileRecord] = {}
+        #: Bumped by every namespace change (a write commit or a delete);
+        #: the namespace totals below are rescanned only when it has moved.
+        self._version = 0
+        self._used: tuple[int, float] = (-1, 0.0)
+        self._fills: tuple[int, tuple[float, ...]] = (-1, ())
         self._metadata_ops = 0
         #: Round-robin cursor assigning each new file's ``stripe_start``.
         self._stripe_cursor = 0
@@ -117,7 +122,11 @@ class LustreFileSystem:
     @property
     def used_bytes(self) -> float:
         """Bytes currently stored."""
-        return sum(f.size for f in self._files.values())
+        version, used = self._used
+        if version != self._version:
+            used = sum(f.size for f in self._files.values())
+            self._used = (self._version, used)
+        return used
 
     @property
     def free_bytes(self) -> float:
@@ -166,15 +175,18 @@ class LustreFileSystem:
         starting at its ``stripe_start`` (mod the OST count), so deletes and
         overwrites stay consistent with :attr:`used_bytes` by construction.
         """
+        version, fills = self._fills
+        if version == self._version:
+            return fills
         n = len(self.osts)
         used = [0.0] * n
         for record in self._files.values():
             per_stripe = record.size / record.stripe_count
             for k in range(record.stripe_count):
                 used[(record.stripe_start + k) % n] += per_stripe
-        return tuple(
-            used[i] / self.osts[i].capacity_bytes for i in range(n)
-        )
+        fills = tuple(used[i] / self.osts[i].capacity_bytes for i in range(n))
+        self._fills = (self._version, fills)
+        return fills
 
     def stat(self, path: str) -> FileRecord:
         """Namespace record for ``path``."""
@@ -288,6 +300,7 @@ class LustreFileSystem:
             record.size = float(nbytes)
         else:
             record.size += nbytes
+        self._version += 1
         record.n_writes += 1
         obs.counter("repro_storage_writes_total")
         obs.counter("repro_storage_written_bytes", nbytes)
@@ -345,6 +358,7 @@ class LustreFileSystem:
         self.stat(path)
         yield from self._metadata_op()
         del self._files[path]
+        self._version += 1
 
 
 class StorageCluster:

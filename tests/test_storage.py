@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, StorageError, StorageFullError
+from repro.errors import (
+    ConfigurationError,
+    NodeCrashError,
+    StorageError,
+    StorageFullError,
+    TransientIOError,
+)
 from repro.events.engine import Simulator
+from repro.faults import FaultGate
 from repro.storage.devices import OstDevice
 from repro.storage.lustre import LustreFileSystem, StorageCluster
 from repro.storage.power import StoragePowerModel
@@ -217,6 +224,104 @@ class TestLustreFileSystem:
         sim.run()
         assert fs.used_bytes == pytest.approx(sum(sizes))
         assert fs.bytes_written == pytest.approx(sum(sizes), rel=1e-9, abs=1e-3)
+
+
+def _bits(used: float, ratio: float, fills) -> tuple:
+    return (float(used).hex(), float(ratio).hex(), tuple(f.hex() for f in fills))
+
+
+def _totals(fs: LustreFileSystem) -> tuple:
+    """The three namespace totals as the filesystem reports them."""
+    return _bits(fs.used_bytes, fs.fill_ratio, fs.ost_fill_fractions())
+
+
+def _scan(fs: LustreFileSystem) -> tuple:
+    """The same totals from a fresh scan of the namespace, in its order."""
+    records = list(fs._files.values())
+    used = sum(r.size for r in records)
+    n = len(fs.osts)
+    per_ost = [0.0] * n
+    for r in records:
+        share = r.size / r.stripe_count
+        for k in range(r.stripe_count):
+            per_ost[(r.stripe_start + k) % n] += share
+    fills = tuple(per_ost[i] / fs.osts[i].capacity_bytes for i in range(n))
+    return _bits(used, used / fs.capacity_bytes, fills)
+
+
+class _CountingFiles(dict):
+    """A namespace dict that counts full scans (``values()`` calls)."""
+
+    scans = 0
+
+    def values(self):
+        self.scans += 1
+        return super().values()
+
+
+class TestNamespaceTotals:
+    """The totals are rescanned only after a write commit or a delete."""
+
+    def test_totals_follow_every_namespace_change(self, sim):
+        fs = LustreFileSystem(sim, capacity_bytes=10 * GB)
+        changes = [
+            ("create", lambda: fs.write("/a", 123_456_789.0, stripe_count=3)),
+            ("create", lambda: fs.write("/b", 0.7 * GB, stripe_count=5)),
+            ("append", lambda: fs.write("/a", 98_765.4321)),
+            ("overwrite", lambda: fs.write("/b", 0.3 * GB, overwrite=True)),
+            ("delete", lambda: fs.delete("/a")),
+        ]
+        for what, change in changes:
+            before = _totals(fs)
+            run_process(sim, change())
+            assert _totals(fs) == _scan(fs), what
+            assert _totals(fs) != before, what
+
+    def test_failed_writes_leave_totals_unchanged(self, sim):
+        rate = 100 * MB  # repro-unit: bytes_per_s
+        fs = LustreFileSystem(sim, capacity_bytes=1 * GB, write_bandwidth=rate)
+        run_process(sim, fs.write("/a", 0.3 * GB, stripe_count=3))
+        before = _totals(fs)
+
+        with pytest.raises(StorageFullError):
+            run_process(sim, fs.write("/big", 2 * GB))
+        assert _totals(fs) == before == _scan(fs)
+
+        fs.fault_gate = FaultGate()
+        fs.fault_gate.arm("write")
+        with pytest.raises(TransientIOError):
+            run_process(sim, fs.write("/a", 0.1 * GB))
+        assert _totals(fs) == before == _scan(fs)
+
+        outcome = []
+
+        def writer():
+            try:
+                yield from fs.write("/a", 0.2 * GB)  # 2 s on the write pipe
+            except NodeCrashError:
+                outcome.append("crashed")
+
+        proc = sim.process(writer())
+        fuse = sim.timeout(1.0)
+        fuse.callbacks.append(lambda _e: proc.interrupt(NodeCrashError("die")))
+        sim.run()
+        assert outcome == ["crashed"]
+        assert _totals(fs) == before == _scan(fs)
+
+    def test_two_reads_scan_the_namespace_once(self, sim):
+        fs = LustreFileSystem(sim)
+        run_process(sim, fs.write("/a", 1 * GB))
+        run_process(sim, fs.write("/b", 2 * GB, stripe_count=3))
+        files = fs._files = _CountingFiles(fs._files)
+        reads = [fs.used_bytes, fs.fill_ratio, fs.used_bytes]
+        assert reads == [3 * GB, 3 * GB / fs.capacity_bytes, 3 * GB]
+        assert files.scans == 1
+        assert fs.ost_fill_fractions() == fs.ost_fill_fractions()
+        assert files.scans == 2
+        run_process(sim, fs.write("/c", 1 * GB))
+        assert fs.used_bytes == fs.used_bytes == 4 * GB
+        assert fs.ost_fill_fractions() == fs.ost_fill_fractions()
+        assert files.scans == 4
 
 
 class TestStorageCluster:

@@ -9,8 +9,10 @@ naming grammar and its ``obs-naming`` lint extension, the ``obs check`` /
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +25,8 @@ from repro.obs.cli import main as obs_cli_main
 from repro.obs.cli import collect_alerts, summarize
 from repro.ocean.driver import MPASOceanConfig
 from repro.pipelines.base import PipelineSpec
-from repro.units import MONTH
+from repro.storage.lustre import LustreFileSystem
+from repro.units import GB, MB, MONTH
 
 
 @pytest.fixture(autouse=True)
@@ -268,6 +271,172 @@ class TestWatchdog:
         assert {"power_cap_exceeded", "checkpoint_overdue"} <= full
 
 
+# ------------------------------------------------ once-per-run bookkeeping
+
+
+DRAW = "repro_timeline_power_draw_watts"
+OST0 = "repro_timeline_storage_ost0_fill_ratio"
+OST1 = "repro_timeline_storage_ost1_fill_ratio"
+QUEUE = "repro_timeline_engine_queue_depth_total"
+FILL = "repro_timeline_storage_fill_ratio"
+
+_MIXED_RULES = (
+    obs.WatchRule(name="hot", series="repro_timeline_power_draw_watts",
+                  op=">", threshold=100.0, for_seconds=2.0),
+    obs.WatchRule(name="ost_full", series="repro_timeline_storage_ost*",
+                  op=">=", threshold=0.9),
+    obs.WatchRule(name="queue_growth",
+                  series="repro_timeline_engine_queue_depth_total",
+                  kind="growth", window=3),
+)
+
+
+def _full(draw: float, ost0: float, ost1: float, queue: float) -> dict:
+    # Inserted out of name order: the watchdog must sort, not trust the dict.
+    return {QUEUE: queue, OST1: ost1, OST0: ost0, FILL: 0.5, DRAW: draw}
+
+
+def _partial(ost0: float) -> dict:
+    # Lacks DRAW, OST1 and QUEUE, which the rules select.
+    return {FILL: 0.5, OST0: ost0}
+
+
+_MIXED_SAMPLES = (
+    (1.0, _full(150.0, 0.95, 0.50, 1.0)),
+    (2.0, _partial(0.95)),
+    (3.0, _full(150.0, 0.20, 0.95, 2.0)),
+    (4.0, _partial(0.95)),
+    (5.0, _full(150.0, 0.95, 0.97, 3.0)),
+    (6.0, _partial(0.10)),
+    (7.0, _full(50.0, 0.95, 0.10, 4.0)),
+    (8.0, _full(150.0, 0.95, 0.95, 4.0)),
+    (9.0, _partial(0.95)),
+    (10.0, _full(150.0, 0.99, 0.99, 5.0)),
+)
+
+
+def _reference_alerts(rules, samples) -> list:
+    """Every rule matched against every sorted series of every sample."""
+    ops = {">": float.__gt__, ">=": float.__ge__, "<": float.__lt__, "<=": float.__le__}
+    states: dict = {}
+    alerts = []
+    for t, values in samples:
+        for rule in rules:
+            for series in sorted(values):
+                if not rule.matches(series):
+                    continue
+                value = float(values[series])
+                state = states.setdefault(
+                    (rule.name, series), {"start": None, "fired": False, "history": []}
+                )
+                if rule.kind == "growth":
+                    history = (state["history"] + [value])[-rule.window:]
+                    state["history"] = history
+                    breached = len(history) == rule.window and all(
+                        b > a for a, b in zip(history, history[1:])
+                    )
+                else:
+                    breached = ops[rule.op](value, float(rule.threshold))
+                if not breached:
+                    state["start"], state["fired"] = None, False
+                    continue
+                if state["start"] is None:
+                    state["start"] = t
+                if not state["fired"] and t - state["start"] >= rule.for_seconds:
+                    state["fired"] = True
+                    alerts.append((rule.name, series, t, value))
+    return alerts
+
+
+class TestWatchdogAcrossSeriesSets:
+    def test_interleaved_series_sets_match_a_per_sample_scan(self):
+        dog = obs.Watchdog(_MIXED_RULES)
+        returned = []
+        for t, values in _MIXED_SAMPLES:
+            returned.extend(dog.observe(t, values))
+        got = [(a.rule, a.series, a.t, a.value) for a in dog.alerts]
+        assert [(a.rule, a.series, a.t, a.value) for a in returned] == got
+        assert got == _reference_alerts(_MIXED_RULES, _MIXED_SAMPLES)
+        # The partial samples at t=2 and t=9 lack DRAW, yet the debounce
+        # begun at t=1 (t=8) completes at t=3 (t=10): their states stayed
+        # untouched.  Likewise QUEUE's growth window spans t=1, 3 and 5.
+        assert got == [
+            ("ost_full", OST0, 1.0, 0.95),
+            ("hot", DRAW, 3.0, 150.0),
+            ("ost_full", OST1, 3.0, 0.95),
+            ("ost_full", OST0, 4.0, 0.95),
+            ("queue_growth", QUEUE, 5.0, 3.0),
+            ("ost_full", OST0, 7.0, 0.95),
+            ("ost_full", OST1, 8.0, 0.95),
+            ("hot", DRAW, 10.0, 150.0),
+        ]
+
+    def test_rules_match_once_per_series_set(self, monkeypatch):
+        calls = []
+        matches = obs.WatchRule.matches
+
+        def counting(rule, series):
+            calls.append((rule.name, series))
+            return matches(rule, series)
+
+        monkeypatch.setattr(obs.WatchRule, "matches", counting)
+        dog = obs.Watchdog(_MIXED_RULES)
+        dog.observe(0.0, _full(0.0, 0.0, 0.0, 0.0))
+        dog.observe(0.5, _partial(0.0))
+        assert calls
+        calls.clear()
+        for t, values in _MIXED_SAMPLES:
+            dog.observe(t, values)
+        assert calls == []
+
+
+class TestSamplerBookkeeping:
+    def test_values_sorted_names_in_registration_order(self):
+        sim = _ticking_sim(n_steps=4, step=1.0)
+        calls = []
+        sampler = obs.TimelineSampler(sim, interval_seconds=1.0)
+        sampler.add_probe(
+            "repro_timeline_storage_fill_ratio", lambda t: calls.append(FILL) or 0.5
+        )
+        sampler.add_probe(
+            "repro_timeline_engine_queue_depth_total", lambda t: calls.append(QUEUE) or t
+        )
+        sampler.add_probe(
+            "repro_timeline_power_draw_watts", lambda t: calls.append(DRAW) or 2.0
+        )
+        sampler.attach()
+        sim.run()
+        sampler.detach()
+        assert sampler.series_names == (FILL, QUEUE, DRAW)
+        assert sampler.n_samples == 4
+        for sample in sampler.recent:
+            assert list(sample["values"]) == [QUEUE, DRAW, FILL]
+        assert sorted(calls) == sorted([FILL, QUEUE, DRAW] * 4)
+
+    def test_samples_counter_counts_every_sample(self, tmp_path):
+        sim = _ticking_sim(n_steps=5, step=1.0)
+        with obs.session(str(tmp_path), label="tl") as session:
+            sampler = obs.TimelineSampler(sim, interval_seconds=1.0, session=session)
+            sampler.add_probe("repro_timeline_engine_clock_seconds", lambda t: t)
+            sampler.attach()
+            sim.run()
+            sampler.detach()
+            counter = session.registry.counter(
+                "repro_obs_timeline_samples_total", label="run"
+            )
+            assert counter.value == sampler.n_samples == 5
+
+    def test_ost_probe_sees_a_write_at_one_simulated_time(self):
+        sim = Simulator()
+        fs = LustreFileSystem(sim, capacity_bytes=1 * GB)
+        ost0 = dict(obs.storage_probes(fs))[OST0]
+        assert ost0(5.0) == 0.0
+        sim.process(fs.write("/a", 80 * MB))
+        sim.run()
+        # Same probe time, new namespace: the fill must follow the write.
+        assert ost0(5.0) == fs.ost_fill_fractions()[0] > 0.0
+
+
 # ----------------------------------------------------- platform integration
 
 
@@ -369,6 +538,63 @@ class TestPlatformIntegration:
         assert (a / obs.TIMELINE_FILENAME).read_bytes() == (
             b / obs.TIMELINE_FILENAME
         ).read_bytes()
+
+
+# ------------------------------------------------------ pinned telemetry bytes
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _telemetry_digests(directory: Path) -> dict:
+    return {
+        name: _sha256((directory / name).read_bytes())
+        for name in (obs.EVENTS_FILENAME, obs.TIMELINE_FILENAME)
+    }
+
+
+class TestTelemetryBytesArePinned:
+    """sha256 of what two fixed runs write: any changed output byte fails.
+
+    The faulted run is the end-to-end benchmark's ``faults-traced`` rep
+    (its ``golden.json`` digests); the capped run goes through the
+    unsupervised path.
+    """
+
+    def test_faulted_powercap_stress_run(self, tmp_path, capsys):
+        from repro.scenario.loader import load_scenario
+        from repro.scenario.run import run_scenario
+
+        scenario = load_scenario(
+            str(REPO_ROOT / "scenarios" / "powercap-stress.yaml"),
+            overrides=["faults.seed=3"],
+        )
+        capsys.readouterr()
+        timeline = obs.TimelineConfig(power_cap_watts=16_000.0)
+        with obs.session(str(tmp_path), timeline=timeline):
+            run_scenario(scenario, json_output=True)
+        stdout = capsys.readouterr().out.encode("utf-8")
+        assert _telemetry_digests(tmp_path) == {
+            obs.EVENTS_FILENAME:
+                "6195f66cb26cad4beaa86c1be48548e695e04d2c342a5989a4abf1227758ad02",
+            obs.TIMELINE_FILENAME:
+                "77abda8287ecbe8282cda1ad3277e7085f43f1b6c5dab222ca7ffd8ef66597d8",
+        }
+        assert _sha256(stdout) == (
+            "c154fee7032747644cafa832d8216e0d6b4d3bbfae41bf71621363c4d4082a5c"
+        )
+
+    def test_unfaulted_capped_run(self, tmp_path, small_spec):
+        _run_with_timeline(tmp_path, small_spec, power_cap_watts=16_000.0)
+        assert _telemetry_digests(tmp_path) == {
+            obs.EVENTS_FILENAME:
+                "5fc1e371c7c654d07df2eeeaf582ccab66e604cc51e1134afb54c9a563c80aa0",
+            obs.TIMELINE_FILENAME:
+                "7ac3b00d9b9dafb2c25b1180fb4a875fcdf5baf72fa2464055ce0b992fa2bde1",
+        }
 
 
 # ---------------------------------------------------------------- obs CLI
