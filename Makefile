@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: lint lint-flow lint-sarif baseline test check bench-history scenarios obs-store
+.PHONY: lint lint-flow lint-sarif baseline test check bench-history bench-pairs scenarios obs-store
 
 lint:
 	$(PYTHON) -m repro.lint src/ tests/ benchmarks/ examples/
@@ -23,6 +23,36 @@ test:
 # Quick bench: gate against the trajectory ledger, then append the new row.
 bench-history:
 	$(PYTHON) -m repro bench history --quick --check --append
+
+# Alternating pairs of end-to-end benchmark runs of one workload, BASE (a git
+# revision, checked out in a detached worktree) against this checkout, one
+# pair per seed from SEED on; which side runs first alternates.  `compare`
+# then gives the verdicts on the runs' medians and checks the exact counts.
+BASE ?= HEAD
+WORKLOAD ?= sweep-cache
+PAIRS ?= 10
+SEED ?= 0
+PAIRS_OUT = $(CURDIR)/out/pairs/$(WORKLOAD)
+bench-pairs:
+	@git worktree remove --force .bench_base 2>/dev/null || true
+	rm -rf $(PAIRS_OUT)
+	git worktree add --detach .bench_base $(BASE)
+	@status=0; \
+	for i in $$(seq 0 $$(($(PAIRS) - 1))); do \
+	  seed=$$(($(SEED) + i)); \
+	  if [ $$((i % 2)) -eq 0 ]; then sides="base change"; else sides="change base"; fi; \
+	  for side in $$sides; do \
+	    if [ $$side = base ]; then dir=.bench_base; else dir=.; fi; \
+	    echo "bench-pairs: $(WORKLOAD) seed $$seed $$side"; \
+	    mkdir -p $(PAIRS_OUT)/$$side; \
+	    (cd $$dir && $(PYTHON) -m benchmarks.e2e run --workload $(WORKLOAD) --seed $$seed \
+	      --trace 1 --out $(PAIRS_OUT)/$$side/$$seed > $(PAIRS_OUT)/$$side/$$seed.log) \
+	      || status=1; \
+	  done; \
+	done; \
+	git worktree remove --force .bench_base; \
+	exit $$status
+	$(PYTHON) -m benchmarks.e2e compare $(PAIRS_OUT)/base $(PAIRS_OUT)/change
 
 # Validate the scenario template gallery against its pinned digests.
 scenarios:

@@ -178,6 +178,9 @@ class BandwidthPipe:
         self.capacity = float(capacity)
         self.on_rate_change = on_rate_change
         self._active: list[Transfer] = []
+        #: ``sum()`` of the active transfers' rates, kept by :meth:`_reprogram`
+        #: (the only place rates change); int 0 while idle.
+        self._rate = 0
         self._last_update = sim.now
         self._wakeup_token = 0
         self._bytes_moved = 0.0
@@ -192,7 +195,7 @@ class BandwidthPipe:
     @property
     def current_rate(self) -> float:
         """Aggregate instantaneous throughput in bytes/second."""
-        return sum(t.rate for t in self._active)
+        return self._rate
 
     @property
     def utilization(self) -> float:
@@ -316,8 +319,9 @@ class BandwidthPipe:
             t.rate = 0.0
             t.succeed(t.size)
         self._allocate()
+        self._rate = sum(t.rate for t in self._active)
         if self.on_rate_change is not None:
-            self.on_rate_change(self.sim.now, self.current_rate)
+            self.on_rate_change(self.sim.now, self._rate)
         if not self._active:
             return
         horizon = min(t.remaining / t.rate for t in self._active if t.rate > 0.0)

@@ -99,27 +99,28 @@ class PowerSignal:
         holds its state until it changes it), so ``t1`` may exceed
         :attr:`last_time`.
         """
-        if t1 < t0:
-            raise MeterError(f"reversed integration window [{t0}, {t1}]")
-        if t0 < self._times[0]:
-            raise MeterError(f"window starts at {t0}, before signal start {self._times[0]}")
-        if t1 == t0:
-            return 0.0
-        times = np.asarray(self._times)
-        watts = np.asarray(self._watts)
-        # Segment i covers [times[i], times[i+1]) with power watts[i]; the
-        # final segment extends to t1.
-        edges = np.append(times, max(t1, times[-1]))
-        lo = np.clip(edges[:-1], t0, t1)
-        hi = np.clip(edges[1:], t0, t1)
-        return float(np.sum((hi - lo) * watts))
+        return _integral(np.asarray(self._times), np.asarray(self._watts), t0, t1)
 
     def mean(self, t0: float, t1: float) -> float:
         # repro-unit: watts, t0=seconds, t1=seconds
         """Time-averaged power over ``[t0, t1]`` in watts."""
-        if t1 <= t0:
-            raise MeterError(f"degenerate averaging window [{t0}, {t1}]")
-        return self.integrate(t0, t1) / (t1 - t0)
+        return self.means((t0, t1))[0]
+
+    def means(self, edges: Sequence[float]) -> list[float]:
+        """:meth:`mean` over each window ``[edges[i], edges[i + 1]]``.
+
+        The breakpoint lists become arrays once for all the windows; each
+        window's arithmetic is :meth:`integrate`'s, so a window's mean does
+        not depend on the other windows, bit for bit.
+        """
+        times = np.asarray(self._times)
+        watts = np.asarray(self._watts)
+        out = []
+        for t0, t1 in zip(edges[:-1], edges[1:]):
+            if t1 <= t0:
+                raise MeterError(f"degenerate averaging window [{t0}, {t1}]")
+            out.append(_integral(times, watts, t0, t1) / (t1 - t0))
+        return out
 
     def max_over(self, t0: float, t1: float) -> float:
         # repro-unit: watts, t0=seconds, t1=seconds
@@ -146,7 +147,7 @@ class PowerSignal:
             raise ConfigurationError("total() of zero signals")
         distinct = list({id(s): s for s in signals}.values())
         start = max(s.start_time for s in distinct)
-        merged = np.unique(
+        merged = _sorted_unique(
             np.concatenate(
                 [np.asarray(s._times)[np.asarray(s._times) >= start] for s in distinct]
                 + [np.array([start])]
@@ -175,3 +176,34 @@ class PowerSignal:
             f"<PowerSignal {self.name!r} {len(self._times)} breakpoints, "
             f"last {self._watts[-1]:.0f} W @ {self._times[-1]:.1f}s>"
         )
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` for a 1-D array of finite floats; sorts in place.
+
+    The same sort and mask as ``np.unique``, without the ``numpy.ma``
+    import that ``np.unique`` makes on its first call.
+    """
+    values.sort()
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def _integral(times: np.ndarray, watts: np.ndarray, t0: float, t1: float) -> float:
+    # repro-unit: joules, t0=seconds, t1=seconds
+    """Energy over ``[t0, t1]`` of the signal with breakpoint arrays
+    ``times``/``watts``; see :meth:`PowerSignal.integrate`."""
+    if t1 < t0:
+        raise MeterError(f"reversed integration window [{t0}, {t1}]")
+    if t0 < times[0]:
+        raise MeterError(f"window starts at {t0}, before signal start {times[0]}")
+    if t1 == t0:
+        return 0.0
+    # Segment i covers [times[i], times[i+1]) with power watts[i]; the final
+    # segment extends to t1.
+    edges = np.append(times, max(t1, times[-1]))
+    lo = np.clip(edges[:-1], t0, t1)
+    hi = np.clip(edges[1:], t0, t1)
+    return float(np.sum((hi - lo) * watts))

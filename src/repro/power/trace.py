@@ -73,7 +73,7 @@ class PowerTrace:
             raise MeterError(f"empty sampling window [{t0}, {t1}]")
         edges = np.arange(t0, t1, dt)
         edges = np.append(edges, t1)
-        watts = [signal.mean(a, b) for a, b in zip(edges[:-1], edges[1:])]
+        watts = signal.means(edges)
         obs.counter(
             "repro_power_trace_intervals_total", len(watts), signal=name or signal.name
         )

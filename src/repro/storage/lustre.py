@@ -94,11 +94,14 @@ class LustreFileSystem:
         self.write_pipe = BandwidthPipe(sim, write_bandwidth)
         self.read_pipe = BandwidthPipe(sim, read_bandwidth)
         self._files: dict[str, FileRecord] = {}
-        #: Bumped by every namespace change (a write commit or a delete);
-        #: the namespace totals below are rescanned only when it has moved.
-        self._version = 0
-        self._used: tuple[int, float] = (-1, 0.0)
-        self._fills: tuple[int, tuple[float, ...]] = (-1, ())
+        #: Running namespace totals: used bytes (``sum()`` of no sizes is int
+        #: 0) and used bytes per OST.  A create adds its file to them; an
+        #: append, an overwrite or a delete sets them to ``None``, and the
+        #: next read rescans the namespace.
+        self._used: Optional[float] = 0
+        self._ost_used: Optional[list[float]] = [0.0] * n_ost
+        #: :meth:`ost_fill_fractions` as last derived; ``None`` once stale.
+        self._fills: Optional[tuple[float, ...]] = None
         self._metadata_ops = 0
         #: Round-robin cursor assigning each new file's ``stripe_start``.
         self._stripe_cursor = 0
@@ -122,11 +125,9 @@ class LustreFileSystem:
     @property
     def used_bytes(self) -> float:
         """Bytes currently stored."""
-        version, used = self._used
-        if version != self._version:
-            used = sum(f.size for f in self._files.values())
-            self._used = (self._version, used)
-        return used
+        if self._used is None:
+            self._used = sum(f.size for f in self._files.values())
+        return self._used
 
     @property
     def free_bytes(self) -> float:
@@ -175,18 +176,38 @@ class LustreFileSystem:
         starting at its ``stripe_start`` (mod the OST count), so deletes and
         overwrites stay consistent with :attr:`used_bytes` by construction.
         """
-        version, fills = self._fills
-        if version == self._version:
-            return fills
+        if self._fills is None:
+            if self._ost_used is None:
+                self._ost_used = [0.0] * len(self.osts)
+                for record in self._files.values():
+                    self._add_stripes(record)
+            self._fills = tuple(
+                used / ost.capacity_bytes for used, ost in zip(self._ost_used, self.osts)
+            )
+        return self._fills
+
+    def _add_stripes(self, record: FileRecord) -> None:
+        """Add ``record``'s bytes to the per-OST totals, evenly per stripe."""
         n = len(self.osts)
-        used = [0.0] * n
-        for record in self._files.values():
-            per_stripe = record.size / record.stripe_count
-            for k in range(record.stripe_count):
-                used[(record.stripe_start + k) % n] += per_stripe
-        fills = tuple(used[i] / self.osts[i].capacity_bytes for i in range(n))
-        self._fills = (self._version, fills)
-        return fills
+        per_stripe = record.size / record.stripe_count
+        for k in range(record.stripe_count):
+            self._ost_used[(record.stripe_start + k) % n] += per_stripe
+
+    def _add_created(self, record: FileRecord) -> None:
+        """Add a file that a write just created to the running totals.
+
+        The new file is last in the namespace, so this repeats exactly the
+        additions, in the same order, that a rescan makes.
+        """
+        if self._used is not None:
+            self._used += record.size
+        if self._ost_used is not None:
+            self._add_stripes(record)
+        self._fills = None
+
+    def _drop_totals(self) -> None:
+        """After an append, an overwrite or a delete: rescan at the next read."""
+        self._used = self._ost_used = self._fills = None
 
     def stat(self, path: str) -> FileRecord:
         """Namespace record for ``path``."""
@@ -287,7 +308,8 @@ class LustreFileSystem:
         finally:
             self._reserved_bytes -= needed
         record = self._files.get(path)
-        if record is None:
+        created = record is None
+        if created:
             record = FileRecord(
                 path,
                 created_at=self.sim.now,
@@ -300,7 +322,10 @@ class LustreFileSystem:
             record.size = float(nbytes)
         else:
             record.size += nbytes
-        self._version += 1
+        if created:
+            self._add_created(record)
+        else:
+            self._drop_totals()
         record.n_writes += 1
         obs.counter("repro_storage_writes_total")
         obs.counter("repro_storage_written_bytes", nbytes)
@@ -358,7 +383,7 @@ class LustreFileSystem:
         self.stat(path)
         yield from self._metadata_op()
         del self._files[path]
-        self._version += 1
+        self._drop_totals()
 
 
 class StorageCluster:

@@ -267,6 +267,37 @@ class TestBandwidthPipe:
         sim.run()
         assert done and done[0] > 2.6e6
 
+    def test_current_rate_is_the_sum_of_active_rates(self, sim):
+        """The pipe keeps ``sum()`` of its transfers' rates, in value and
+        type, through starts, completions, a cancel and a capacity change."""
+        pipe = BandwidthPipe(sim, capacity=100.0)
+
+        def check(*_):
+            total = sum(t.rate for t in pipe._active)
+            assert (pipe.current_rate, type(pipe.current_rate)) == (total, type(total))
+
+        pipe.on_rate_change = check
+        check()
+
+        def load():
+            pipe.transfer(300.0)
+            yield sim.timeout(1.0)
+            pipe.transfer(50.0, cap=7.5)
+            victim = pipe.transfer(400.0, cap=33.3)
+            yield sim.timeout(0.7)
+            pipe.transfer(123.4)
+            yield sim.timeout(0.9)
+            assert pipe.cancel(victim) > 0.0
+            yield sim.timeout(1.3)
+            pipe.set_capacity(41.7)
+
+        sim.process(load())
+        while sim.peek_event() is not None:
+            sim.step()
+            check()
+        assert pipe.active_transfers == 0
+        assert type(pipe.current_rate) is int
+
     def test_aggregate_rate_never_exceeds_capacity(self, sim):
         pipe = BandwidthPipe(sim, capacity=50.0)
         for size in (100.0, 200.0, 50.0):

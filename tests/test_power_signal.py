@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, MeterError
-from repro.power.signal import PowerSignal
+from repro.power.signal import PowerSignal, _sorted_unique
+
+SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 class TestRecording:
@@ -170,6 +176,43 @@ class TestTotal:
     def test_total_of_nothing_rejected(self):
         with pytest.raises(ConfigurationError):
             PowerSignal.total([])
+
+
+class TestMergedGrid:
+    """``total`` merges breakpoints as ``np.unique`` would, without it."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from([0.0, 0.5, 1.0, 60.0, 1e6 / 3, 2.0**-30])
+                | st.floats(min_value=0.0, max_value=1e7),
+                max_size=30,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_merged_grid_is_np_unique(self, breakpoint_sets):
+        values = np.concatenate([np.array(b, dtype=float) for b in breakpoint_sets])
+        expected = np.unique(values)
+        assert _sorted_unique(values.copy()).tobytes() == expected.tobytes()
+
+    def test_characterize_never_imports_numpy_ma(self, tmp_path):
+        probe = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "code = main(['characterize', '--intervals', '72'])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            timeout=300, cwd=str(tmp_path), env=env,
+        )
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert out.stdout.split()[-2:] == ["0", "False"]
 
 
 class TestSamples:

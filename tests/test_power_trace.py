@@ -74,6 +74,40 @@ class TestPowerTrace:
         with pytest.raises(MeterError):
             PowerTrace.from_signal(PowerSignal(1.0), 5.0, 5.0, MINUTE)
 
+    def test_window_before_the_signal_rejected(self):
+        with pytest.raises(MeterError):
+            PowerTrace.from_signal(PowerSignal(1.0, start_time=10.0), 5.0, 200.0, MINUTE)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        start=st.floats(min_value=0.0, max_value=1e6),
+        steps=st.lists(
+            st.tuples(st.floats(min_value=1e-3, max_value=500.0),
+                      st.floats(min_value=0.0, max_value=5e4)),
+            max_size=40,
+        ),
+        offset=st.floats(min_value=0.0, max_value=300.0),
+        dt=st.floats(min_value=1.0, max_value=120.0),
+        n_full=st.integers(min_value=0, max_value=60),
+        tail=st.floats(min_value=0.1, max_value=1.0),
+    )
+    def test_from_signal_equals_the_mean_of_each_window(
+        self, start, steps, offset, dt, n_full, tail
+    ):
+        signal = PowerSignal(100.0, start_time=start)
+        t = start
+        for gap, watts in steps:
+            t += gap
+            signal.set(t, watts)
+        t0 = start + offset
+        t1 = t0 + dt * (n_full + tail)
+        edges = np.append(np.arange(t0, t1, dt), t1)
+        windows = list(zip(edges[:-1], edges[1:]))
+        assume(all(b > a for a, b in windows))
+        expected = [float(signal.mean(a, b)).hex() for a, b in windows]
+        trace = PowerTrace.from_signal(signal, t0, t1, dt)
+        assert [w.hex() for w in trace.watts.tolist()] == expected
+
     def test_add_aligned_traces(self):
         a = PowerTrace(0.0, 60.0, [100.0, 200.0], name="compute")
         b = PowerTrace(0.0, 60.0, [10.0], name="storage")

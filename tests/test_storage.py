@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -249,6 +252,14 @@ def _scan(fs: LustreFileSystem) -> tuple:
     return _bits(used, used / fs.capacity_bytes, fills)
 
 
+def _uncounted_scan(fs: LustreFileSystem) -> tuple:
+    """:func:`_scan` over a plain copy of the namespace, so that a counting
+    namespace counts only the filesystem's own scans."""
+    return _scan(SimpleNamespace(
+        _files=dict(fs._files.items()), osts=fs.osts, capacity_bytes=fs.capacity_bytes
+    ))
+
+
 class _CountingFiles(dict):
     """A namespace dict that counts full scans (``values()`` calls)."""
 
@@ -260,7 +271,7 @@ class _CountingFiles(dict):
 
 
 class TestNamespaceTotals:
-    """The totals are rescanned only after a write commit or a delete."""
+    """The totals are rescanned only after an append, an overwrite or a delete."""
 
     def test_totals_follow_every_namespace_change(self, sim):
         fs = LustreFileSystem(sim, capacity_bytes=10 * GB)
@@ -310,18 +321,50 @@ class TestNamespaceTotals:
 
     def test_two_reads_scan_the_namespace_once(self, sim):
         fs = LustreFileSystem(sim)
+        files = fs._files = _CountingFiles(fs._files)
         run_process(sim, fs.write("/a", 1 * GB))
         run_process(sim, fs.write("/b", 2 * GB, stripe_count=3))
-        files = fs._files = _CountingFiles(fs._files)
         reads = [fs.used_bytes, fs.fill_ratio, fs.used_bytes]
         assert reads == [3 * GB, 3 * GB / fs.capacity_bytes, 3 * GB]
-        assert files.scans == 1
         assert fs.ost_fill_fractions() == fs.ost_fill_fractions()
-        assert files.scans == 2
         run_process(sim, fs.write("/c", 1 * GB))
         assert fs.used_bytes == fs.used_bytes == 4 * GB
         assert fs.ost_fill_fractions() == fs.ost_fill_fractions()
-        assert files.scans == 4
+        assert files.scans == 0
+        run_process(sim, fs.write("/a", 1 * GB))  # an append
+        assert fs.used_bytes == fs.used_bytes == 5 * GB
+        assert files.scans == 1
+        assert fs.ost_fill_fractions() == fs.ost_fill_fractions()
+        assert files.scans == 2
+
+    def test_creates_add_to_the_totals_without_a_scan(self, sim):
+        rng = random.Random(16)
+        fs = LustreFileSystem(sim)
+        files = fs._files = _CountingFiles()
+        paths = []
+        for i in range(300):
+            size = rng.uniform(0.0, 2 * GB) / rng.choice((1, 3, 7, 11))
+            assert fs.free_bytes > size
+            # Post-processing writes new files with overwrite=True.
+            paths.append(f"/f{i:03d}")
+            run_process(sim, fs.write(
+                paths[-1], size, stripe_count=rng.randint(1, 8),
+                overwrite=rng.random() < 0.3,
+            ))
+            assert _totals(fs) == _uncounted_scan(fs), paths[-1]
+        assert files.scans == 0
+        changes = [
+            ("append", lambda: fs.write(paths[7], 98_765.4321)),
+            ("overwrite", lambda: fs.write(paths[11], 0.1 * GB / 3, overwrite=True)),
+            ("delete", lambda: fs.delete(paths[13])),
+        ]
+        for what, change in changes:
+            run_process(sim, change())
+            assert _totals(fs) == _uncounted_scan(fs), what
+        # A create while the per-OST totals wait for their rescan.
+        run_process(sim, fs.write(paths[17], 5.5))
+        run_process(sim, fs.write("/late", GB / 3, stripe_count=5))
+        assert _totals(fs) == _uncounted_scan(fs)
 
 
 class TestStorageCluster:
