@@ -10,6 +10,7 @@ energy, and occupies 99.5 % less disk space").
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -31,9 +32,13 @@ IN_SITU = "in-situ"
 POST_PROCESSING = "post-processing"
 
 
-@dataclass
 class PhaseTimeline:
-    """Ordered list of ``(phase, t0, t1)`` records for one run.
+    """Ordered ``(phase, t0, t1)`` records for one run.
+
+    The records are kept as two columns, the phase name of each record and
+    one ``array('d')`` of interleaved t0/t1, because every cached or pooled
+    measurement crosses a pickle: an 8 h run holds ~2,000 records, which as
+    tuples would pickle and unpickle as three objects each.
 
     Each :meth:`add` also feeds the telemetry layer (a ``phase`` record in
     the event stream plus the ``repro_pipeline_phase_seconds`` histogram)
@@ -41,29 +46,55 @@ class PhaseTimeline:
     timestamps come from (simulated campaign time vs real wall time).
     """
 
-    records: list[tuple[str, float, float]] = field(default_factory=list)
-    #: Clock domain of the timestamps (``obs.SIM`` or ``obs.WALL``).
-    domain: str = obs.SIM
+    __slots__ = ("domain", "_names", "_times")
+
+    def __init__(self, domain: str = obs.SIM) -> None:
+        #: Clock domain of the timestamps (``obs.SIM`` or ``obs.WALL``).
+        self.domain = domain
+        self._names: list[str] = []
+        self._times = array("d")
+
+    def __getstate__(self) -> tuple:
+        return (self.domain, self._names, self._times)
+
+    def __setstate__(self, state: tuple) -> None:
+        # The tuple-records layout pickled a two-key dict, which fails to
+        # unpack here: its cache entries read as corrupt and re-run.
+        self.domain, self._names, self._times = state
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PhaseTimeline):
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
+
+    def __repr__(self) -> str:
+        return f"PhaseTimeline(records={self.records!r}, domain={self.domain!r})"
+
+    @property
+    def records(self) -> list[tuple[str, float, float]]:
+        """The ``(phase, t0, t1)`` records in order, as a fresh list."""
+        return list(self._rows())
+
+    def _rows(self) -> Iterator[tuple[str, float, float]]:
+        return zip(self._names, self._times[0::2], self._times[1::2])
 
     def add(self, phase: str, t0: float, t1: float) -> None:
         # repro-unit: t0=seconds, t1=seconds
         """Record that ``phase`` ran over ``[t0, t1]``."""
         if t1 < t0:
             raise ConfigurationError(f"phase {phase!r} ends before it starts: {t0}..{t1}")
-        self.records.append((phase, t0, t1))
+        self._names.append(phase)
+        self._times.append(t0)
+        self._times.append(t1)
         obs.phase(phase, t0, t1, domain=self.domain)
 
     def total(self, phase: str) -> float:  # repro-unit: seconds
         """Total seconds spent in ``phase`` (across all its segments)."""
-        return sum(t1 - t0 for p, t0, t1 in self.records if p == phase)
+        return sum(t1 - t0 for p, t0, t1 in self._rows() if p == phase)
 
     def phases(self) -> list[str]:
         """Distinct phase names in first-appearance order."""
-        seen: list[str] = []
-        for p, _, _ in self.records:
-            if p not in seen:
-                seen.append(p)
-        return seen
+        return list(dict.fromkeys(self._names))
 
     def by_phase(self) -> dict[str, float]:
         """``{phase: total_seconds}`` over the run."""

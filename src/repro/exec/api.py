@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.errors import ConfigurationError
@@ -86,6 +86,22 @@ def _spec_from_dict(data: Mapping[str, Any]) -> "PipelineSpec":
         ),
         output_prefix=str(data["output_prefix"]),
     )
+
+
+def _plain(value: Any) -> Any:
+    """``dataclasses.asdict`` of a frozen config, without its deep copy.
+
+    Dataclasses become dicts of their fields in definition order, tuples
+    and lists keep their type, and the immutable leaves (str, int, float)
+    are shared instead of copied.
+    """
+    if isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, (tuple, list)):
+        return type(value)([_plain(item) for item in value])
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 def _normalize_args(args: Any) -> tuple:
@@ -207,7 +223,7 @@ class RunRequest:
             "schema_version": SCHEMA_VERSION,
             "pipeline": self.pipeline,
             "pipeline_args": [list(pair) for pair in self.pipeline_args],
-            "spec": asdict(self.spec),
+            "spec": _plain(self.spec),
             "mode": self.mode,
             "faults": None if self.faults is None else self.faults.to_dict(),
             "checkpoints": (
@@ -218,7 +234,7 @@ class RunRequest:
         for name in _TOPOLOGY:
             config = getattr(self, name)
             if config is not None:
-                out[name] = asdict(config)
+                out[name] = _plain(config)
         return out
 
     @classmethod

@@ -93,11 +93,12 @@ class DiskCache:
         """The stored payload for ``key``, or ``None`` on a miss.
 
         The payload's sha256 is recomputed and checked against the meta
-        sidecar (entries written before digests existed skip the check); a
-        mismatch — bit-rot, a partially synced copy, tampering — quarantines
-        the entry and counts as a miss, so the engine re-executes instead of
-        propagating a corrupt measurement.  A torn or unreadable entry is
-        likewise a miss.
+        sidecar; a mismatch — bit-rot, a partially synced copy, tampering —
+        quarantines the entry and counts as a miss, so the engine
+        re-executes instead of propagating a corrupt measurement.  A
+        missing, torn or digest-less sidecar leaves the payload unverifiable
+        and is quarantined the same way.  A payload that does not unpickle
+        is likewise a miss.
         """
         payload_path, _ = self._paths(key)
         try:
@@ -105,21 +106,20 @@ class DiskCache:
                 raw = fh.read()
         except OSError:
             return None
-        meta = self.meta(key)
-        expected = (meta or {}).get("payload_sha256")
-        if expected is not None:
-            digest = hashlib.sha256(raw).hexdigest()
-            if digest != expected:
-                self.quarantine(key, reason="payload digest mismatch")
-                return None
+        expected = (self.meta(key) or {}).get("payload_sha256")
+        if expected is None:
+            self.quarantine(key, reason="no payload digest")
+            return None
+        if hashlib.sha256(raw).hexdigest() != expected:
+            self.quarantine(key, reason="payload digest mismatch")
+            return None
         try:
             return pickle.loads(raw)
         except (pickle.UnpicklingError, EOFError, AttributeError, ValueError):
-            if expected is not None:
-                # The bytes matched their digest yet do not unpickle: the
-                # entry was written by an incompatible code version.  Move
-                # it aside too so every later get() doesn't re-hash it.
-                self.quarantine(key, reason="payload does not unpickle")
+            # The bytes matched their digest yet do not unpickle: the entry
+            # was written by an incompatible code version.  Move it aside
+            # too so every later get() doesn't re-hash it.
+            self.quarantine(key, reason="payload does not unpickle")
             return None
 
     def put(self, key: str, payload: Any, meta: Optional[dict] = None) -> None:
@@ -203,7 +203,7 @@ class DiskCache:
         """The JSON meta sidecar for ``key``, or ``None``.
 
         A missing, torn or non-object sidecar returns ``None`` instead of
-        raising — the sidecar is provenance, never a load-bearing input.
+        raising; :meth:`get` then treats the entry as unverifiable.
         """
         _, meta_path = self._paths(key)
         try:

@@ -101,10 +101,11 @@ class ExecutionEngine:
         results: list = [None] * len(requests)
         pending: list = []
         for index, request in enumerate(requests):
+            # A hit's clock covers its key, the verified read and the unpickle.
+            t0 = time.perf_counter()
             key = self._cache_key(request)
             hit = self.cache.get(key) if key is not None else None
             if hit is not None:
-                t0 = time.perf_counter()
                 # wall_seconds is a diagnostic only: excluded from cache
                 # keys and from bit-identity replay comparisons.
                 result = RunResult(  # repro-lint: disable=det-clock

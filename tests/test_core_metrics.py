@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
+import pickletools
+from collections import Counter
+from dataclasses import dataclass, field
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.metrics import (
     IN_SITU,
@@ -28,6 +35,52 @@ def make_measurement(pipeline, hours, time, storage_gb, power=44_000.0, outputs=
     )
 
 
+#: Phase names the generated timelines use; "wait" never appears in them.
+PHASES = ("simulation", "io", "viz")
+
+#: ``(phase, t0, t1)`` with finite, awkward floats (subnormals, signed zeros,
+#: huge magnitudes) and ``t1 >= t0``.
+SEGMENTS = st.tuples(
+    st.sampled_from(PHASES),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+).map(lambda s: (s[0], min(s[1], s[2]), max(s[1], s[2])))
+
+
+def bits(value):
+    """``value`` with every float spelled exactly, and ints kept apart."""
+    if isinstance(value, float):
+        return float, value.hex()
+    if isinstance(value, (tuple, list)):
+        return type(value)(bits(v) for v in value)
+    if isinstance(value, dict):
+        return [(k, bits(v)) for k, v in value.items()]
+    return type(value), value
+
+
+@dataclass
+class TupleTimeline:
+    """The list-of-tuples timeline the columnar one replaced (reference)."""
+
+    records: list = field(default_factory=list)
+
+    def add(self, phase, t0, t1):
+        self.records.append((phase, t0, t1))
+
+    def total(self, phase):
+        return sum(t1 - t0 for p, t0, t1 in self.records if p == phase)
+
+    def phases(self):
+        seen = []
+        for p, _, _ in self.records:
+            if p not in seen:
+                seen.append(p)
+        return seen
+
+    def by_phase(self):
+        return {p: self.total(p) for p in self.phases()}
+
+
 class TestPhaseTimeline:
     def test_totals_by_phase(self):
         tl = PhaseTimeline()
@@ -43,6 +96,43 @@ class TestPhaseTimeline:
     def test_reversed_interval_rejected(self):
         with pytest.raises(ConfigurationError):
             PhaseTimeline().add("x", 5.0, 4.0)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(SEGMENTS, max_size=40))
+    def test_columns_match_the_list_of_tuples_layout(self, segments):
+        tl, reference = PhaseTimeline(), TupleTimeline()
+        for phase, t0, t1 in segments:
+            tl.add(phase, t0, t1)
+            reference.add(phase, t0, t1)
+        assert [bits(r) for r in tl.records] == [bits(r) for r in reference.records]
+        assert tl.phases() == reference.phases()
+        assert bits(tl.by_phase()) == bits(reference.by_phase())
+        for phase in PHASES:
+            assert bits(tl.total(phase)) == bits(reference.total(phase))
+        # An absent phase sums nothing: sum()'s int 0, on both layouts.
+        assert bits(tl.total("wait")) == bits(reference.total("wait")) == (int, 0)
+        assert pickle.loads(pickle.dumps(tl)) == tl
+
+    def test_records_is_a_fresh_list(self):
+        tl = PhaseTimeline()
+        tl.add("io", 1.0, 2.0)
+        tl.records.append(("viz", 2.0, 3.0))
+        assert tl.records == [("io", 1.0, 2.0)]
+
+    def test_pickle_holds_no_object_per_record(self):
+        def opcodes(n_records):
+            tl = PhaseTimeline()
+            for i in range(n_records):
+                tl.add(PHASES[i % 3], i * 1.5, i * 1.5 + 1.0)
+            raw = pickle.dumps(tl, protocol=pickle.HIGHEST_PROTOCOL)
+            assert pickle.loads(raw) == tl
+            return Counter(op.name for op, _, _ in pickletools.genops(raw))
+
+        # The list-of-tuples layout emitted a TUPLE3 and two BINFLOATs per
+        # record; records now add neither.
+        empty, full = opcodes(0), opcodes(1_000)
+        assert full["BINFLOAT"] == 0
+        assert full["TUPLE3"] == empty["TUPLE3"]
 
 
 class TestMeasurement:

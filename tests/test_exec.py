@@ -4,15 +4,21 @@ signatures, and the ``repro bench`` runner."""
 
 from __future__ import annotations
 
+import copy
+import copyreg
 import hashlib
 import json
 import os
+import pickle
+import pickletools
+import time
+from dataclasses import asdict
 
 import pytest
 
 from repro import obs, paper
 from repro.cluster.machine import ComputeCluster, caddy
-from repro.core.metrics import IN_SITU, POST_PROCESSING
+from repro.core.metrics import IN_SITU, POST_PROCESSING, PhaseTimeline
 from repro.core.model import DataModel, PerformanceModel, PipelinePredictor
 from repro.core.whatif import (
     EnergyRateRow,
@@ -31,7 +37,7 @@ from repro.exec.api import (
     build_pipeline,
     pipeline_factories,
 )
-from repro.exec.bench import compare_to_baseline, run_bench, write_report
+from repro.exec.bench import compare_to_baseline, run_bench, sweep_requests, write_report
 from repro.exec.cache import QUARANTINE_DIRNAME, DiskCache
 from repro.exec.engine import ExecutionEngine, execute_request
 from repro.obs.manifest import SCHEMA_VERSION
@@ -45,6 +51,7 @@ from repro.pipelines.sampling import SamplingPolicy
 from repro.scenario.schema import ClusterConfig, StorageConfig
 from repro.storage.lustre import LustreFileSystem, StorageCluster
 from repro.units import MB, MONTH, TB, years
+from repro.viz.render import Camera, ImageSpec
 
 
 def tiny_spec(hours: float = 72.0) -> PipelineSpec:
@@ -139,6 +146,45 @@ class TestRunRequest:
         assert implicit.cache_key("v1") == pinned
         assert explicit.cache_key("v1") == pinned
         assert explicit == implicit
+
+    def test_to_dict_matches_asdict(self):
+        two_cameras = PipelineSpec(
+            images=ImageSpec(cameras=(Camera(), Camera(center=(0.25, 0.75), zoom=2.0)))
+        )
+        requests = sweep_requests((1.0, 8.0, 24.0, 72.0)) + [
+            RunRequest(pipeline=IN_SITU, spec=two_cameras),
+            RunRequest(
+                pipeline=IN_SITU, spec=tiny_spec(), cluster=SMALL_CLUSTER, storage=FAST_STORAGE
+            ),
+        ]
+        for request in requests:
+            out = request.to_dict()
+            expected = {"spec": asdict(request.spec)}
+            for name in ("cluster", "storage"):
+                if getattr(request, name) is not None:
+                    expected[name] = asdict(getattr(request, name))
+            converted = {name: out[name] for name in expected}
+            # Dict equality also tells tuples from lists; the JSON pins order.
+            assert converted == expected
+            assert json.dumps(converted) == json.dumps(expected)
+
+    def test_to_dict_never_deep_copies(self, monkeypatch):
+        from repro.faults.resilience import CheckpointPolicy
+        from repro.faults.spec import FaultSpec
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("RunRequest.to_dict deep-copied its configs")
+
+        request = RunRequest(
+            pipeline=IN_SITU,
+            spec=tiny_spec(),
+            faults=FaultSpec.campaign(seed=3, horizon_seconds=400.0, mtbf_hours=0.05),
+            checkpoints=CheckpointPolicy(every_n_outputs=2),
+            cluster=SMALL_CLUSTER,
+            storage=FAST_STORAGE,
+        )
+        monkeypatch.setattr(copy, "deepcopy", refuse)
+        assert request.to_dict()["spec"]["sampling"] == {"interval_hours": 72.0}
 
     def test_task_seed_deterministic(self):
         request = RunRequest(pipeline=IN_SITU, spec=tiny_spec())
@@ -235,9 +281,27 @@ class TestDiskCache:
         assert cache.meta(key) is None
         sidecar.write_text('["not", "an", "object"]')
         assert cache.meta(key) is None
-        # With the sidecar's digest gone the payload check is skipped — the
-        # pre-digest-era entry still replays.
-        assert cache.get(key) == {"x": 1}
+        # With the sidecar's digest gone the payload cannot be verified, so
+        # the entry is quarantined and read as a miss.
+        assert cache.get(key) is None
+        assert (tmp_path / QUARANTINE_DIRNAME / f"{key}.pkl").exists()
+        assert cache.corrupt_quarantined == 1
+
+
+    def test_unverifiable_payload_is_not_served(self, tmp_path):
+        cache = DiskCache(str(tmp_path), code_version="v1")
+        key = "ab" + "0" * 62
+        cache.put(key, {"energy": 0.25})
+        payload = tmp_path / key[:2] / f"{key}.pkl"
+        raw = bytearray(payload.read_bytes())
+        # Bit-rot in the last byte of the stored double: still a pickle.
+        at = next(pos for op, _, pos in pickletools.genops(bytes(raw)) if op.name == "BINFLOAT")
+        raw[at + 8] ^= 0x01
+        payload.write_bytes(bytes(raw))
+        assert pickle.loads(bytes(raw)) != {"energy": 0.25}
+        (tmp_path / key[:2] / f"{key}.json").unlink()
+        assert cache.get(key) is None
+        assert cache.corrupt_quarantined == 1
 
 
 class TestExecutionEngine:
@@ -272,6 +336,67 @@ class TestExecutionEngine:
         for c, w in zip(cold, warm):
             assert c.identity_dict() == w.identity_dict()
             assert c.cache_key == w.cache_key
+
+    def test_warm_replay_returns_the_cold_records(self, tmp_path):
+        requests = sweep_requests((8.0,))
+        engine = ExecutionEngine(cache=DiskCache(str(tmp_path), code_version="v1"))
+        cold = engine.map(requests)
+        warm = engine.map(requests)
+        assert [r.cache_hit for r in warm] == [True, True]
+
+        def records(result):
+            return [
+                (p, t0.hex(), t1.hex()) for p, t0, t1 in result.measurement.timeline.records
+            ]
+
+        for c, w in zip(cold, warm):
+            assert len(records(c)) > 1_000
+            assert records(w) == records(c)
+
+    def test_hit_wall_seconds_times_the_replay(self, tmp_path, monkeypatch):
+        request = RunRequest(pipeline=IN_SITU, spec=tiny_spec())
+        engine = ExecutionEngine(cache=DiskCache(str(tmp_path), code_version="v1"))
+        engine.run(request)
+        get = DiskCache.get
+
+        def slow_get(self, key):
+            time.sleep(0.02)
+            return get(self, key)
+
+        monkeypatch.setattr(DiskCache, "get", slow_get)
+        warm = engine.run(request)
+        assert warm.cache_hit
+        assert warm.wall_seconds >= 0.02
+
+    def test_old_timeline_layout_entry_reruns(self, tmp_path, monkeypatch):
+        request = RunRequest(pipeline=IN_SITU, spec=tiny_spec())
+        fresh = execute_request(request)
+        cache = DiskCache(str(tmp_path), code_version="v1")
+        key = request.cache_key("v1")
+
+        def old_layout(timeline, protocol):
+            # The bytes the tuple-records PhaseTimeline dataclass pickled to.
+            state = {"records": timeline.records, "domain": timeline.domain}
+            return copyreg.__newobj__, (PhaseTimeline,), state
+
+        def put_old_entry():
+            with monkeypatch.context() as patch:
+                patch.setattr(PhaseTimeline, "__reduce_ex__", old_layout)
+                cache.put(
+                    key,
+                    {"measurement": fresh.measurement, "fault_summary": None, "recoveries": 0},
+                    meta={"request": request.to_dict()},
+                )
+
+        put_old_entry()
+        assert cache.get(key) is None
+        assert cache.corrupt_quarantined == 1
+        put_old_entry()
+        engine = ExecutionEngine(cache=cache)
+        rerun = engine.run(request)
+        assert not rerun.cache_hit and engine.cache_misses == 1
+        assert cache.corrupt_quarantined == 2
+        assert rerun.identity_dict() == fresh.identity_dict()
 
     def test_code_version_invalidates_cache(self, tmp_path):
         request = RunRequest(pipeline=IN_SITU, spec=tiny_spec())
