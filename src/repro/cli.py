@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
             "registry (needs --telemetry; query with `repro obs query`)",
         )
 
-    def add_engine_args(p: argparse.ArgumentParser) -> None:
+    def add_pool_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--workers", type=int, default=None, metavar="N",
             help="fan simulation runs out over N worker processes",
@@ -97,34 +97,31 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache", default=None, metavar="DIR",
             help="memoize completed runs in this on-disk cache",
         )
-        p.add_argument(
-            "--supervise", action="store_true",
-            help="supervised execution: worker-crash recovery, bounded "
-            "retries, structured failure records (see docs/RESILIENCE.md)",
-        )
+
+    def add_engine_args(p: argparse.ArgumentParser) -> None:
+        add_pool_args(p)
         p.add_argument(
             "--deadline", type=float, default=None, metavar="SECONDS",
-            help="per-task wall-clock deadline (implies --supervise)",
+            help="per-task wall-clock deadline (pooled tasks; see "
+            "docs/RESILIENCE.md)",
         )
         p.add_argument(
             "--task-retries", type=int, default=None, metavar="N",
-            help="attempts per task including the first (implies --supervise)",
+            help="attempts per task including the first (default 3)",
         )
         p.add_argument(
             "--max-worker-crashes", type=int, default=None, metavar="N",
             help="worker crashes before a task is quarantined as poison "
-            "(implies --supervise)",
+            "(default 3)",
         )
         p.add_argument(
             "--fail-policy", default=None,
             choices=["abort", "skip", "serial-fallback"],
-            help="what an exhausted task does to the sweep "
-            "(implies --supervise; default abort)",
+            help="what an exhausted task does to the sweep (default abort)",
         )
         p.add_argument(
             "--journal", default=None, metavar="PATH",
-            help="append per-task outcomes to this sweep journal "
-            "(implies --supervise)",
+            help="append per-task outcomes to this sweep journal",
         )
         p.add_argument(
             "--resume", action="store_true",
@@ -318,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", action="store_true", help="print the report JSON")
     add_telemetry_args(p)
-    add_engine_args(p)
+    add_pool_args(p)
 
     p = sub.add_parser("quality", help="eddy-tracking fidelity vs cadence")
     p.add_argument("--strides", type=int, nargs="+", default=[1, 2, 4, 8, 16])
@@ -774,11 +771,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return obs_main(raw[1:])
     args = build_parser().parse_args(raw)
     args._raw_argv = raw
-    if getattr(args, "resume", False) and (
-        getattr(args, "journal", None) is None or getattr(args, "cache", None) is None
-    ):
-        print("error: --resume needs both --journal and --cache", file=sys.stderr)
-        return 2
     handler = _COMMANDS[args.command]
     telemetry = getattr(args, "telemetry", None)
     if args.command == "run" or getattr(args, "emit_scenario", None) is not None:
@@ -794,11 +786,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return handler(args)
         # "store" stays out of the session config: the registry stamp added
         # at ingest time is the durable record, and store-off runs must keep
-        # byte-identical manifests.
+        # byte-identical manifests.  "_raw_argv" repeats the manifest's argv,
+        # which names the per-run telemetry path.
         config = {
             k: v
             for k, v in vars(args).items()
-            if k not in ("command", "telemetry", "store")
+            if k not in ("command", "telemetry", "store", "_raw_argv")
         }
         timeline = None
         if not getattr(args, "no_timeline", False):

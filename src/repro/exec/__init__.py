@@ -3,7 +3,10 @@
 One unified API for running pipelines — :class:`RunRequest` in,
 :class:`RunResult` out — behind three interchangeable execution strategies:
 inline, fanned out over a process pool (bit-identical to serial), or
-replayed from a content-addressed on-disk cache.
+replayed from a content-addressed on-disk cache.  One engine,
+:class:`ExecutionEngine`, runs them all and supervises every task under a
+:class:`TaskPolicy`, with an optional :class:`SweepJournal` for resumable
+sweeps.
 """
 
 from repro.exec.api import (
@@ -19,7 +22,6 @@ from repro.exec.engine import ExecutionEngine, execute_request
 from repro.exec.supervise import (
     FAIL_POLICIES,
     JOURNAL_FILENAME,
-    SupervisedExecutor,
     SweepJournal,
     TaskPolicy,
 )
@@ -47,7 +49,6 @@ __all__ = [
     "ExecutionEngine",
     "RunRequest",
     "RunResult",
-    "SupervisedExecutor",
     "SweepJournal",
     "TaskPolicy",
     "append_record",

@@ -311,10 +311,11 @@ class RunResult:
     #: the pool boundary; the engine merges and clears it.  Transport, not
     #: identity — excluded from :meth:`identity_dict` and :meth:`to_dict`.
     telemetry: Optional[dict] = field(default=None, compare=False)
-    #: Structured failure record from the supervised path (``None`` for a
-    #: successful run).  JSON-safe: ``{"kind", "error", "attempts": [...],
-    #: "quarantined"}`` — see :mod:`repro.exec.supervise`.  Excluded from
-    #: :meth:`identity_dict`: attempt timings are wall-clock diagnostics.
+    #: Structured failure record of a task that exhausted supervision
+    #: (``None`` for a successful run).  JSON-safe: ``{"kind", "error",
+    #: "attempts": [...], "quarantined"}`` — see :mod:`repro.exec.engine`.
+    #: Excluded from :meth:`identity_dict`: attempt timings are wall-clock
+    #: diagnostics.
     failure: Optional[dict] = None
 
     @property

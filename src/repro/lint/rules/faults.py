@@ -12,8 +12,8 @@ In modules that use ``concurrent.futures``, the rule additionally flags
 ``timeout`` argument: a hung worker then hangs the sweep forever with no
 supervision ever noticing.  An *explicit* ``timeout=None`` is accepted — it
 marks the unbounded wait as a decision rather than an oversight (the
-unsupervised engine does exactly this, with a comment, and points at
-:class:`~repro.exec.supervise.SupervisedExecutor` for deadline coverage).
+execution engine passes its :class:`~repro.exec.supervise.TaskPolicy`
+deadline, ``None`` when the policy sets none).
 """
 
 from __future__ import annotations

@@ -335,7 +335,7 @@ def default_rules(
 def default_exec_rules(
     retry_storm_threshold: float = EXEC_RETRY_STORM_THRESHOLD,
 ) -> List[WatchRule]:
-    """The supervised-executor rule set (see :mod:`repro.exec.supervise`).
+    """The execution engine's supervision rule set (see :mod:`repro.exec.engine`).
 
     These watch the ``exec`` incident timeline — one sample per supervision
     incident, at the incident sequence number — so they are exactly as

@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Generator, Optional, Sequence
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro import obs
 from repro.core.metrics import Measurement, PhaseTimeline
@@ -128,41 +128,6 @@ class Pipeline(ABC):
                 result = self._execute_bound(request, platform)
             return replace(result, telemetry=shard.shard_payload())
         return self._execute_bound(request, platform)
-
-    def execute_many(
-        self,
-        requests: Sequence["RunRequest"],
-        workers: Optional[int] = None,
-        cache: Optional[object] = None,
-        journal: Optional[str] = None,
-        resume: bool = False,
-        policy: Optional[object] = None,
-    ) -> list:
-        """Run a sweep of requests through a supervised engine.
-
-        The batch spelling of :meth:`execute`: every request is bound to
-        this pipeline and fanned out over a
-        :class:`~repro.exec.supervise.SupervisedExecutor` — worker-crash
-        recovery, bounded retries, and (with ``journal``/``resume``) a
-        resumable sweep that replays completed work from ``cache``.
-        Results come back in request order; with a non-abort fail policy,
-        exhausted tasks carry ``RunResult.failure`` instead of raising.
-        The engine rebuilds the pipeline from its name, so this pipeline
-        must be a registered class, not a subclass of one.
-        """
-        from repro.exec.api import require_registered
-        from repro.exec.supervise import SupervisedExecutor
-
-        require_registered(self)
-        bound = [request.bound_to(self) for request in requests]
-        executor = SupervisedExecutor(
-            max_workers=workers,
-            cache=cache,
-            policy=policy,
-            journal=journal,
-            resume=resume,
-        )
-        return executor.map(bound)
 
     def _execute_bound(
         self,

@@ -48,7 +48,13 @@ class PowerTrace:
         if self.watts.size and self.watts.min() < 0:
             raise ConfigurationError("trace contains negative power samples")
         self.final_dt = float(dt if final_dt is None else final_dt)
-        if not 0.0 < self.final_dt <= self.dt + 1e-12:
+        # Window edges are absolute times from np.arange, which steps by
+        # fl(start + dt) - start: edge k may be off by k half-ulps of the
+        # trace's end, so a full final window may exceed dt by up to
+        # n_samples of them.  Allow twice that.
+        end = abs(self.start) + self.dt * self.watts.size
+        slack = max(self.watts.size, 1) * float(np.spacing(end))
+        if not 0.0 < self.final_dt <= self.dt + slack:
             raise ConfigurationError(
                 f"final interval width {self.final_dt} outside (0, dt={self.dt}]"
             )

@@ -17,6 +17,7 @@ keys with plain library calls.
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 from typing import Optional, Tuple
 
 from repro.scenario.schema import (
@@ -109,39 +110,26 @@ def build_pipelines(scenario: Scenario) -> Optional[Tuple]:
 def build_engine(scenario: Scenario):
     """The execution engine a scenario's ``execution`` section asks for.
 
-    Mirrors the historical flag handling exactly, with one addition: the
-    on-disk cache's code version and the sweep journal's label are
-    namespaced by the scenario content digest, so artifacts key on the
-    exact configuration that produced them.
+    Unset supervision options keep the :class:`~repro.exec.supervise.TaskPolicy`
+    defaults.  The on-disk cache's code version and the sweep journal's
+    label are namespaced by the scenario content digest, so artifacts key
+    on the exact configuration that produced them.
     """
-    config = scenario.execution
-    if not config.wants_engine:
-        return None
     from repro.exec.cache import DiskCache, default_code_version
+    from repro.exec.engine import ExecutionEngine
+    from repro.exec.supervise import SweepJournal, TaskPolicy
 
+    config = scenario.execution
     stamp = f"scenario-{scenario.content_digest()[:12]}"
     cache = None
     if config.cache is not None:
         cache = DiskCache(
             config.cache, code_version=f"{default_code_version()}+{stamp}"
         )
-    if not config.supervised:
-        from repro.exec.engine import ExecutionEngine
-
-        return ExecutionEngine(max_workers=config.workers, cache=cache)
-    from repro.exec.supervise import SupervisedExecutor, SweepJournal, TaskPolicy
-    from repro.faults.retry import RetryPolicy
-
     defaults = TaskPolicy()
     retry = defaults.retry
     if config.task_retries is not None:
-        retry = RetryPolicy(
-            max_attempts=config.task_retries,
-            base_delay_seconds=retry.base_delay_seconds,
-            backoff_factor=retry.backoff_factor,
-            max_delay_seconds=retry.max_delay_seconds,
-            jitter=retry.jitter,
-        )
+        retry = replace(retry, max_attempts=config.task_retries)
     policy = TaskPolicy(
         deadline_seconds=config.deadline_seconds,
         retry=retry,
@@ -159,7 +147,7 @@ def build_engine(scenario: Scenario):
     journal = None
     if config.journal is not None:
         journal = SweepJournal(config.journal, label=stamp)
-    return SupervisedExecutor(
+    return ExecutionEngine(
         max_workers=config.workers,
         cache=cache,
         policy=policy,
@@ -175,7 +163,6 @@ def _execution_from_args(args: argparse.Namespace) -> ExecutionConfig:
     return ExecutionConfig(
         workers=getattr(args, "workers", None),
         cache=getattr(args, "cache", None),
-        supervise=bool(getattr(args, "supervise", False)),
         deadline_seconds=getattr(args, "deadline", None),
         task_retries=getattr(args, "task_retries", None),
         max_worker_crashes=getattr(args, "max_worker_crashes", None),

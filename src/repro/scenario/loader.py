@@ -258,7 +258,6 @@ _SECTION_SPECS: Dict[str, Dict[str, Tuple[str, Callable]]] = {
     "execution": {
         "workers": ("workers", _optional(_int)),
         "cache": ("cache", _optional(_str)),
-        "supervise": ("supervise", _bool),
         "deadline": ("deadline_seconds", _optional(parse_duration)),
         "task_retries": ("task_retries", _optional(_int)),
         "max_worker_crashes": ("max_worker_crashes", _optional(_int)),

@@ -445,7 +445,6 @@ class ExecutionConfig:
 
     workers: Optional[int] = None
     cache: Optional[str] = None
-    supervise: bool = False
     deadline_seconds: Optional[float] = None
     task_retries: Optional[int] = None
     max_worker_crashes: Optional[int] = None
@@ -468,34 +467,10 @@ class ExecutionConfig:
                 "expected abort, skip or serial-fallback",
             )
 
-    @property
-    def supervised(self) -> bool:
-        """Whether any option upgrades the engine to supervised execution."""
-        return (
-            self.supervise
-            or self.resume
-            or any(
-                v is not None
-                for v in (
-                    self.deadline_seconds,
-                    self.task_retries,
-                    self.max_worker_crashes,
-                    self.fail_policy,
-                    self.journal,
-                )
-            )
-        )
-
-    @property
-    def wants_engine(self) -> bool:
-        """Whether this config asks for anything beyond the inline default."""
-        return self.workers is not None or self.cache is not None or self.supervised
-
     def to_dict(self) -> dict:
         return {
             "workers": self.workers,
             "cache": self.cache,
-            "supervise": self.supervise,
             "deadline": self.deadline_seconds,
             "task_retries": self.task_retries,
             "max_worker_crashes": self.max_worker_crashes,

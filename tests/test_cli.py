@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 class TestParser:
@@ -116,3 +123,38 @@ class TestFaultsCommand:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "with failures (MTBF 6 h" in out
+
+    def test_seeded_campaign_manifests_match(self, tmp_path):
+        """The CI chaos job's check: two identical runs, one manifest.
+
+        Each run gets its own process because the default metrics registry
+        is process-wide.
+        """
+        env = dict(os.environ)
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = SRC_DIR + (os.pathsep + existing if existing else "")
+        argv = [
+            "faults", "--months", "0.5", "--interval", "24",
+            "--mtbf-hours", "0.05", "--checkpoint-every", "2",
+            "--seed", "3", "--json",
+        ]
+        manifests = []
+        for run in "ab":
+            directory = tmp_path / f"chaos-{run}"
+            out = subprocess.run(
+                [sys.executable, "-m", "repro", *argv, "--telemetry", str(directory)],
+                capture_output=True,
+                text=True,
+                timeout=300,
+                env=env,
+            )
+            assert out.returncode == 0, out.stderr[-2000:]
+            manifest = json.loads((directory / "manifest.json").read_text())
+            # The CI step's exclusions: per-invocation keys and host time.
+            manifest.pop("run_id", None)
+            manifest.pop("created_unix", None)
+            manifest.pop("argv", None)
+            manifest.get("provenance", {}).pop("hostname", None)
+            manifest.get("metrics", {}).pop("repro_exec_task_seconds", None)
+            manifests.append(json.dumps(manifest, sort_keys=True))
+        assert manifests[0] == manifests[1]

@@ -486,10 +486,6 @@ class TestEngineRejectsSubclasses:
                 include_unprotected=False,
             )
 
-    def test_execute_many(self):
-        with pytest.raises(ConfigurationError, match="ExplodingInSitu"):
-            ExplodingInSitu().execute_many([RunRequest(spec=tiny_spec())])
-
 
 #: One positional call per keyword-only builder and sweep method.  Each
 #: takes a fresh simulator, the analyzer fixture and a scratch directory.

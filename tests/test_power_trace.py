@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, MeterError
@@ -91,6 +91,14 @@ class TestPowerTrace:
         n_full=st.integers(min_value=0, max_value=60),
         tail=st.floats(min_value=0.1, max_value=1.0),
     )
+    # Full final windows at large starts: np.arange's rounded step leaves
+    # them an ulp (the first) to ~30 ulps (the second, 61 windows) wider
+    # than dt.
+    @example(start=261725.0, steps=[], offset=300.0, dt=119.1, n_full=2, tail=1.0)
+    @example(
+        start=47022.99788850483, steps=[], offset=71.47416802317106,
+        dt=113.5648578291038, n_full=60, tail=1.0,
+    )
     def test_from_signal_equals_the_mean_of_each_window(
         self, start, steps, offset, dt, n_full, tail
     ):
@@ -168,6 +176,8 @@ class TestPowerTrace:
             PowerTrace(0.0, 60.0, [1.0, 2.0], final_dt=0.0)
         with pytest.raises(ConfigurationError):
             PowerTrace(0.0, 60.0, [1.0, 2.0], final_dt=61.0)
+        with pytest.raises(ConfigurationError):  # wider than rounding explains
+            PowerTrace(0.0, 60.0, [1.0, 2.0], final_dt=60.0 + 1e-6)
 
     def test_resample_coarse_average(self):
         tr = PowerTrace(0.0, 60.0, [100.0, 200.0])

@@ -282,12 +282,17 @@ class TestOverrides:
 
 class TestBuilders:
     def test_default_scenario_builds_all_none(self):
+        from repro.exec.supervise import TaskPolicy
         from repro.pipelines.base import PipelineSpec
 
         s = parse_scenario(_minimal(name="default"))
         assert build_spec(s) == PipelineSpec()
         assert build_pipelines(s) is None
-        assert build_engine(s) is None
+        engine = build_engine(s)
+        assert engine.max_workers is None
+        assert engine.cache is None
+        assert engine.journal is None
+        assert engine.policy == TaskPolicy()
 
     def test_faults_scenario_spec_matches_legacy_construction(self):
         from repro.ocean.driver import MPASOceanConfig
@@ -370,7 +375,7 @@ class TestBuilders:
         args = argparse.Namespace(
             intervals=[72.0], json=False, telemetry=None,
             timeline_interval=None, no_timeline=False, power_cap=None,
-            workers=None, cache=None, supervise=False, deadline=None,
+            workers=None, cache=None, deadline=None,
             task_retries=None, max_worker_crashes=None, fail_policy=None,
             journal=None, resume=False, emit_scenario=None,
         )

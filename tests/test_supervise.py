@@ -5,7 +5,6 @@ helpers in ``repro.atomicio``."""
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -15,21 +14,18 @@ from repro.core.metrics import IN_SITU, POST_PROCESSING
 from repro.errors import ConfigurationError, SweepError, TransientIOError
 from repro.exec.api import RunRequest
 from repro.exec.cache import DiskCache
-from repro.exec.engine import ExecutionEngine
+from repro.exec.engine import ExecutionEngine, supervised_task
 from repro.exec.supervise import (
     CHAOS_ENV,
-    SupervisedExecutor,
     SweepJournal,
     TaskPolicy,
     parse_chaos,
-    supervised_task,
 )
 from repro.faults.retry import RetryPolicy
 from repro.obs.exporters import read_jsonl
 from repro.obs.watch import default_exec_rules
 from repro.ocean.driver import MPASOceanConfig
 from repro.pipelines.base import PipelineSpec
-from repro.pipelines.insitu import InSituPipeline
 from repro.pipelines.sampling import SamplingPolicy
 from repro.units import MONTH
 
@@ -57,9 +53,9 @@ def fast_retry(attempts: int = 3) -> RetryPolicy:
     )
 
 
-def supervisor(**kwargs) -> SupervisedExecutor:
+def supervisor(**kwargs) -> ExecutionEngine:
     kwargs.setdefault("sleeper", lambda _s: None)
-    return SupervisedExecutor(**kwargs)
+    return ExecutionEngine(**kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +185,29 @@ class TestCrashRecovery:
         assert failed[0].failure["kind"] == "deadline"
         assert sum(1 for r in results if r.ok) == 2
 
+    def test_abort_chains_the_task_exception(self, monkeypatch):
+        import repro.exec.engine as engine_module
+
+        boom = RuntimeError("boom")
+
+        def explode(request):
+            raise boom
+
+        monkeypatch.setattr(engine_module, "execute_request", explode)
+        with pytest.raises(SweepError) as excinfo:
+            ExecutionEngine().run(tiny_requests(1)[0])
+        assert excinfo.value.__cause__ is boom
+        assert excinfo.value.failures[0]["kind"] == "exception"
+
+    def test_abort_chains_a_worker_exception(self):
+        bad = RunRequest(pipeline="no-such-pipeline", spec=tiny_spec())
+        with pytest.raises(SweepError) as excinfo:
+            supervisor(max_workers=2).map([bad, bad])
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, ConfigurationError)
+        # The worker's traceback rides along as the cause's own cause.
+        assert "Traceback" in str(cause.__cause__)
+
     def test_inline_retries_without_pool(self, monkeypatch):
         # workers=1 routes through the supervised inline path; the chaos
         # hook never applies there, so this exercises plain retry logic via
@@ -211,6 +230,7 @@ class TestByteIdentity:
         assert [r.identity_dict() for r in results] == serial_reference
 
     def test_crash_free_telemetry_matches_unsupervised(self, tmp_path, monkeypatch):
+        """A crash-free pooled sweep records the inline sweep's event stream."""
         monkeypatch.delenv(CHAOS_ENV, raising=False)
         requests = tiny_requests(2)
 
@@ -228,9 +248,9 @@ class TestByteIdentity:
                 scrubbed.append(rec.get("name") or rec.get("type"))
             return scrubbed
 
-        plain = run(tmp_path / "plain", ExecutionEngine(max_workers=2))
-        supervised = run(tmp_path / "sup", supervisor(max_workers=2))
-        assert supervised == plain
+        inline = run(tmp_path / "inline", supervisor(max_workers=1))
+        pooled = run(tmp_path / "pool", supervisor(max_workers=2))
+        assert pooled == inline
 
 
 class TestJournalAndResume:
@@ -290,9 +310,9 @@ class TestJournalAndResume:
 
     def test_resume_requires_journal_and_cache(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            SupervisedExecutor(resume=True)
+            ExecutionEngine(resume=True)
         with pytest.raises(ConfigurationError):
-            SupervisedExecutor(resume=True, journal=str(tmp_path / "j.jsonl"))
+            ExecutionEngine(resume=True, journal=str(tmp_path / "j.jsonl"))
 
     def test_journal_load_tolerates_torn_tail(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -339,6 +359,21 @@ class TestFailureObservability:
             "repro_timeline_exec_worker_crashes_total" in rec["values"]
             for rec in samples
         )
+
+    def test_manifest_counts_resumed_skips(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(CHAOS_ENV, raising=False)
+        journal = str(tmp_path / "sweep.journal.jsonl")
+        cache = DiskCache(str(tmp_path / "cache"), code_version="v1")
+        requests = tiny_requests(2)
+        supervisor(cache=cache, journal=journal).map(requests)
+        with obs.session(str(tmp_path / "run"), label="sweep", argv=["x"]):
+            resumed = supervisor(cache=cache, journal=journal, resume=True)
+            resumed.map(requests)
+        supervise = json.loads(
+            (tmp_path / "run" / "manifest.json").read_text()
+        )["config"]["exec"]["supervise"]
+        assert resumed.resumed_skips == 2
+        assert supervise["resumed_skips"] == 2
 
     def test_default_exec_rules_fire_on_crash_series(self):
         from repro.obs.watch import Watchdog
@@ -389,11 +424,10 @@ def _engine_from_flags(**flags):
 class TestCliIntegration:
     def test_engine_builder_upgrades_to_supervised(self):
         engine = _engine_from_flags(
-            workers=2, cache=None, supervise=True, deadline=10.0,
+            workers=2, cache=None, deadline=10.0,
             task_retries=4, max_worker_crashes=2, fail_policy="skip",
             journal=None, resume=False,
         )
-        assert isinstance(engine, SupervisedExecutor)
         assert engine.policy.deadline_seconds == 10.0
         assert engine.policy.retry.max_attempts == 4
         assert engine.policy.max_worker_crashes == 2
@@ -401,35 +435,22 @@ class TestCliIntegration:
 
     def test_engine_builder_plain_without_supervision(self):
         engine = _engine_from_flags(
-            workers=2, cache=None, supervise=False, deadline=None,
+            workers=2, cache=None, deadline=None,
             task_retries=None, max_worker_crashes=None, fail_policy=None,
             journal=None, resume=False,
         )
-        assert isinstance(engine, ExecutionEngine)
-        assert not isinstance(engine, SupervisedExecutor)
+        assert engine.policy == TaskPolicy()
 
     def test_resume_flag_validation(self, capsys):
         from repro.cli import main
 
         code = main(["characterize", "--resume"])
         assert code == 2
-        assert "--resume needs both" in capsys.readouterr().err
+        assert "resume needs both" in capsys.readouterr().err
 
+    def test_bench_takes_only_pool_flags(self):
+        from repro.cli import build_parser
 
-class TestExecuteMany:
-    def test_pipeline_execute_many_binds_and_supervises(self, tmp_path):
-        journal = str(tmp_path / "sweep.journal.jsonl")
-        cache = DiskCache(str(tmp_path / "cache"), code_version="v1")
-        pipeline = InSituPipeline()
-        requests = [RunRequest(spec=tiny_spec(h)) for h in (24.0, 72.0)]
-        results = pipeline.execute_many(
-            requests, workers=2, cache=cache, journal=journal
-        )
-        assert [r.request.pipeline for r in results] == [IN_SITU, IN_SITU]
-        assert all(r.ok for r in results)
-        assert os.path.exists(journal)
-        # Re-running with resume replays both from the cache.
-        again = pipeline.execute_many(
-            requests, workers=2, cache=cache, journal=journal, resume=True
-        )
-        assert [r.engine for r in again] == ["cache", "cache"]
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["bench", "--journal", "j"])
+        assert excinfo.value.code == 2
