@@ -15,7 +15,7 @@ from operator import attrgetter
 from typing import Optional
 
 from repro.cluster.machine import ComputeCluster
-from repro.cluster.node import NodeGroup, per_node
+from repro.cluster.node import NodeGroup, node_sum
 from repro.errors import ConfigurationError, ResourceError
 
 __all__ = ["Partition", "Allocator"]
@@ -48,7 +48,7 @@ class Partition:
     @property
     def current_power(self) -> float:
         """Instantaneous power of this partition's nodes (watts)."""
-        return sum(per_node(self.groups, attrgetter("current_power")))
+        return node_sum(self.groups, attrgetter("current_power"))
 
     def set_utilization(self, utilization: float) -> None:
         """Drive every node of the partition to ``utilization``."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Generator, Iterable, Optional
 
-from repro.cluster.node import NodeGroup, per_node
+from repro.cluster.node import NodeGroup, node_sum
 from repro.cluster.power import NodePowerModel, e5_2670_node
 from repro.cluster.topology import Interconnect
 from repro.errors import ConfigurationError
@@ -122,7 +122,7 @@ class ComputeCluster:
     @property
     def current_power(self) -> float:
         """Instantaneous cluster power in watts."""
-        return sum(per_node(self.groups, attrgetter("current_power")))
+        return node_sum(self.groups, attrgetter("current_power"))
 
     # --------------------------------------------------------------- control
 

@@ -26,13 +26,12 @@ import json
 import os
 import pickle
 import re
-import subprocess
 from typing import Any, Optional
 
 from repro import obs
 from repro.atomicio import atomic_write_json
 from repro.errors import ConfigurationError
-from repro.obs.manifest import SCHEMA_VERSION
+from repro.obs.manifest import SCHEMA_VERSION, git_commit
 
 __all__ = ["DiskCache", "QUARANTINE_DIRNAME", "default_code_version"]
 
@@ -50,18 +49,9 @@ def default_code_version() -> str:
     The git commit when available (any code change invalidates the cache),
     falling back to the package version for source-tarball installs.
     """
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        pass
+    commit = git_commit()
+    if commit is not None:
+        return commit
     import repro
 
     return f"repro-{repro.__version__}"

@@ -2,6 +2,8 @@
 
 * :class:`JsonlWriter` — append-only newline-delimited JSON; one record per
   line, keys sorted, so streams diff cleanly across runs.
+* :class:`RowText` — the JSON text of successive rows of one fixed set of
+  float columns, re-formatting only the values that changed.
 * :func:`read_jsonl` — the matching reader (iterator of dicts).
 * :func:`to_prometheus` — render a :class:`~repro.obs.registry.MetricsRegistry`
   in the Prometheus text exposition format (``# HELP`` / ``# TYPE`` headers,
@@ -11,13 +13,14 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
-from typing import IO, Dict, Iterator, Optional
+from typing import IO, Dict, Iterator, List, Optional, Sequence
 
 from repro.obs.registry import DEFAULT_BUCKETS, Histogram, MetricsRegistry
 
-__all__ = ["JsonlWriter", "read_jsonl", "to_prometheus", "write_prometheus"]
+__all__ = ["JsonlWriter", "RowText", "read_jsonl", "to_prometheus", "write_prometheus"]
 
 #: The one encoder every JSON-lines record goes through (stateless per call).
 _ENCODER = json.JSONEncoder(sort_keys=True, default=str)
@@ -39,11 +42,22 @@ class JsonlWriter:
         self._fh: Optional[IO[str]] = open(path, "w", encoding="utf-8")
         self.n_written = 0
 
-    def write(self, record: dict) -> None:
-        """Serialize one record onto its own line (flushed whole)."""
+    def write(self, record: dict, values_json: Optional[str] = None) -> None:
+        """Serialize one record onto its own line (flushed whole).
+
+        ``values_json``, when given, is the already-encoded text of
+        ``record["values"]`` (see :class:`RowText`); the line is the same
+        as without it.  That needs ``"values"`` to sort after every other
+        key of the record, as it does in timeline samples.
+        """
         if self._fh is None:
             raise ValueError(f"writer for {self.path!r} is closed")
-        self._fh.write(_ENCODER.encode(record) + "\n")
+        if values_json is None:
+            line = _ENCODER.encode(record)
+        else:
+            head = {key: value for key, value in record.items() if key != "values"}
+            line = _ENCODER.encode(head)[:-1] + ', "values": ' + values_json + "}"
+        self._fh.write(line + "\n")
         self._fh.flush()
         self.n_written += 1
 
@@ -58,6 +72,38 @@ class JsonlWriter:
 
     def __exit__(self, *_exc) -> None:
         self.close()
+
+
+class RowText:
+    """The JSON text of ``dict(zip(names, row))`` for successive float rows.
+
+    :meth:`render` returns exactly what the shared encoder writes for that
+    dict, but encodes each key once and keeps each column's last value and
+    text: a column is re-formatted only when its value changed or is zero
+    (``-0.0 == 0.0``, so zeros are re-formatted to keep their sign; NaN
+    never equals itself, so it is always re-formatted).
+    """
+
+    __slots__ = ("_keys", "_last", "_text")
+
+    def __init__(self, names: Sequence[str]) -> None:
+        # The encoder writes keys sorted, so the columns must come that way.
+        if list(names) != sorted(set(names)):
+            raise ValueError("RowText needs distinct names in sorted order")
+        self._keys = [_ENCODER.encode(name) + ": " for name in names]
+        self._last: List[Optional[float]] = [None] * len(names)
+        self._text = [""] * len(names)
+
+    def render(self, row: Sequence[float]) -> str:
+        """The JSON text of ``dict(zip(names, row))``."""
+        last, text = self._last, self._text
+        for i, value in enumerate(row):
+            if value != last[i] or value == 0.0:
+                last[i] = value
+                text[i] = self._keys[i] + (
+                    repr(value) if math.isfinite(value) else _ENCODER.encode(value)
+                )
+        return "{" + ", ".join(text) + "}"
 
 
 def read_jsonl(path: str) -> Iterator[dict]:

@@ -9,6 +9,7 @@ any downstream tool — or ``repro obs summarize`` — can round-trip it.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -26,6 +27,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "TIMELINE_FILENAME",
     "collect_provenance",
+    "git_commit",
 ]
 
 #: File names a session writes inside its telemetry directory.
@@ -39,7 +41,13 @@ TIMELINE_FILENAME = "timeline.jsonl"
 SCHEMA_VERSION = 1
 
 
-def _git_commit() -> Optional[str]:
+@functools.lru_cache(maxsize=None)
+def git_commit() -> Optional[str]:
+    """The checkout's ``git rev-parse HEAD``, or None outside a git checkout.
+
+    Looked up once per process: the commit cannot change under a running
+    program, and each lookup starts a subprocess.
+    """
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -67,7 +75,7 @@ def collect_provenance(config: Optional[Dict[str, Any]] = None) -> Dict[str, Any
         "repro_version": __version__,
         "python": sys.version.split()[0],
         "platform": sys.platform,
-        "git_commit": _git_commit(),
+        "git_commit": git_commit(),
     }
     seeds = {
         k: v for k, v in (config or {}).items() if "seed" in k.lower()

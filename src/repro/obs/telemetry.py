@@ -139,7 +139,6 @@ class TelemetrySession:
         #: with sampling off, no timeline file exists and ``events.jsonl``
         #: is byte-identical to a pre-timeline session.
         self._timeline_seq = 0
-        self.timeline_recent: Deque[dict] = deque(maxlen=RECENT_CAPACITY)
         self.timeline_records: Optional[List[dict]] = [] if keep_records else None
         self._timeline_writer: Optional[JsonlWriter] = None
 
@@ -170,12 +169,11 @@ class TelemetrySession:
         """Timeline samples emitted so far."""
         return self._timeline_seq
 
-    def emit_timeline(self, record: dict) -> None:
-        """Append one timeline sample to the session's timeline stream."""
+    def emit_timeline(self, record: dict, values_json: Optional[str] = None) -> None:
+        """Append one timeline sample (``values_json``: see :meth:`JsonlWriter.write`)."""
         self._timeline_seq += 1
         record["seq"] = self._timeline_seq
         record["trace"] = self.trace_id
-        self.timeline_recent.append(record)
         if self.timeline_records is not None:
             self.timeline_records.append(record)
         if self._timeline_writer is None and self.directory is not None:
@@ -183,7 +181,7 @@ class TelemetrySession:
                 os.path.join(self.directory, TIMELINE_FILENAME)
             )
         if self._timeline_writer is not None:
-            self._timeline_writer.write(record)
+            self._timeline_writer.write(record, values_json)
 
     def open_span(self) -> tuple:
         """Allocate a span id; returns ``(span_id, parent_id)``."""

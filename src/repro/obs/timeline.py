@@ -13,11 +13,13 @@ Design constraints, in priority order:
 * **Bit-identity off.**  The sampler is only constructed when a session's
   :class:`TimelineConfig` enables it; with sampling off no ``timeline.jsonl``
   is created and ``events.jsonl`` is byte-identical to a pre-timeline run.
-* **Determinism on.**  Samples land exactly at grid times ``t0 + k*interval``
-  regardless of how simulation events interleave: on every processed event
-  the sampler emits one row per grid tick crossed in ``(last, now]``, stamped
-  at the *tick* time with the current (post-event) state.  Two seeded runs
-  therefore produce byte-identical timelines.
+* **Determinism on.**  Samples land on a fixed grid regardless of how
+  simulation events interleave: on every processed event the sampler emits
+  one row per grid tick crossed in ``(last, now]``, stamped at the *tick*
+  time with the current (post-event) state.  The grid is built by repeated
+  addition — the first tick is ``t0 + interval`` and each next one adds
+  ``interval`` to the previous — so tick ``k`` can sit a few ulps off
+  ``t0 + k*interval``.  Two seeded runs produce byte-identical timelines.
 * **Observation only.**  Probes must not mutate simulation state; the
   sampler never schedules events (a timeout-based sampler would keep the
   event heap non-empty forever and break ``sim.run()``).
@@ -34,10 +36,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.obs.exporters import RowText
 from repro.obs.naming import alert_metric_name, validate_timeline_series_name
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -153,8 +155,12 @@ class TimelineSampler:
         self.n_samples = 0
         #: Registered probes by series name, in registration order.
         self._probes: Dict[str, Probe] = {}
-        #: The same probes sorted by series name: the order samples list them.
-        self._by_name: List[Tuple[str, Probe]] = []
+        #: Series names sorted (the order samples list them), their probes
+        #: and the text of the last row: built at the first sample after a
+        #: probe was added.
+        self._names: List[str] = []
+        self._fns: Optional[List[Probe]] = None
+        self._row_text: Optional[RowText] = None
         #: ``repro_obs_timeline_samples_total{label}``, looked up at the
         #: first sample so that a sampler that never samples adds no series.
         self._samples_counter = None
@@ -174,7 +180,7 @@ class TimelineSampler:
         if name in self._probes:
             raise ConfigurationError(f"duplicate timeline probe {name!r}")
         self._probes[name] = fn
-        self._by_name = sorted(self._probes.items())
+        self._fns = None
 
     def add_probes(self, probes: Sequence[Tuple[str, Probe]]) -> None:
         """Register a probe-builder's ``(name, fn)`` pairs in order."""
@@ -215,15 +221,23 @@ class TimelineSampler:
             self._next += self.interval
 
     def _sample(self, t: float) -> None:
-        values = {name: float(fn(t)) for name, fn in self._by_name}
+        if self._fns is None:
+            self._names = sorted(self._probes)
+            self._fns = [self._probes[name] for name in self._names]
+            self._row_text = RowText(self._names)
+        row = [float(fn(t)) for fn in self._fns]
+        values = dict(zip(self._names, row))
         record = {"type": "sample", "t": t, "label": self.label, "values": values}
         self.recent.append(record)
         self.n_samples += 1
         self._last_t = t
-        if self.session is not None:
-            self.session.emit_timeline(record)
+        session = self.session
+        if session is not None:
+            # A session without a directory writes no file and needs no text.
+            text = None if session.directory is None else self._row_text.render(row)
+            session.emit_timeline(record, text)
             if self._samples_counter is None:
-                self._samples_counter = self.session.registry.counter(
+                self._samples_counter = session.registry.counter(
                     "repro_obs_timeline_samples_total", label=self.label
                 )
             self._samples_counter.inc()
@@ -296,13 +310,13 @@ def power_probes(
     The draw is the true power of every node, in node order, plus the
     storage rack's: the additions a meter over all those signals makes.
     """
-    from repro.cluster.node import per_node
-
-    rack = () if storage is None else (storage.power_signal,)
+    from repro.cluster.node import node_sum
 
     def draw(t: float) -> float:
-        nodes = per_node(cluster.groups, lambda g: g.power_signal.value_at(t))
-        return sum(chain(nodes, (s.value_at(t) for s in rack)))
+        total = node_sum(cluster.groups, lambda g: g.power_signal.value_at(t))
+        if storage is not None:
+            total += storage.power_signal.value_at(t)
+        return total
 
     def nodes_in_band(lo: float, hi: Optional[float]) -> Probe:
         # Band is [lo, hi); the busy band passes hi=None for an open top.

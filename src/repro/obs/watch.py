@@ -22,9 +22,10 @@ Two rule kinds:
 
 from __future__ import annotations
 
-from collections import deque
+import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.naming import alert_metric_name, validate_timeline_series_name
@@ -44,10 +45,10 @@ SEVERITIES = ("info", "warning", "critical")
 
 #: Threshold predicate spellings.
 _OPS: Dict[str, Callable[[float, float], bool]] = {
-    ">": lambda value, threshold: value > threshold,
-    ">=": lambda value, threshold: value >= threshold,
-    "<": lambda value, threshold: value < threshold,
-    "<=": lambda value, threshold: value <= threshold,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "<": operator.lt,
+    "<=": operator.le,
 }
 
 _KINDS = ("threshold", "growth")
@@ -156,16 +157,20 @@ class Alert:
 class _RuleState:
     """Per-(rule, matched-series) breach bookkeeping."""
 
-    __slots__ = ("breach_start", "fired", "history")
+    __slots__ = ("breach_start", "fired", "last", "rises")
 
-    def __init__(self, window: int) -> None:
+    def __init__(self) -> None:
         self.breach_start: Optional[float] = None
         self.fired = False
-        self.history: Deque[float] = deque(maxlen=window)
+        #: Growth rules: the previous value (NaN at first, so that the first
+        #: value is no rise) and the run of strict rises that ends with it.
+        self.last = math.nan
+        self.rises = 0
 
 
-#: One rule bound to one series it selects, with that pair's state.
-_Binding = Tuple[WatchRule, str, _RuleState]
+#: One rule bound to one series it selects, with that pair's state and,
+#: for a threshold rule, its predicate (``None`` for a growth rule).
+_Binding = Tuple[WatchRule, str, _RuleState, Optional[Callable[[float, float], bool]]]
 
 
 class Watchdog:
@@ -180,24 +185,17 @@ class Watchdog:
             )
         self.rules: Tuple[WatchRule, ...] = tuple(rules)
         self._state: Dict[Tuple[str, str], _RuleState] = {}
-        #: ``(rule, series, state)`` triples per sampled series-name set, in
-        #: evaluation order: rules outer, sorted series inner.
+        #: ``(rule, series, state, predicate)`` per sampled series-name set,
+        #: in evaluation order: rules outer, sorted series inner.
         self._bindings: Dict[Tuple[str, ...], List[_Binding]] = {}
         #: Every alert ever returned by :meth:`observe`, in firing order.
         self.alerts: List[Alert] = []
 
-    def _state_for(self, rule: WatchRule, series: str) -> _RuleState:
-        key = (rule.name, series)
-        state = self._state.get(key)
-        if state is None:
-            state = _RuleState(rule.window)
-            self._state[key] = state
-        return state
-
     def _bind(self, names: Tuple[str, ...]) -> List[_Binding]:
         ordered = sorted(names)
         return [
-            (rule, series, self._state_for(rule, series))
+            (rule, series, self._state.setdefault((rule.name, series), _RuleState()),
+             None if rule.kind == "growth" else _OPS[rule.op])
             for rule in self.rules
             for series in ordered
             if rule.matches(series)
@@ -216,40 +214,30 @@ class Watchdog:
         if bindings is None:
             bindings = self._bindings[names] = self._bind(names)
         fired: List[Alert] = []
-        for rule, series, state in bindings:
+        for rule, series, state, predicate in bindings:
             value = float(values[series])
-            if rule.kind == "growth":
-                breached = self._growth_breached(state, value)
+            if predicate is None:
+                # ``window`` rising samples are ``window - 1`` strict rises.
+                state.rises = state.rises + 1 if value > state.last else 0
+                state.last = value
+                breached = state.rises >= rule.window - 1
             else:
-                breached = _OPS[rule.op](value, rule.threshold)
-            alert = self._advance(rule, series, state, t, value, breached)
+                breached = predicate(value, rule.threshold)
+            if not breached:
+                state.breach_start = None
+                state.fired = False
+                continue
+            alert = self._advance(rule, series, state, t, value)
             if alert is not None:
                 fired.append(alert)
         self.alerts.extend(fired)
         return fired
 
     @staticmethod
-    def _growth_breached(state: _RuleState, value: float) -> bool:
-        history = state.history
-        history.append(value)
-        if len(history) < history.maxlen:
-            return False
-        samples = list(history)
-        return all(b > a for a, b in zip(samples, samples[1:]))
-
     def _advance(
-        self,
-        rule: WatchRule,
-        series: str,
-        state: _RuleState,
-        t: float,
-        value: float,
-        breached: bool,
+        rule: WatchRule, series: str, state: _RuleState, t: float, value: float
     ) -> Optional[Alert]:
-        if not breached:
-            state.breach_start = None
-            state.fired = False
-            return None
+        """One breached sample: the alert if it completes the debounce."""
         if state.breach_start is None:
             state.breach_start = t
         if state.fired or (t - state.breach_start) < rule.for_seconds:

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+from operator import attrgetter
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.allocation import Allocator
 from repro.cluster.machine import ComputeCluster, PhaseProfile, caddy
-from repro.cluster.node import NodeGroup
+from repro.cluster.node import NodeGroup, node_sum
 from repro.cluster.power import CpuPowerModel, NodePowerModel, PState, e5_2670_node
 from repro.cluster.topology import Interconnect
 from repro.errors import ConfigurationError
@@ -367,6 +371,24 @@ class TestNodeGroupsMatchPerNodeReference:
         assert total.name == want_total.name
         assert total.final_dt == want_total.final_dt
         assert total.watts.tolist() == want_total.watts.tolist()
+
+
+class TestNodeSum:
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(st.floats(), st.integers(min_value=1, max_value=40)), max_size=10))
+    def test_equals_the_node_by_node_sum(self, pairs):
+        groups = [SimpleNamespace(value=value, count=count) for value, count in pairs]
+        calls = []
+
+        def value(group):
+            calls.append(group)
+            return group.value
+
+        got = node_sum(groups, value)
+        want = sum(g.value for g in groups for _ in range(g.count))
+        assert type(got) is type(want)
+        assert float(got).hex() == float(want).hex()
+        assert calls == groups
 
 
 class TestTracedSurface:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -262,6 +263,40 @@ class TestSession:
             with obs.session():
                 raise RuntimeError("boom")
         assert not obs.enabled()
+
+
+class TestGitLookup:
+    def test_one_lookup_per_process(self, tmp_path, monkeypatch):
+        from repro.obs.manifest import git_commit
+
+        calls = []
+        run = subprocess.run
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        git_commit.cache_clear()
+        monkeypatch.setattr(subprocess, "run", counting)
+        for label in ("a", "b"):
+            with obs.session(str(tmp_path / label), label=label):
+                pass
+        assert len(calls) == 1
+        commits = {
+            obs.RunManifest.load(str(tmp_path / label)).provenance["git_commit"]
+            for label in ("a", "b")
+        }
+        assert commits == {git_commit()}
+
+    def test_cache_code_version_is_the_commit(self):
+        from repro.exec.cache import default_code_version
+        from repro.obs.manifest import git_commit
+
+        commit = git_commit()
+        if commit is not None:
+            assert default_code_version() == commit
+        else:
+            assert default_code_version().startswith("repro-")
 
 
 # -------------------------------------------------- pipeline instrumentation

@@ -1,6 +1,7 @@
 """Tests for continuous timelines, SLO watchdogs and the bench ledger.
 
 Covers :mod:`repro.obs.timeline` (grid sampling, probes, determinism),
+the sample text :class:`repro.obs.exporters.RowText` writes,
 :mod:`repro.obs.watch` (episode/growth semantics), the timeline/alert
 naming grammar and its ``obs-naming`` lint extension, the ``obs check`` /
 ``obs summarize`` surfaces, the zero-observation exporter regressions, and
@@ -10,11 +11,15 @@ naming grammar and its ``obs-naming`` lint extension, the ``obs check`` /
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 import os
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.characterization import run_characterization
@@ -23,6 +28,7 @@ from repro.events.engine import Simulator
 from repro.exec import history
 from repro.obs.cli import main as obs_cli_main
 from repro.obs.cli import collect_alerts, summarize
+from repro.obs.exporters import _ENCODER, JsonlWriter, RowText
 from repro.ocean.driver import MPASOceanConfig
 from repro.pipelines.base import PipelineSpec
 from repro.storage.lustre import LustreFileSystem
@@ -133,6 +139,19 @@ class TestTimelineSampler:
         sim.run()
         sampler.detach()
         assert [s["t"] for s in sampler.recent] == [2.0, 4.0, 6.0, 8.0, 10.0]
+
+    def test_grid_ticks_are_repeated_additions(self):
+        # One event at 1.25 crosses twelve 0.1 s ticks.  Each tick is the
+        # previous one plus the interval, so tick k drifts off k * interval.
+        sim = _ticking_sim(n_steps=1, step=1.25)
+        sampler = obs.TimelineSampler(sim, interval_seconds=0.1)
+        sampler.add_probe("repro_timeline_engine_clock_seconds", lambda t: t)
+        sampler.attach()
+        sim.run()
+        sampler.detach()
+        grid = list(itertools.accumulate([0.1] * 12))
+        assert [s["t"] for s in sampler.recent] == grid + [1.25]
+        assert grid[9] == 0.9999999999999999 != 10 * 0.1
 
     def test_ring_capacity_bounds_memory(self):
         sim = _ticking_sim(n_steps=20, step=1.0)
@@ -390,6 +409,37 @@ class TestWatchdogAcrossSeriesSets:
         assert calls == []
 
 
+#: Level changes a growth test walks through: mostly rises, some plateaus,
+#: drops and NaN readings (a NaN breaks a run of rises on both sides).
+_STEPS = st.sampled_from([1.0, 1.0, 1.0, 0.0, -1.0, math.nan])
+
+
+class TestWatchdogMatchesReference:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        window=st.integers(min_value=2, max_value=8),
+        for_seconds=st.sampled_from([0.0, 2.0]),
+        op=st.sampled_from([">", ">=", "<", "<="]),
+        threshold=st.sampled_from([0.0, 2.0, 5.0]),
+        steps=st.lists(_STEPS, max_size=40),
+    )
+    def test_growth_and_threshold_rules(self, window, for_seconds, op, threshold, steps):
+        rules = (
+            obs.WatchRule(name="grow", series=QUEUE, kind="growth", window=window,
+                          for_seconds=for_seconds),
+            obs.WatchRule(name="level", series=QUEUE, op=op, threshold=threshold),
+        )
+        level, samples = 0.0, []
+        for i, step in enumerate(steps):
+            level += 0.0 if math.isnan(step) else step
+            samples.append((float(i), {QUEUE: step if math.isnan(step) else level}))
+        dog = obs.Watchdog(rules)
+        for t, values in samples:
+            dog.observe(t, values)
+        got = [(a.rule, a.series, a.t, a.value) for a in dog.alerts]
+        assert got == _reference_alerts(rules, samples)
+
+
 class TestSamplerBookkeeping:
     def test_values_sorted_names_in_registration_order(self):
         sim = _ticking_sim(n_steps=4, step=1.0)
@@ -435,6 +485,92 @@ class TestSamplerBookkeeping:
         sim.run()
         # Same probe time, new namespace: the fill must follow the write.
         assert ost0(5.0) == fs.ost_fill_fractions()[0] > 0.0
+
+
+# ----------------------------------------------------------- row text
+
+
+#: Repeats are likely from the small pool, so unchanged columns are common.
+_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1.5]),
+    st.floats(),
+)
+
+
+@st.composite
+def _named_rows(draw):
+    names = sorted(draw(st.lists(st.text(), max_size=6, unique=True)))
+    row = st.lists(_CELLS, min_size=len(names), max_size=len(names))
+    return names, draw(st.lists(row, max_size=8))
+
+
+#: A timeline record's ``values`` as the sampler builds them.
+_VALUES = {DRAW: 15_000.5, QUEUE: -0.0, FILL: math.nan, OST0: math.inf}
+
+
+class TestRowText:
+    @settings(deadline=None, max_examples=300)
+    @given(_named_rows())
+    @example((["a"], [[0.0], [-0.0], [0.0]]))
+    @example((["a"], [[math.nan], [math.nan]]))
+    def test_render_is_the_encoder_text(self, named_rows):
+        names, rows = named_rows
+        text = RowText(names)
+        for row in rows:
+            assert text.render(row) == _ENCODER.encode(dict(zip(names, row)))
+
+    def test_names_must_come_sorted_and_distinct(self):
+        for names in (["b", "a"], ["a", "a"]):
+            with pytest.raises(ValueError):
+                RowText(names)
+
+    @pytest.mark.parametrize(
+        "label", ["run", 'say "hi"', "back\\slash", "naïve — 温度 🌊", "tab\tnew\nline"]
+    )
+    def test_write_with_values_text_is_the_same_line(self, tmp_path, label):
+        names = sorted(_VALUES)
+        text = RowText(names).render([_VALUES[name] for name in names])
+        for t in (3, 2.5, 0.1 + 0.2):
+            record = {"type": "sample", "t": t, "label": label, "values": _VALUES,
+                      "seq": 7, "trace": "0123abcd"}
+            plain, fast = tmp_path / "plain.jsonl", tmp_path / "fast.jsonl"
+            with JsonlWriter(str(plain)) as writer:
+                writer.write(record)
+            with JsonlWriter(str(fast)) as writer:
+                writer.write(record, text)
+            assert fast.read_bytes() == plain.read_bytes()
+
+    def test_probe_added_after_sampling_began(self, tmp_path):
+        # Names, probes and row text are rebuilt at the next sample; every
+        # line still reads as the encoder writes its record.
+        sim = _ticking_sim(n_steps=4, step=1.0)
+        with obs.session(str(tmp_path), label="tl") as session:
+            sampler = obs.TimelineSampler(sim, interval_seconds=1.0, session=session)
+            sampler.add_probe(QUEUE, lambda t: -0.0 if t < 2.0 else t)
+            sampler.attach()
+            sim.run(until=2.5)
+            sampler.add_probe(DRAW, lambda t: 2.0 * t)
+            sim.run()
+            sampler.detach()
+        lines = (tmp_path / obs.TIMELINE_FILENAME).read_text().splitlines()
+        assert lines == [_ENCODER.encode(record) for record in sampler.recent]
+        assert [list(record["values"]) for record in sampler.recent] == [
+            [QUEUE], [QUEUE], [QUEUE, DRAW], [QUEUE, DRAW],
+        ]
+
+    def test_no_text_without_a_directory(self, monkeypatch):
+        def render(_self, _row):
+            raise AssertionError("rendered for a session that writes no file")
+
+        monkeypatch.setattr(RowText, "render", render)
+        sim = _ticking_sim(n_steps=3, step=1.0)
+        with obs.session(label="mem") as session:
+            sampler = obs.TimelineSampler(sim, interval_seconds=1.0, session=session)
+            sampler.add_probe(QUEUE, lambda t: t)
+            sampler.attach()
+            sim.run()
+            sampler.detach()
+        assert session.n_timeline == 3
 
 
 # ----------------------------------------------------- platform integration
