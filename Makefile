@@ -20,9 +20,18 @@ baseline:
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Quick bench: gate against the trajectory ledger, then append the new row.
+# The run store that bench-history and obs-store write to.
+STORE ?= .repro/store
+
+# Quick bench into the run store, then the drift gates over the bench-quick
+# runs: wall times fail above the MAD band, speedups below it.
 bench-history:
-	$(PYTHON) -m repro bench history --quick --check --append
+	$(PYTHON) -m repro bench --quick --output out/bench
+	$(PYTHON) -m repro obs ingest --store $(STORE) out/bench/BENCH_exec.json
+	$(PYTHON) -m repro obs trend --store $(STORE) --label bench-quick --check \
+		serial_seconds parallel_seconds cached_seconds
+	$(PYTHON) -m repro obs trend --store $(STORE) --label bench-quick --check \
+		--direction below speedup_parallel speedup_cached
 
 # Alternating pairs of end-to-end benchmark runs of one workload, BASE (a git
 # revision, checked out in a detached worktree) against this checkout, one
@@ -58,9 +67,8 @@ bench-pairs:
 scenarios:
 	$(PYTHON) -m repro scenario gallery
 
-# Run registry demo: three instrumented runs ingested into .repro/store,
+# Run registry demo: three instrumented runs ingested into $(STORE),
 # then cross-run query + trend gate + HTML dashboard over them.
-STORE ?= .repro/store
 obs-store:
 	$(PYTHON) -m repro characterize --intervals 8 --telemetry .repro/runs/char-8h --store $(STORE) >/dev/null
 	$(PYTHON) -m repro characterize --intervals 24 --telemetry .repro/runs/char-24h --store $(STORE) >/dev/null

@@ -5,9 +5,10 @@ torn JSON file that a later run loads: manifests, Prometheus expositions,
 bench reports and cache sidecars are all *whole-file* artifacts, so they get
 the classic write-to-temp + :func:`os.replace` treatment — the new content
 becomes visible atomically or not at all.  Append-only JSONL streams
-(journals, ledgers) instead use a single ``O_APPEND`` write per record, so a
-crash can at worst truncate the final line — exactly the damage
-:func:`repro.obs.exporters.read_jsonl` already tolerates and counts.
+(sweep journals, the run store index) instead use a single ``O_APPEND``
+write per record, so a crash can at worst truncate the final line —
+exactly the damage :func:`repro.obs.exporters.read_jsonl` already
+tolerates and counts.
 """
 
 from __future__ import annotations

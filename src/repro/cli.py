@@ -13,9 +13,8 @@ Commands map onto the paper's sections:
 * ``quality``      — measured eddy-tracking fidelity vs cadence (extension).
 * ``proportionality`` — the storage/compute power-proportionality tables.
 * ``bench``        — run the fig3/fig9/fig10 sweep set through the execution
-  engine (serial vs parallel vs cached) and emit ``BENCH_exec.json``;
-  ``bench history`` maintains the append-only trajectory ledger
-  (``BENCH_history.jsonl``) and gates on MAD-band drift (``--check``).
+  engine (serial vs parallel vs cached) and emit ``BENCH_exec.json``, which
+  ``repro obs ingest`` records in the run store for ``repro obs trend``.
 * ``run``          — execute a declarative scenario file (YAML/JSON; see
   ``repro.scenario`` and ``docs/SCENARIOS.md``), with ``--set`` overrides.
 * ``scenario``     — validate/hash scenario files and check the template
@@ -264,38 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bench",
         help="execution-engine benchmark: serial vs parallel vs cached sweeps",
-    )
-    p.add_argument(
-        "action", nargs="?", choices=("run", "history"), default="run",
-        help="'run' (default) executes the sweep; 'history' inspects or "
-        "gates on the trajectory ledger",
-    )
-    p.add_argument(
-        "--history-path", default=None, metavar="PATH",
-        help="trajectory ledger location "
-        "(default: benchmarks/baselines/BENCH_history.jsonl)",
-    )
-    p.add_argument(
-        "--append", action="store_true",
-        help="history: append this run's record to the ledger",
-    )
-    p.add_argument(
-        "--check", action="store_true",
-        help="history: exit 2 when the run drifts beyond the MAD band of "
-        "the last --window comparable records",
-    )
-    p.add_argument(
-        "--window", type=int, default=10, metavar="N",
-        help="history: trailing comparable records forming the band",
-    )
-    p.add_argument(
-        "--mad-k", type=float, default=4.0, metavar="K",
-        help="history: band half-width in consistency-scaled MAD units",
-    )
-    p.add_argument(
-        "--report", default=None, metavar="PATH",
-        help="history: check/append an existing BENCH_exec.json instead of "
-        "re-running the sweep",
     )
     p.add_argument(
         "--quick", action="store_true",
@@ -547,64 +514,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_history(args: argparse.Namespace) -> int:
-    from repro.exec import history as hist
-
-    path = args.history_path or hist.DEFAULT_HISTORY_PATH
-    ledger = hist.load_history(path)
-    if not args.check and not args.append:
-        print(hist.render_history(ledger))
-        return 0
-
-    if args.report is not None:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-    else:
-        from repro.exec.bench import run_bench, summary
-
-        print(
-            "running the bench sweep for the trajectory ledger...",
-            file=sys.stderr,
-        )
-        report = run_bench(
-            quick=args.quick,
-            workers=args.workers,
-            cache_dir=args.cache,
-            output_dir=args.output,
-        )
-        print(summary(report))
-
-    code = 0
-    if args.check:
-        checks = hist.check_drift(
-            report, ledger, window=args.window, mad_k=args.mad_k
-        )
-        if not checks:
-            print(
-                f"bench history: fewer than {hist.MIN_RECORDS} comparable "
-                "record(s) in the ledger — drift check is informational (pass)"
-            )
-        else:
-            for check in checks:
-                print(f"  {check.describe()}")
-            problems = hist.drift_problems(checks)
-            if problems:
-                for problem in problems:
-                    print(f"REGRESSION: {problem}", file=sys.stderr)
-                code = 2
-            else:
-                print("drift check passed", file=sys.stderr)
-    if args.append:
-        hist.append_record(hist.history_record(report), path)
-        print(f"appended to {path}", file=sys.stderr)
-    return code
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.exec.bench import compare_to_baseline, run_bench, summary, write_report
 
-    if args.action == "history":
-        return _cmd_bench_history(args)
     print(
         "benchmarking the execution engine (serial, parallel and cached "
         "sweeps over the fig3/fig9/fig10 set)...",

@@ -25,41 +25,21 @@ from repro.exec.supervise import (
     SweepJournal,
     TaskPolicy,
 )
-from repro.exec.history import (
-    DEFAULT_HISTORY_PATH,
-    DriftCheck,
-    append_record,
-    check_drift,
-    drift_problems,
-    history_record,
-    host_fingerprint,
-    load_history,
-    render_history,
-)
 
 __all__ = [
-    "DEFAULT_HISTORY_PATH",
     "FAIL_POLICIES",
     "JOURNAL_FILENAME",
     "MODE_REAL",
     "MODE_SIMULATED",
     "QUARANTINE_DIRNAME",
     "DiskCache",
-    "DriftCheck",
     "ExecutionEngine",
     "RunRequest",
     "RunResult",
     "SweepJournal",
     "TaskPolicy",
-    "append_record",
     "build_pipeline",
-    "check_drift",
     "default_code_version",
-    "drift_problems",
     "execute_request",
-    "history_record",
-    "host_fingerprint",
-    "load_history",
     "pipeline_factories",
-    "render_history",
 ]

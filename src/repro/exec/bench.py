@@ -4,7 +4,9 @@ Executes the paper's characterization grid plus the Fig. 9/Fig. 10 cadence
 axes through the :class:`~repro.exec.engine.ExecutionEngine` three times —
 serial, parallel, cached — verifies the three produce bit-identical
 measurements, and emits a machine-readable ``BENCH_exec.json`` (wall times,
-speedups, cache stats) next to a human-readable summary.  A committed
+speedups, cache stats, creation time and provenance) next to a
+human-readable summary; ``repro obs ingest`` records it in the run store
+as a ``bench-quick`` or ``bench-full`` run.  A committed
 baseline JSON turns the report into a CI gate:
 :func:`compare_to_baseline` fails the run on a >20 % speedup regression.
 
@@ -27,7 +29,7 @@ from repro.errors import ConfigurationError
 from repro.exec.api import RunRequest
 from repro.exec.cache import DiskCache
 from repro.exec.engine import ExecutionEngine
-from repro.obs.manifest import SCHEMA_VERSION
+from repro.obs.manifest import SCHEMA_VERSION, collect_provenance
 from repro.pipelines.base import PipelineSpec
 from repro.pipelines.sampling import SamplingPolicy
 
@@ -127,6 +129,8 @@ def run_bench(
     report = {
         "schema_version": SCHEMA_VERSION,
         "name": "exec",
+        "created_unix": time.time(),
+        "provenance": collect_provenance(),
         "quick": quick,
         "workload": {
             "n_tasks": len(requests),

@@ -1,10 +1,9 @@
-"""The shared MAD-band drift detector.
+"""The MAD-band drift detector.
 
-Both longitudinal gates in the project — the bench trajectory ledger
-(:mod:`repro.exec.history`) and the cross-run metric trends of the run
-registry (:mod:`repro.obs.store.trend`) — answer the same question: *is
-this value an outlier against the recent history of comparable values?*
-The answer lives here so the two gates cannot diverge.
+The project's longitudinal gate — the cross-run metric trends of the run
+registry (:mod:`repro.obs.store.trend`), ingested bench reports included —
+answers one question: *is this value an outlier against the recent
+history of comparable values?*
 
 The reference band around the history is ``median ± halfwidth`` with
 
@@ -15,8 +14,8 @@ normal noise, and the relative floor keeps near-constant histories (MAD
 ~ 0) from flagging ordinary jitter.  Drift is directional: wall times and
 energy fail *above* the band, speedups fail *below* it; the opposite
 direction is improvement, not drift.  Histories shorter than
-``min_records`` produce no verdict at all, so a fresh ledger or store
-never blocks a gate.
+``min_records`` produce no verdict at all, so a fresh store never blocks
+a gate.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ __all__ = [
     "DIRECTIONS",
     "DriftCheck",
     "MAD_SCALE",
+    "check_band_settings",
     "check_value",
     "mad_band",
     "median",
@@ -121,6 +121,25 @@ class DriftCheck:
         }
 
 
+def check_band_settings(
+    direction: str, mad_k: float, rel_floor: float, min_records: int
+) -> None:
+    """Raise :class:`ConfigurationError` for a setting no history can use.
+
+    Gates call this before they look at the history, so a bad setting fails
+    on a fresh store too instead of passing until the history grows.
+    """
+    if direction not in DIRECTIONS:
+        raise ConfigurationError(
+            f"unknown drift direction {direction!r}; expected one of {DIRECTIONS}"
+        )
+    if mad_k <= 0 or rel_floor < 0 or min_records < 1:
+        raise ConfigurationError(
+            "mad_k must be > 0, rel_floor >= 0 and min_records >= 1: "
+            f"{mad_k}, {rel_floor}, {min_records}"
+        )
+
+
 def check_value(
     metric: str,
     value: float,
@@ -135,10 +154,7 @@ def check_value(
     ``None`` means "no trajectory yet" (fewer than ``min_records`` history
     values) — callers must treat that as an informational pass.
     """
-    if direction not in DIRECTIONS:
-        raise ConfigurationError(
-            f"unknown drift direction {direction!r}; expected one of {DIRECTIONS}"
-        )
+    check_band_settings(direction, mad_k, rel_floor, min_records)
     series: List[float] = [float(v) for v in history]
     if len(series) < min_records:
         return None

@@ -267,7 +267,7 @@ def _normalize_timeline(samples: Sequence[dict]) -> List[dict]:
     return rows
 
 
-#: Bench report keys worth trending (the ledger's metric set plus totals).
+#: Bench report keys worth trending: stage wall times and speedups.
 _BENCH_KEYS = (
     "serial_seconds",
     "parallel_seconds",
@@ -318,14 +318,17 @@ def normalize_run(path: str) -> Tuple[dict, List[dict]]:
             raise ConfigurationError(
                 f"{path!r} carries none of the bench metrics {_BENCH_KEYS}"
             )
+        # Quick and full sweeps time different request sets, so only runs
+        # of one label compare in a trend.
+        provenance = report.get("provenance") or {}
         meta = {
-            "label": "bench",
+            "label": "bench-quick" if report.get("quick") else "bench-full",
             "trace_id": None,
             "scenario_name": None,
             "scenario_digest": None,
             "created_unix": float(report.get("created_unix", 0.0)),
-            "git_commit": None,
-            "repro_version": report.get("repro_version"),
+            "git_commit": provenance.get("git_commit"),
+            "repro_version": provenance.get("repro_version"),
         }
         return meta, rows
     if not os.path.isdir(path):

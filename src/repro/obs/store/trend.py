@@ -2,9 +2,9 @@
 
 A *trend* is one metric's value extracted from every selected run, in
 ingest order, optionally gated: the latest value is compared against the
-MAD band (:mod:`repro.obs.drift`) of the preceding values, exactly the
-detector the bench ledger uses, so "this metric regressed across runs"
-and "this bench run drifted" are the same mathematics.
+MAD band (:mod:`repro.obs.drift`) of the preceding values.  Ingested
+``repro bench`` reports are runs like any other (labelled ``bench-quick``
+or ``bench-full``), so "this bench run drifted" is a trend check too.
 
 Metric names resolve in priority order against a run's records:
 
@@ -15,7 +15,8 @@ Metric names resolve in priority order against a run's records:
 2. a **timeline series** (``kind=sample``) — stats ``mean``/``max``/
    ``last`` over the run's samples;
 3. a **span name** (``kind=span``) — total duration across occurrences;
-4. a **bench row** (``kind=bench``) — its recorded value.
+4. a **bench row** (``kind=bench``) — stats ``value``/``last``, its
+   recorded value.
 
 ``stat="auto"`` picks value/sum/mean/sum/value respectively.  Runs where
 the metric is absent are skipped (they contribute no point), so mixed
@@ -32,8 +33,8 @@ from repro.obs.drift import (
     DEFAULT_MAD_K,
     DEFAULT_MIN_RECORDS,
     DEFAULT_REL_FLOOR,
-    DIRECTIONS,
     DriftCheck,
+    check_band_settings,
     check_value,
 )
 from repro.obs.store.core import RunRow, RunStore
@@ -183,7 +184,12 @@ def run_metric_value(
         if r.get("kind") == "bench" and r.get("name") == metric
     ]
     if bench:
-        return bench[-1] if stat in ("auto", "value", "last") else None
+        if stat in ("auto", "value", "last"):
+            return bench[-1]
+        raise ConfigurationError(
+            f"stat {stat!r} does not apply to bench key {metric!r}; "
+            "expected value or last"
+        )
     return None
 
 
@@ -205,10 +211,7 @@ def compute_trend(
     ``window`` points before it; fewer than ``min_records`` prior points
     means no verdict (``check is None``) — an informational pass.
     """
-    if direction not in DIRECTIONS:
-        raise ConfigurationError(
-            f"unknown drift direction {direction!r}; expected one of {DIRECTIONS}"
-        )
+    check_band_settings(direction, mad_k, rel_floor, min_records)
     if window < 1:
         raise ConfigurationError(f"window must be >= 1: {window}")
     rows = store.runs() if runs is None else list(runs)

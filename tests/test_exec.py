@@ -40,7 +40,7 @@ from repro.exec.api import (
 from repro.exec.bench import compare_to_baseline, run_bench, sweep_requests, write_report
 from repro.exec.cache import QUARANTINE_DIRNAME, DiskCache
 from repro.exec.engine import ExecutionEngine, execute_request
-from repro.obs.manifest import SCHEMA_VERSION
+from repro.obs.manifest import SCHEMA_VERSION, collect_provenance
 from repro.ocean.driver import MPASOceanConfig
 from repro.pipelines.base import PipelineSpec
 from repro.pipelines.insitu import InSituPipeline
@@ -592,6 +592,9 @@ class TestBench:
         assert report["identical"]["cached_vs_serial"]
         assert report["speedup_cached"] > 1.0
         assert report["cache"]["hits"] == report["workload"]["n_tasks"]
+        # Stamped like a run manifest, so the run store can place it.
+        assert report["created_unix"] > 0
+        assert report["provenance"] == collect_provenance()
         path = write_report(report, out)
         assert os.path.basename(path) == "BENCH_exec.json"
         with open(path, encoding="utf-8") as fh:

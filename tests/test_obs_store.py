@@ -183,7 +183,7 @@ class TestIngest:
         result = store.ingest(str(path))
         assert result.created and result.counts == {"bench": 5}
         (row,) = store.runs()
-        assert row.label == "bench"
+        assert row.label == "bench-full"
         assert run_metric_value(store.records(row), "serial_seconds") == 4.0
 
     def test_nonexistent_path_raises(self, tmp_path):
@@ -459,12 +459,151 @@ class TestTrend:
         with pytest.raises(ConfigurationError):
             compute_trend(store, "repro_pipeline_phase_seconds", stat="mean")
 
+    def test_band_settings_are_checked_on_a_short_history(
+        self, tmp_path, capsys
+    ):
+        # One run leaves no prior point and an absent metric no point at
+        # all, so no verdict is reached: a bad setting must fail anyway, not
+        # pass until the history grows.
+        store = self.build_store(tmp_path, [100.0])
+        for option, value, named in (
+            ("--window", "0", "window"),
+            ("--mad-k", "0", "mad_k"),
+            ("--rel-floor", "-0.1", "rel_floor"),
+            ("--min-records", "0", "min_records"),
+        ):
+            for metric in (
+                "repro_engine_steps_total", "repro_storage_writes_total"
+            ):
+                assert obs_cli_main(
+                    ["trend", "--store", store.root, "--check", option, value,
+                     metric]
+                ) == 2, (option, metric)
+                assert named in capsys.readouterr().err, (option, metric)
+
     def test_drift_primitives_shared_with_bench_ledger(self):
         median, halfwidth = mad_band([10.0, 10.0, 10.0, 10.0])
         assert median == 10.0
         assert halfwidth == pytest.approx(2.5)  # rel_floor * |median|
         check = check_value("m", 13.0, [10.0, 10.0, 10.0, 10.0])
         assert check is not None and check.failed
+        # A bad setting fails before the short-history pass.
+        with pytest.raises(ConfigurationError, match="mad_k"):
+            check_value("m", 13.0, [], mad_k=0.0)
+
+
+# ------------------------------------------------------------ bench runs
+
+#: The CI perf job's drift step: one trend gate over the bench-quick runs
+#: per direction (wall times fail above the band, speedups below it).
+BENCH_GATES = (
+    ["--check", "serial_seconds", "parallel_seconds", "cached_seconds"],
+    ["--check", "--direction", "below", "speedup_parallel", "speedup_cached"],
+)
+
+
+def write_bench(root, name, quick=True, scale=1.0, **overrides):
+    """A ``BENCH_exec.json``-shaped report; ``scale`` moves the wall times."""
+    report = {
+        "quick": quick,
+        "serial_seconds": 1.0 * scale,
+        "parallel_seconds": 0.5 * scale,
+        "cached_seconds": 0.005 * scale,
+        "speedup_parallel": 2.0,
+        "speedup_cached": 200.0,
+    }
+    report.update(overrides)
+    path = os.path.join(str(root), f"{name}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh)
+    return path
+
+
+class TestBenchRuns:
+    def bench_store(self, tmp_path, *extra):
+        """Four in-band quick reports, then one per ``(name, kwargs)``."""
+        tmp_path.mkdir(exist_ok=True)
+        store = RunStore(str(tmp_path / "store"))
+        for i, scale in enumerate((1.0, 1.02, 0.98, 1.01)):
+            store.ingest(write_bench(tmp_path, f"q{i}", scale=scale))
+        for name, overrides in extra:
+            store.ingest(write_bench(tmp_path, name, **overrides))
+        return store
+
+    def gate(self, store, capsys, gate):
+        """Exit code and DRIFT-flagged metrics of one CI trend call."""
+        code = obs_cli_main(
+            ["trend", "--store", store.root, "--label", "bench-quick", *gate]
+        )
+        out = capsys.readouterr().out
+        drifted = [
+            line.split()[0] for line in out.splitlines()
+            if line.rstrip().endswith("DRIFT")
+        ]
+        return code, drifted
+
+    def test_ci_gates_name_exactly_the_drifted_metrics(self, tmp_path, capsys):
+        slow = self.bench_store(
+            tmp_path / "slow",
+            ("slow", {"serial_seconds": 2.0, "speedup_parallel": 1.0}),
+        )
+        walls, speedups = (self.gate(slow, capsys, g) for g in BENCH_GATES)
+        assert walls == (2, ["serial_seconds"])
+        assert speedups == (2, ["speedup_parallel"])
+        # The opposite moves are improvements, not drift.
+        fast = self.bench_store(
+            tmp_path / "fast",
+            ("fast", {"serial_seconds": 0.5, "speedup_parallel": 4.0}),
+        )
+        for gate in BENCH_GATES:
+            assert self.gate(fast, capsys, gate) == (0, [])
+
+    def test_full_sweep_stays_out_of_the_quick_trend(self, tmp_path, capsys):
+        store = self.bench_store(
+            tmp_path, ("full", {"quick": False, "scale": 10.0})
+        )
+        assert [r.label for r in store.runs()] == ["bench-quick"] * 4 + [
+            "bench-full"
+        ]
+        assert obs_cli_main(
+            ["trend", "--store", store.root, "--label", "bench-quick",
+             "--json", "--check", "serial_seconds"]
+        ) == 0
+        (trend,) = json.loads(capsys.readouterr().out)["trends"]
+        assert [p["value"] for p in trend["points"]] == [1.0, 1.02, 0.98, 1.01]
+        assert trend["check"] is not None and not trend["failed"]
+
+    def test_report_time_and_provenance_reach_the_index(self, tmp_path):
+        path = write_bench(
+            tmp_path, "stamped", created_unix=1_700_000_000.5,
+            provenance={"git_commit": "0123abcd", "repro_version": "9.9.9"},
+        )
+        store = RunStore(str(tmp_path / "store"))
+        store.ingest(path)
+        (row,) = store.runs()
+        assert row.label == "bench-quick"
+        assert row.created_unix == 1_700_000_000.5
+        assert row.git_commit == "0123abcd"
+        assert row.repro_version == "9.9.9"
+
+    def test_unsupported_stat_is_refused(self, tmp_path, capsys):
+        store = self.bench_store(tmp_path)
+        (row, *_) = store.runs()
+        with pytest.raises(ConfigurationError, match="value or last"):
+            run_metric_value(store.records(row), "serial_seconds", stat="max")
+        assert obs_cli_main(
+            ["trend", "--store", store.root, "--check", "--stat", "max",
+             "serial_seconds"]
+        ) == 2
+        assert "does not apply to bench key" in capsys.readouterr().err
+
+    def test_report_without_bench_keys_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "BENCH_exec.json"
+        path.write_text(json.dumps({"quick": True, "workers": 2}))
+        store_dir = str(tmp_path / "store")
+        assert obs_cli_main(["ingest", "--store", store_dir, str(path)]) == 2
+        assert "carries none of the bench metrics" in capsys.readouterr().err
+        assert RunStore(store_dir).runs() == []
 
 
 # ---------------------------------------------------------------- report

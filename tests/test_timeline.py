@@ -1,11 +1,10 @@
-"""Tests for continuous timelines, SLO watchdogs and the bench ledger.
+"""Tests for continuous timelines and SLO watchdogs.
 
 Covers :mod:`repro.obs.timeline` (grid sampling, probes, determinism),
 the sample text :class:`repro.obs.exporters.RowText` writes,
 :mod:`repro.obs.watch` (episode/growth semantics), the timeline/alert
 naming grammar and its ``obs-naming`` lint extension, the ``obs check`` /
-``obs summarize`` surfaces, the zero-observation exporter regressions, and
-:mod:`repro.exec.history` (MAD drift detection).
+``obs summarize`` surfaces and the zero-observation exporter regressions.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
 from pathlib import Path
 
 import pytest
@@ -25,7 +23,6 @@ from repro import obs
 from repro.core.characterization import run_characterization
 from repro.errors import ConfigurationError
 from repro.events.engine import Simulator
-from repro.exec import history
 from repro.obs.cli import main as obs_cli_main
 from repro.obs.cli import collect_alerts, summarize
 from repro.obs.exporters import _ENCODER, JsonlWriter, RowText
@@ -810,127 +807,6 @@ class TestExporterRegressions:
         names = [f.name for f in dst.families()]
         assert "repro_pipeline_phase_seconds" in names
         assert "repro_storage_writes_total" in names
-
-
-# ------------------------------------------------------------ bench history
-
-
-def _bench_report(**overrides) -> dict:
-    report = {
-        "quick": True,
-        "cpus": os.cpu_count() or 1,
-        "workers": 2,
-        "workload": {"n_tasks": 12},
-        "cache": {"entries": 12, "hits": 12, "misses": 12},
-        "serial_seconds": 10.0,
-        "parallel_seconds": 5.0,
-        "cached_seconds": 1.0,
-        "speedup_parallel": 2.0,
-        "speedup_cached": 10.0,
-    }
-    report.update(overrides)
-    return report
-
-
-class TestBenchHistory:
-    def test_record_append_load_round_trip(self, tmp_path):
-        path = str(tmp_path / "hist.jsonl")
-        record = history.history_record(_bench_report(), created_unix=123.0)
-        assert record["created_unix"] == 123.0
-        assert record["host"]["cpus"] == (os.cpu_count() or 1)
-        assert record["metrics"]["serial_seconds"] == 10.0
-        history.append_record(record, path)
-        history.append_record(record, path)
-        rows = history.load_history(path)
-        assert len(rows) == 2
-        assert rows[0]["metrics"] == record["metrics"]
-
-    def test_load_missing_ledger_is_empty(self, tmp_path):
-        assert history.load_history(str(tmp_path / "nope.jsonl")) == []
-
-    def test_short_history_is_informational(self):
-        ledger = [history.history_record(_bench_report()) for _ in range(2)]
-        assert history.check_drift(_bench_report(), ledger) == []
-
-    def test_in_band_run_passes(self):
-        ledger = [history.history_record(_bench_report()) for _ in range(5)]
-        checks = history.check_drift(_bench_report(serial_seconds=11.0), ledger)
-        assert checks and not any(c.failed for c in checks)
-        assert history.drift_problems(checks) == []
-
-    def test_synthetic_regression_is_caught(self):
-        ledger = [history.history_record(_bench_report()) for _ in range(5)]
-        bad = _bench_report(serial_seconds=20.0, speedup_parallel=1.0)
-        checks = history.check_drift(bad, ledger)
-        failing = {c.metric for c in checks if c.failed}
-        assert failing == {"serial_seconds", "speedup_parallel"}
-        assert len(history.drift_problems(checks)) == 2
-
-    def test_improvement_is_not_drift(self):
-        ledger = [history.history_record(_bench_report()) for _ in range(5)]
-        better = _bench_report(serial_seconds=1.0, speedup_parallel=8.0)
-        checks = history.check_drift(better, ledger)
-        assert not any(c.failed for c in checks)
-
-    def test_other_hosts_are_filtered_out(self):
-        record = history.history_record(_bench_report())
-        record["host"]["cpus"] = (os.cpu_count() or 1) + 64
-        assert history.check_drift(_bench_report(), [record] * 5) == []
-        full = history.history_record(_bench_report())
-        full["quick"] = False
-        assert history.check_drift(_bench_report(), [full] * 5) == []
-
-    def test_mad_band_has_a_relative_floor(self):
-        # Identical history -> MAD 0; the floor keeps jitter from flagging.
-        ledger = [history.history_record(_bench_report()) for _ in range(5)]
-        checks = history.check_drift(_bench_report(), ledger)
-        serial = next(c for c in checks if c.metric == "serial_seconds")
-        assert serial.halfwidth == pytest.approx(0.25 * 10.0)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ConfigurationError):
-            history.check_drift(_bench_report(), [], window=0)
-        with pytest.raises(ConfigurationError):
-            history.check_drift(_bench_report(), [], mad_k=0.0)
-        with pytest.raises(ConfigurationError):
-            history.history_record({"quick": True})
-
-    def test_render_history(self):
-        assert "empty ledger" in history.render_history([])
-        ledger = [history.history_record(_bench_report()) for _ in range(3)]
-        text = history.render_history(ledger)
-        assert "3 record(s)" in text and "quick" in text
-
-    def test_cli_gate_and_append(self, tmp_path, capsys):
-        from repro.cli import main as repro_main
-
-        ledger = str(tmp_path / "hist.jsonl")
-        rp = str(tmp_path / "report.json")
-        with open(rp, "w", encoding="utf-8") as fh:
-            json.dump(_bench_report(), fh)
-        # Empty ledger: informational pass, appended.
-        assert repro_main(
-            ["bench", "history", "--check", "--append",
-             "--report", rp, "--history-path", ledger]
-        ) == 0
-        for _ in range(3):
-            assert repro_main(
-                ["bench", "history", "--append", "--report", rp,
-                 "--history-path", ledger]
-            ) == 0
-        assert repro_main(
-            ["bench", "history", "--check", "--report", rp,
-             "--history-path", ledger]
-        ) == 0
-        with open(rp, "w", encoding="utf-8") as fh:
-            json.dump(_bench_report(serial_seconds=100.0), fh)
-        assert repro_main(
-            ["bench", "history", "--check", "--report", rp,
-             "--history-path", ledger]
-        ) == 2
-        assert repro_main(["bench", "history", "--history-path", ledger]) == 0
-        out = capsys.readouterr()
-        assert "bench history" in out.out
 
 
 # ------------------------------------------------------------- lint fixtures
