@@ -1,7 +1,9 @@
 """Telemetry exporters: JSONL event streams and Prometheus text exposition.
 
 * :class:`JsonlWriter` — append-only newline-delimited JSON; one record per
-  line, keys sorted, so streams diff cleanly across runs.
+  line, keys sorted, so streams diff cleanly across runs.  A timeline
+  sample's fixed ``label``/``trace``/``type`` text is encoded once per
+  writer; each of its lines formats only ``seq`` and ``t``.
 * :class:`RowText` — the JSON text of successive rows of one fixed set of
   float columns, re-formatting only the values that changed.
 * :func:`read_jsonl` — the matching reader (iterator of dicts).
@@ -25,6 +27,10 @@ __all__ = ["JsonlWriter", "RowText", "read_jsonl", "to_prometheus", "write_prome
 #: The one encoder every JSON-lines record goes through (stateless per call).
 _ENCODER = json.JSONEncoder(sort_keys=True, default=str)
 
+#: The keys of a timeline sample, whose lines :meth:`JsonlWriter.write`
+#: lays out itself.
+_SAMPLE_KEYS = frozenset(("label", "seq", "t", "trace", "type", "values"))
+
 
 class JsonlWriter:
     """Append-only JSON-lines stream with deterministic key order.
@@ -41,25 +47,48 @@ class JsonlWriter:
             os.makedirs(parent, exist_ok=True)
         self._fh: Optional[IO[str]] = open(path, "w", encoding="utf-8")
         self.n_written = 0
+        #: The last sample's ``(label, trace, type)`` and the line text
+        #: before its ``seq`` and after its ``t``.
+        self._sample_head: Optional[tuple] = None
+        self._sample_text = ("", "")
 
     def write(self, record: dict, values_json: Optional[str] = None) -> None:
         """Serialize one record onto its own line (flushed whole).
 
         ``values_json``, when given, is the already-encoded text of
         ``record["values"]`` (see :class:`RowText`); the line is the same
-        as without it.  That needs ``"values"`` to sort after every other
-        key of the record, as it does in timeline samples.
+        as without it.
         """
         if self._fh is None:
             raise ValueError(f"writer for {self.path!r} is closed")
         if values_json is None:
             line = _ENCODER.encode(record)
         else:
-            head = {key: value for key, value in record.items() if key != "values"}
-            line = _ENCODER.encode(head)[:-1] + ', "values": ' + values_json + "}"
+            line = self._line(record, values_json)
         self._fh.write(line + "\n")
         self._fh.flush()
         self.n_written += 1
+
+    def _line(self, record: dict, values_json: str) -> str:
+        # A timeline sample (text label/trace/type, an int seq, a float or
+        # int t) is laid out here, encoding its fixed text only when it
+        # differs from the previous sample's; any other record goes through
+        # the encoder whole.
+        seq, t = record.get("seq"), record.get("t")
+        if record.keys() == _SAMPLE_KEYS and type(seq) is int and type(t) in (float, int):
+            head = (record["label"], record["trace"], record["type"])
+            if head != self._sample_head and all(type(text) is str for text in head):
+                label, trace, kind = (_ENCODER.encode(text) for text in head)
+                self._sample_head = head
+                self._sample_text = (
+                    '{"label": ' + label + ', "seq": ',
+                    ', "trace": ' + trace + ', "type": ' + kind + ', "values": ',
+                )
+            if head == self._sample_head:
+                before, after = self._sample_text
+                t_text = repr(t) if type(t) is int or math.isfinite(t) else _ENCODER.encode(t)
+                return before + repr(seq) + ', "t": ' + t_text + after + values_json + "}"
+        return _ENCODER.encode(record)
 
     def close(self) -> None:
         """Flush and close the stream (idempotent)."""

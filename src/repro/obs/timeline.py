@@ -16,10 +16,21 @@ Design constraints, in priority order:
 * **Determinism on.**  Samples land on a fixed grid regardless of how
   simulation events interleave: on every processed event the sampler emits
   one row per grid tick crossed in ``(last, now]``, stamped at the *tick*
-  time with the current (post-event) state.  The grid is built by repeated
-  addition — the first tick is ``t0 + interval`` and each next one adds
-  ``interval`` to the previous — so tick ``k`` can sit a few ulps off
-  ``t0 + k*interval``.  Two seeded runs produce byte-identical timelines.
+  time.  The grid is built by repeated addition — the first tick is
+  ``t0 + interval`` and each next one adds ``interval`` to the previous —
+  so tick ``k`` can sit a few ulps off ``t0 + k*interval``.  Two seeded
+  runs produce byte-identical timelines.
+* **Gauges once per event.**  Most probes are *gauges* (marked with
+  :func:`state_probe`): they ignore ``t`` and read the state after the
+  event that crossed the tick.  Nothing but the sampler and its watchdog
+  runs between the ticks one event crosses, so a gauge is read once per
+  such event and its value reused for all of them.  *Clock probes*
+  (unmarked) may read ``t`` and run at every tick.  The power draw is
+  one: it reads each power signal *at the tick*, so at the ticks before
+  the crossing event's time it reports the power before that event, while
+  the compute and storage series already report the power after it.  The
+  headroom (cap minus draw) follows the draw, and ``power_cap_exceeded``
+  watches the draw.
 * **Observation only.**  Probes must not mutate simulation state; the
   sampler never schedules events (a timeout-based sampler would keep the
   event heap non-empty forever and break ``sim.run()``).
@@ -52,9 +63,11 @@ __all__ = [
     "NODE_IDLE_UTILIZATION",
     "TimelineConfig",
     "TimelineSampler",
+    "derived",
     "engine_probes",
     "power_probes",
     "resource_probes",
+    "state_probe",
     "storage_probes",
 ]
 
@@ -72,8 +85,40 @@ NODE_BUSY_UTILIZATION = 0.9
 #: io_wait utilization of 0.85 lands in the io band).
 NODE_IDLE_UTILIZATION = 0.05
 
-#: A probe: simulated time in, gauge value out.  Must not mutate state.
+#: A probe: simulated time in, series value out.  Must not mutate state.
+#: A gauge (marked with :func:`state_probe`) ignores ``t`` and is read once
+#: per processed event that crosses grid ticks; an unmarked (clock) probe
+#: is read at every tick, and a :func:`derived` probe is computed from its
+#: source series' value at the same tick.
 Probe = Callable[[float], float]
+
+
+def state_probe(fn: Probe) -> Probe:
+    """Mark ``fn`` a gauge and return it.
+
+    Only a probe that ignores ``t`` and reads only the model's current
+    state may be a gauge: the sampler reads it once per processed event
+    and reuses the value for every grid tick that event crosses.  The mark
+    is a function attribute, so a ``functools.wraps`` wrapper keeps it.
+    """
+    fn.timeline_state_probe = True
+    return fn
+
+
+def derived(source: str, source_fn: Probe, of: Callable[[float], float]) -> Probe:
+    """The probe ``of(source_fn(t))``, marked as derived from series ``source``.
+
+    A sampler that also samples ``source`` (with ``source_fn``) applies
+    ``of`` to that series' value at each tick instead of calling the probe,
+    which reads ``source_fn`` itself, so a direct call sees every state
+    change.
+    """
+
+    def probe(t: float) -> float:
+        return of(source_fn(t))
+
+    probe.timeline_of = (source, of)
+    return probe
 
 
 @dataclass(frozen=True)
@@ -155,11 +200,16 @@ class TimelineSampler:
         self.n_samples = 0
         #: Registered probes by series name, in registration order.
         self._probes: Dict[str, Probe] = {}
-        #: Series names sorted (the order samples list them), their probes
-        #: and the text of the last row: built at the first sample after a
-        #: probe was added.
+        #: Series names sorted (the order samples list them), the row
+        #: columns of the gauges, clock probes and derived series, the row
+        #: the sampler fills in place and the text of the last row: built
+        #: at the first sample after a probe was added (``_gauges`` is None
+        #: until then).
         self._names: List[str] = []
-        self._fns: Optional[List[Probe]] = None
+        self._gauges: Optional[List[Tuple[int, Probe]]] = None
+        self._clocks: List[Tuple[int, Probe]] = []
+        self._derived: List[Tuple[int, int, Callable[[float], float]]] = []
+        self._row: List[float] = []
         self._row_text: Optional[RowText] = None
         #: ``repro_obs_timeline_samples_total{label}``, looked up at the
         #: first sample so that a sampler that never samples adds no series.
@@ -180,7 +230,7 @@ class TimelineSampler:
         if name in self._probes:
             raise ConfigurationError(f"duplicate timeline probe {name!r}")
         self._probes[name] = fn
-        self._fns = None
+        self._gauges = None
 
     def add_probes(self, probes: Sequence[Tuple[str, Probe]]) -> None:
         """Register a probe-builder's ``(name, fn)`` pairs in order."""
@@ -209,23 +259,56 @@ class TimelineSampler:
         self.sim.remove_step_listener(self._on_step)
         self._attached = False
         if self._last_t is None or self._last_t < self.sim.now:
+            self._read_gauges(self.sim.now)
             self._sample(self.sim.now)
 
     # ----------------------------------------------------------- sampling
 
     def _on_step(self, event, now: float) -> None:
         # Emit one row per grid tick crossed by this event, stamped at the
-        # tick time with the current (post-event) state.
+        # tick time.  Only this loop runs between those ticks, so the
+        # gauges read the same post-event state at each: read them once.
+        # Clock probes read each tick's time, so the draw reports the power
+        # at the tick, from before this event (module docstring).
+        if self._next > now:
+            return
+        self._read_gauges(self._next)
         while self._next <= now:
             self._sample(self._next)
             self._next += self.interval
 
+    def _build(self) -> None:
+        self._names = sorted(self._probes)
+        column = {name: i for i, name in enumerate(self._names)}
+        self._gauges, self._clocks, self._derived = [], [], []
+        for i, name in enumerate(self._names):
+            fn = self._probes[name]
+            source, of = getattr(fn, "timeline_of", (None, None))
+            if getattr(fn, "timeline_state_probe", False):
+                self._gauges.append((i, fn))
+            elif source in column and not hasattr(self._probes[source], "timeline_of"):
+                self._derived.append((i, column[source], of))
+            else:
+                self._clocks.append((i, fn))
+        self._row = [0.0] * len(self._names)
+        self._row_text = RowText(self._names)
+
+    def _read_gauges(self, t: float) -> None:
+        """Fill the row's gauge columns."""
+        if self._gauges is None:
+            self._build()
+        row = self._row
+        for i, fn in self._gauges:
+            row[i] = float(fn(t))
+
     def _sample(self, t: float) -> None:
-        if self._fns is None:
-            self._names = sorted(self._probes)
-            self._fns = [self._probes[name] for name in self._names]
-            self._row_text = RowText(self._names)
-        row = [float(fn(t)) for fn in self._fns]
+        # The row keeps the gauges of the last _read_gauges; each tick
+        # fills its clock and derived columns.
+        row = self._row
+        for i, fn in self._clocks:
+            row[i] = float(fn(t))
+        for i, source, of in self._derived:
+            row[i] = float(of(row[source]))
         values = dict(zip(self._names, row))
         record = {"type": "sample", "t": t, "label": self.label, "values": values}
         self.recent.append(record)
@@ -260,9 +343,16 @@ class TimelineSampler:
 # obs layer keeps zero import-time dependencies on the simulation modules.
 
 
+def _all_gauges(probes: List[Tuple[str, Probe]]) -> List[Tuple[str, Probe]]:
+    """``probes``, each marked with :func:`state_probe`."""
+    for _name, fn in probes:
+        state_probe(fn)
+    return probes
+
+
 def engine_probes(sim) -> List[Tuple[str, Probe]]:
     """Live gauges from the event engine: heap, processes, throughput."""
-    return [
+    probes: List[Tuple[str, Probe]] = [
         ("repro_timeline_engine_queue_depth_total", lambda t: sim.queue_depth),
         ("repro_timeline_engine_processes_total", lambda t: sim.active_processes),
         (
@@ -270,6 +360,7 @@ def engine_probes(sim) -> List[Tuple[str, Probe]]:
             lambda t: sim.events_processed,
         ),
     ]
+    return _all_gauges(probes)
 
 
 def storage_probes(fs) -> List[Tuple[str, Probe]]:
@@ -297,7 +388,7 @@ def storage_probes(fs) -> List[Tuple[str, Probe]]:
     ]
     for i in range(len(fs.osts)):
         probes.append((f"repro_timeline_storage_ost{i}_fill_ratio", ost_fraction(i)))
-    return probes
+    return _all_gauges(probes)
 
 
 def power_probes(
@@ -309,6 +400,8 @@ def power_probes(
 
     The draw is the true power of every node, in node order, plus the
     storage rack's: the additions a meter over all those signals makes.
+    It and the headroom read the signals at ``t``; every other series is a
+    gauge of the current state.
     """
     from repro.cluster.node import node_sum
 
@@ -329,20 +422,32 @@ def power_probes(
                 )
             )
 
-        return probe
+        return state_probe(probe)
 
+    draw_name = "repro_timeline_power_draw_watts"
     probes: List[Tuple[str, Probe]] = [
-        ("repro_timeline_power_draw_watts", draw),
-        ("repro_timeline_power_compute_watts", lambda t: cluster.current_power),
+        (draw_name, draw),
+        (
+            "repro_timeline_power_compute_watts",
+            state_probe(lambda t: cluster.current_power),
+        ),
     ]
     if storage is not None:
         probes.append(
-            ("repro_timeline_power_storage_watts", lambda t: storage.current_power)
+            (
+                "repro_timeline_power_storage_watts",
+                state_probe(lambda t: storage.current_power),
+            )
         )
     if cap_watts is not None:
         cap = float(cap_watts)
-        probes.append(("repro_timeline_power_cap_watts", lambda t: cap))
-        probes.append(("repro_timeline_power_headroom_watts", lambda t: cap - draw(t)))
+        probes.append(("repro_timeline_power_cap_watts", state_probe(lambda t: cap)))
+        probes.append(
+            (
+                "repro_timeline_power_headroom_watts",
+                derived(draw_name, draw, lambda watts: cap - watts),
+            )
+        )
     probes.extend(
         [
             (
@@ -364,7 +469,7 @@ def power_probes(
 
 def resource_probes(name: str, resource) -> List[Tuple[str, Probe]]:
     """Occupancy/queue gauges for one named :class:`~repro.events.resources.Resource`."""
-    return [
+    probes: List[Tuple[str, Probe]] = [
         (f"repro_timeline_resource_{name}_in_use_total", lambda t: resource.in_use),
         (f"repro_timeline_resource_{name}_queue_total", lambda t: resource.queue_length),
         (
@@ -372,3 +477,4 @@ def resource_probes(name: str, resource) -> List[Tuple[str, Probe]]:
             lambda t: resource.utilization,
         ),
     ]
+    return _all_gauges(probes)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
+from collections import Counter
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -17,7 +20,7 @@ from repro.cluster.power import CpuPowerModel, NodePowerModel, PState, e5_2670_n
 from repro.cluster.topology import Interconnect
 from repro.errors import ConfigurationError
 from repro.events.engine import Simulator
-from repro.obs.timeline import power_probes
+from repro.obs.timeline import TimelineSampler, power_probes
 from repro.power.meter import PowerMeter
 from repro.power.signal import PowerSignal
 from repro.power.trace import PowerTrace
@@ -416,3 +419,38 @@ class TestTracedSurface:
         signal = PowerSignal(100.0)
         signal.set(10.0, 200.0)
         assert len(signal._times) == 2
+
+    def test_add_probe_takes_name_and_fn(self):
+        add_probe = TimelineSampler.__dict__["add_probe"]
+        assert list(inspect.signature(add_probe).parameters) == ["self", "name", "fn"]
+
+    def test_wrapped_probes_keep_their_marks(self, sim):
+        # The tracer times each probe through a functools.wraps wrapper.
+        reads = Counter()
+
+        def timed(name, fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                reads[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        cluster = ComputeCluster(sim, n_nodes=25)
+        sampler = TimelineSampler(sim, interval_seconds=1.0)
+        add_probe = TimelineSampler.__dict__["add_probe"]
+        for name, fn in power_probes(cluster, cap_watts=1_000.0):
+            add_probe(sampler, name, timed(name, fn))
+
+        def late():
+            yield sim.timeout(3.5)  # one event crossing three ticks
+
+        sim.process(late())
+        sampler.attach()
+        sim.run()
+        assert sampler.n_samples == 3
+        # The compute series is still a gauge, the headroom still derived
+        # from the draw, and the draw still read at every tick.
+        assert reads["repro_timeline_power_compute_watts"] == 1
+        assert reads["repro_timeline_power_headroom_watts"] == 0
+        assert reads["repro_timeline_power_draw_watts"] == 3

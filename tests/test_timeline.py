@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -20,12 +21,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.cluster.machine import ComputeCluster
 from repro.core.characterization import run_characterization
 from repro.errors import ConfigurationError
 from repro.events.engine import Simulator
 from repro.obs.cli import main as obs_cli_main
 from repro.obs.cli import collect_alerts, summarize
 from repro.obs.exporters import _ENCODER, JsonlWriter, RowText
+from repro.obs.timeline import derived, state_probe
+from repro.power.signal import PowerSignal
 from repro.ocean.driver import MPASOceanConfig
 from repro.pipelines.base import PipelineSpec
 from repro.storage.lustre import LustreFileSystem
@@ -484,6 +488,185 @@ class TestSamplerBookkeeping:
         assert ost0(5.0) == fs.ost_fill_fractions()[0] > 0.0
 
 
+# --------------------------------------------------- gauges once per event
+
+CLOCK = "repro_timeline_engine_clock_seconds"
+LEVEL = "repro_timeline_engine_level_total"
+SLACK = "repro_timeline_engine_slack_seconds"
+
+#: Event times on a 1 s grid: 0.3 and 1.5 cross no tick, 1.0 crosses one,
+#: 4.2 crosses three (2, 3 and 4); detach then snapshots 4.2.
+_EVENT_TIMES = (0.3, 1.0, 1.5, 4.2)
+
+
+def _scripted_sim(level: list) -> Simulator:
+    """One event per :data:`_EVENT_TIMES` entry; the k-th sets the level to k."""
+    sim = Simulator()
+
+    def script():
+        for k, t in enumerate(_EVENT_TIMES, start=1):
+            yield sim.timeout(t - sim.now)
+            level[0] = float(k)
+
+    sim.process(script())
+    return sim
+
+
+def _scripted_probes(level: list, reads: list) -> list:
+    """A gauge, a clock probe and a series derived from the clock."""
+
+    def read_level(t):
+        reads.append(LEVEL)
+        return level[0]
+
+    def read_clock(t):
+        reads.append(CLOCK)
+        return t
+
+    return [
+        (LEVEL, state_probe(read_level)),
+        (CLOCK, read_clock),
+        (SLACK, derived(CLOCK, read_clock, lambda now: 10.0 - now)),
+    ]
+
+
+def _strip(fn):
+    """``fn`` without its marks: read at every tick, as any plain probe is."""
+    return lambda t: fn(t)
+
+
+class TestGaugesOncePerEvent:
+    def test_gauge_per_crossing_event_clock_per_tick(self):
+        level, reads = [0.0], []
+        sim = _scripted_sim(level)
+        sampler = obs.TimelineSampler(sim, interval_seconds=1.0)
+        sampler.add_probes(_scripted_probes(level, reads))
+        sampler.attach()
+        sim.run()
+        # Two events crossed ticks: the level is read once for each, the
+        # clock once per tick and never for the series derived from it.
+        assert reads.count(LEVEL) == 2
+        assert reads.count(CLOCK) == 4
+        sampler.detach()
+        assert reads.count(LEVEL) == 3 and reads.count(CLOCK) == 5
+        assert [
+            (s["t"], s["values"][LEVEL], s["values"][CLOCK], s["values"][SLACK])
+            for s in sampler.recent
+        ] == [
+            (1.0, 2.0, 1.0, 9.0),
+            (2.0, 4.0, 2.0, 8.0),
+            (3.0, 4.0, 3.0, 7.0),
+            (4.0, 4.0, 4.0, 6.0),
+            (4.2, 4.0, 4.2, 10.0 - 4.2),
+        ]
+        # Each tick has its own record and values.
+        assert len({id(s["values"]) for s in sampler.recent}) == 5
+
+    def test_stripped_marks_write_the_same_bytes_and_alerts(self, tmp_path):
+        rules = [
+            obs.WatchRule(name="level_high", series=LEVEL, op=">", threshold=1.5,
+                          for_seconds=1.5),
+            obs.WatchRule(name="clock_growth", series=CLOCK, kind="growth", window=3),
+        ]
+
+        def run(directory, strip_marks):
+            level = [0.0]
+            sim = _scripted_sim(level)
+            with obs.session(str(directory), label="tl") as session:
+                sampler = obs.TimelineSampler(
+                    sim, interval_seconds=1.0, session=session, watchdog=obs.Watchdog(rules)
+                )
+                for name, fn in _scripted_probes(level, []):
+                    sampler.add_probe(name, _strip(fn) if strip_marks else fn)
+                sampler.attach()
+                sim.run()
+                sampler.detach()
+            timeline = (directory / obs.TIMELINE_FILENAME).read_bytes()
+            events = (directory / obs.EVENTS_FILENAME).read_bytes()
+            return timeline, events
+
+        marked = run(tmp_path / "marked", False)
+        assert run(tmp_path / "stripped", True) == marked
+        events = obs.read_jsonl(str(tmp_path / "marked" / obs.EVENTS_FILENAME))
+        alerts = collect_alerts(list(events))
+        assert [(a["rule"], a["t"]) for a in alerts] == [
+            ("level_high", 3.0), ("clock_growth", 3.0),
+        ]
+
+
+# ------------------------------------------------------------ power series
+
+COMPUTE = "repro_timeline_power_compute_watts"
+HEADROOM = "repro_timeline_power_headroom_watts"
+CAP = 5_000.0
+
+
+class TestPowerSeries:
+    def _late_change(self, sim, cluster, at: float):
+        """A process whose one event at ``at`` makes every node busy."""
+
+        def script():
+            yield sim.timeout(at)
+            cluster.set_utilization(1.0)
+
+        sim.process(script())
+
+    def test_draw_reads_the_signals_at_the_tick(self):
+        sim = Simulator()
+        cluster = ComputeCluster(sim, n_nodes=25)
+        idle, busy = (cluster.node_model.power(u) for u in (0.0, 1.0))
+        self._late_change(sim, cluster, at=2.5)
+        sampler = obs.TimelineSampler(sim, interval_seconds=1.0)
+        sampler.add_probes(obs.power_probes(cluster, cap_watts=CAP))
+        sampler.attach()
+        sim.run()
+        sampler.detach()
+        rows = [(s["t"], s["values"]) for s in sampler.recent]
+        # The event at 2.5 crosses the ticks at 1 and 2: the draw reads the
+        # power before the event there, the compute series the power after.
+        assert [t for t, _ in rows] == [1.0, 2.0, 2.5]
+        for t, values in rows:
+            draw = sum([busy if t == 2.5 else idle] * 25)
+            assert values[DRAW] == draw
+            assert values[HEADROOM] == CAP - draw
+            assert values[COMPUTE] == sum([busy] * 25)
+
+    def test_one_draw_sum_per_tick(self, monkeypatch):
+        sim = Simulator()
+        cluster = ComputeCluster(sim, n_nodes=25)
+        self._late_change(sim, cluster, at=3.5)
+        sampler = obs.TimelineSampler(sim, interval_seconds=1.0)
+        sampler.add_probes(obs.power_probes(cluster, cap_watts=CAP))
+        reads = []
+        value_at = PowerSignal.value_at
+        monkeypatch.setattr(
+            PowerSignal, "value_at",
+            lambda signal, t: reads.append(t) or value_at(signal, t),
+        )
+        sampler.attach()
+        sim.run()
+        # Three ticks crossed, each one draw over the cluster's one group.
+        assert len(cluster.groups) == 1
+        assert reads == [1.0, 2.0, 3.0]
+
+    def test_headroom_called_directly_sees_a_change_at_one_time(self):
+        sim = Simulator()
+        cluster = ComputeCluster(sim, n_nodes=25)
+        idle, busy = (cluster.node_model.power(u) for u in (0.0, 1.0))
+        headroom = dict(obs.power_probes(cluster, cap_watts=CAP))[HEADROOM]
+        seen = []
+
+        def script():
+            yield sim.timeout(1.0)
+            seen.append(headroom(sim.now))
+            cluster.set_utilization(1.0)
+            seen.append(headroom(sim.now))
+
+        sim.process(script())
+        sim.run()
+        assert seen == [CAP - sum([idle] * 25), CAP - sum([busy] * 25)]
+
+
 # ----------------------------------------------------------- row text
 
 
@@ -503,6 +686,52 @@ def _named_rows(draw):
 
 #: A timeline record's ``values`` as the sampler builds them.
 _VALUES = {DRAW: 15_000.5, QUEUE: -0.0, FILL: math.nan, OST0: math.inf}
+
+
+#: ``t`` as a sample record may carry it.
+_TIMES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]),
+    st.floats(),
+    st.integers(),
+)
+
+
+def _sample_record(label, trace, seq, t, kind="sample") -> tuple:
+    """A timeline sample record and its values' text, as the sampler gives them."""
+    names = sorted(_VALUES)
+    row = [_VALUES[name] for name in names]
+    record = {"type": kind, "t": t, "label": label, "values": dict(zip(names, row)),
+              "seq": seq, "trace": trace}
+    return record, RowText(names).render(row)
+
+
+#: Ways a record can leave the timeline-sample shape.
+_RESHAPES = st.sampled_from([
+    None,
+    ("drop", "seq"), ("drop", "t"), ("drop", "trace"), ("drop", "label"), ("drop", "type"),
+    ("add", "span"), ("set", "seq", True), ("set", "seq", 1.0), ("set", "t", True),
+    ("set", "t", None), ("set", "t", "1.5"), ("set", "label", 7), ("set", "trace", None),
+])
+
+
+@st.composite
+def _records(draw):
+    record, values_json = _sample_record(
+        draw(st.sampled_from(["run", "run-001"]) | st.text()),
+        draw(st.sampled_from(["0123abcd"]) | st.text()),
+        draw(st.integers()),
+        draw(_TIMES),
+        draw(st.sampled_from(["sample"]) | st.text()),
+    )
+    reshape = draw(_RESHAPES)
+    if reshape is not None:
+        if reshape[0] == "drop":
+            del record[reshape[1]]
+        elif reshape[0] == "add":
+            record[reshape[1]] = 3
+        else:
+            record[reshape[1]] = reshape[2]
+    return record, values_json
 
 
 class TestRowText:
@@ -536,6 +765,21 @@ class TestRowText:
             with JsonlWriter(str(fast)) as writer:
                 writer.write(record, text)
             assert fast.read_bytes() == plain.read_bytes()
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(_records(), min_size=1, max_size=6))
+    @example([_sample_record("run", "t1", 1, -0.0), _sample_record("run", "t1", 2, 5e-324)])
+    @example([_sample_record('a"\\b', "\x00\u00e9\U0001f30a", 0, math.nan),
+              _sample_record("a", "b", -3, math.inf), _sample_record("a", "b", 4, -math.inf)])
+    def test_write_is_the_encoder_line(self, records):
+        # One writer across records whose fixed text changes or repeats.
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "records.jsonl"
+            with JsonlWriter(str(path)) as writer:
+                for record, values_json in records:
+                    writer.write(record, values_json)
+            lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines == [_ENCODER.encode(record) for record, _ in records] + [""]
 
     def test_probe_added_after_sampling_began(self, tmp_path):
         # Names, probes and row text are rebuilt at the next sample; every
