@@ -47,7 +47,12 @@ class NodeGroup:
         self.count = count
         self.power_model = power_model
         self.cores_per_socket = cores_per_socket
+        #: Core count of one member node.
+        self.n_cores = power_model.n_sockets * cores_per_socket
         self.memory_gb = memory_gb
+        #: ``power_model.power(u, f)`` per ``(u, f)`` met so far: the
+        #: phases use a handful of levels, each set thousands of times.
+        self._watts: dict[tuple[float, Optional[float]], float] = {}
         self._utilization = 0.0
         self._frequency_ghz: Optional[float] = None
         self._busy_core_seconds = 0.0
@@ -64,11 +69,6 @@ class NodeGroup:
         return range(self.first, self.first + self.count)
 
     @property
-    def n_cores(self) -> int:
-        """Core count of one member node."""
-        return self.power_model.n_sockets * self.cores_per_socket
-
-    @property
     def utilization(self) -> float:
         """Current utilization in [0, 1]."""
         return self._utilization
@@ -83,7 +83,11 @@ class NodeGroup:
     @property
     def current_power(self) -> float:
         """Instantaneous power draw of one member node in watts."""
-        return self.power_model.power(self._utilization, self._frequency_ghz)
+        key = (self._utilization, self._frequency_ghz)
+        watts = self._watts.get(key)
+        if watts is None:
+            watts = self._watts[key] = self.power_model.power(*key)
+        return watts
 
     def busy_core_seconds(self) -> float:
         """One member node's core-busy-seconds up to the current simulated time."""

@@ -97,8 +97,20 @@ class PhaseTimeline:
         return list(dict.fromkeys(self._names))
 
     def by_phase(self) -> dict[str, float]:
-        """``{phase: total_seconds}`` over the run."""
-        return {p: self.total(p) for p in self.phases()}
+        """``{phase: total_seconds}`` over the run, in first-appearance order.
+
+        One pass over the records: each phase's durations are summed in
+        record order by the same ``sum`` as :meth:`total`, so every total
+        equals ``total(phase)`` bit for bit.
+        """
+        durations: dict[str, list[float]] = {}
+        for p, t0, t1 in self._rows():
+            spans = durations.get(p)
+            if spans is None:
+                durations[p] = [t1 - t0]
+            else:
+                spans.append(t1 - t0)
+        return {p: sum(spans) for p, spans in durations.items()}
 
 
 @dataclass

@@ -18,7 +18,7 @@ Determinism: events scheduled for the same time fire in scheduling order
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import DeadlockError, Interrupt, SimulationError
@@ -71,10 +71,13 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
         self._value = value
-        self.sim._enqueue(self)
+        # Simulator._enqueue, inlined: the most frequent trigger.
+        sim = self.sim
+        sim._counter += 1
+        heappush(sim._heap, (sim._now, sim._counter, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -99,13 +102,19 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self.delay = delay
+        # ``not >=`` also rejects NaN, which would stall the clock at NaN.
+        if not delay >= 0:
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
+        # Event.__init__ and Simulator._enqueue, inlined: every simulated
+        # duration is a timeout.
+        self.sim = sim
+        self.callbacks = []
         self._value = value
         self._ok = True
-        sim._enqueue(self, delay=delay)
+        self.defused = False
+        self.delay = delay
+        sim._counter += 1
+        heappush(sim._heap, (sim._now + delay, sim._counter, self))
 
 
 class Process(Event):
@@ -327,9 +336,10 @@ class Simulator:
         """Events processed since the simulator was created."""
         return self._n_processed
 
-    def _enqueue(self, event: Event, delay: float = 0.0) -> None:
+    def _enqueue(self, event: Event) -> None:
+        """Schedule a triggered ``event`` at the current time."""
         self._counter += 1
-        heapq.heappush(self._heap, (self._now + delay, self._counter, event))
+        heappush(self._heap, (self._now, self._counter, event))
 
     def event(self) -> Event:
         """Create a fresh pending event."""
@@ -382,7 +392,7 @@ class Simulator:
         """Process exactly one event."""
         if not self._heap:
             raise SimulationError("step() on an empty event queue")
-        time, _, event = heapq.heappop(self._heap)
+        time, _, event = heappop(self._heap)
         if time < self._now:  # pragma: no cover - guarded by _enqueue
             raise SimulationError("event scheduled in the past")
         self._now = time
@@ -401,12 +411,15 @@ class Simulator:
 
         Raises
         ------
+        SimulationError
+            If ``until`` is before the current time or is NaN.
         DeadlockError
             If the queue drains while processes are still alive (they are
             waiting on events nobody will trigger).
         """
-        if until is not None and until < self._now:
-            raise SimulationError(f"run(until={until}) is in the past (now={self._now})")
+        # ``not >=`` also rejects NaN, which would leave ``now`` at NaN.
+        if until is not None and not until >= self._now:
+            raise SimulationError(f"run(until={until}) needs a time at or after now={self._now}")
         while self._heap:
             if until is not None and self.peek() > until:
                 self._now = until

@@ -307,26 +307,51 @@ class BandwidthPipe:
         """
         return max(_EPSILON_BYTES, 4.0 * self.capacity * math.ulp(max(self.sim.now, 1.0)))
 
+    def _complete(self, t: Transfer) -> None:
+        """Fire a transfer that :meth:`_reprogram` found done."""
+        self._bytes_moved += t.remaining  # account the rounded-off tail
+        t.remaining = 0.0
+        t.rate = 0.0
+        t.succeed(t.size)
+
     def _reprogram(self) -> None:
         """Recompute rates and schedule the next completion wake-up."""
-        # Drop completed transfers and fire their events.
-        eps = self._completion_epsilon()
-        finished = [t for t in self._active if t.remaining <= eps]
-        for t in finished:
-            self._active.remove(t)
-            self._bytes_moved += t.remaining  # account the rounded-off tail
-            t.remaining = 0.0
-            t.rate = 0.0
-            t.succeed(t.size)
-        self._allocate()
-        self._rate = sum(t.rate for t in self._active)
+        active = self._active
+        now = self.sim.now
+        if len(active) == 1:
+            # The general branch for a lone transfer, the pipes' usual load:
+            # water-filling gives it the fair share ``capacity / 1``, which
+            # is ``capacity`` exactly, or its cap if that is lower; the
+            # ``sum`` of one rate and the ``min`` of one horizon are those
+            # values themselves.
+            t = active[0]
+            if t.remaining <= self._completion_epsilon():
+                active.clear()
+                self._complete(t)
+                self._rate = 0
+            else:
+                t.rate = t.cap if t.cap is not None and t.cap < self.capacity else self.capacity
+                self._rate = t.rate
+        elif active:
+            # Drop completed transfers and fire their events.
+            eps = self._completion_epsilon()
+            for t in [t for t in active if t.remaining <= eps]:
+                active.remove(t)
+                self._complete(t)
+            self._allocate()
+            self._rate = sum(t.rate for t in active)
+        else:
+            self._rate = 0  # what ``sum`` of no rates gives
         if self.on_rate_change is not None:
-            self.on_rate_change(self.sim.now, self._rate)
-        if not self._active:
+            self.on_rate_change(now, self._rate)
+        if not active:
             return
-        horizon = min(t.remaining / t.rate for t in self._active if t.rate > 0.0)
+        if len(active) == 1:
+            horizon = active[0].remaining / active[0].rate
+        else:
+            horizon = min(t.remaining / t.rate for t in active if t.rate > 0.0)
         # Never arm a wake-up the float clock cannot distinguish from "now".
-        horizon = max(horizon, 2.0 * math.ulp(max(self.sim.now, 1.0)))
+        horizon = max(horizon, 2.0 * math.ulp(max(now, 1.0)))
         self._wakeup_token += 1
         token = self._wakeup_token
         wake = self.sim.timeout(horizon)

@@ -88,20 +88,30 @@ def _spec_from_dict(data: Mapping[str, Any]) -> "PipelineSpec":
     )
 
 
+#: Field names of each dataclass type :func:`_plain` has met, in
+#: definition order: ``dataclasses.fields`` rebuilds its tuple on every call.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
 def _plain(value: Any) -> Any:
     """``dataclasses.asdict`` of a frozen config, without its deep copy.
 
     Dataclasses become dicts of their fields in definition order, tuples
     and lists keep their type, and the immutable leaves (str, int, float)
-    are shared instead of copied.
+    are shared instead of copied, as is anything else (a dataclass *class*
+    included, as ``asdict`` leaves it).
     """
     if isinstance(value, (str, int, float)):
         return value
     if isinstance(value, (tuple, list)):
         return type(value)([_plain(item) for item in value])
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    return value
+    cls = type(value)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        if not is_dataclass(cls):
+            return value
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    return {name: _plain(getattr(value, name)) for name in names}
 
 
 def _normalize_args(args: Any) -> tuple:

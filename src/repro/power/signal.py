@@ -27,8 +27,8 @@ class PowerSignal:
 
     def __init__(self, initial_watts: float = 0.0, start_time: float = 0.0, name: str = "") -> None:
         # repro-unit: initial_watts=watts, start_time=seconds
-        if initial_watts < 0:
-            raise ConfigurationError(f"negative power: {initial_watts}")
+        if not initial_watts >= 0:  # NaN too, as in set()
+            raise ConfigurationError(f"power must be >= 0 W, got {initial_watts}")
         self.name = name
         self._times: list[float] = [float(start_time)]
         self._watts: list[float] = [float(initial_watts)]
@@ -43,11 +43,13 @@ class PowerSignal:
         moves forward).  Setting the same value twice is a no-op; setting a
         new value at exactly the last breakpoint's time overwrites it.
         """
-        if watts < 0:
-            raise ConfigurationError(f"negative power: {watts}")
+        # ``not >=`` also rejects NaN, which would poison every integral
+        # and, as a time, let the next update go back in time.
+        if not watts >= 0:
+            raise ConfigurationError(f"power must be >= 0 W, got {watts}")
         last_t = self._times[-1]
-        if time < last_t:
-            raise MeterError(f"power signal updated in the past ({time} < {last_t})")
+        if not time >= last_t:
+            raise MeterError(f"power signal update at {time} precedes the last one at {last_t}")
         if watts == self._watts[-1]:
             return
         if time == last_t:

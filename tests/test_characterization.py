@@ -7,6 +7,9 @@ where crossovers fall.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro import paper
@@ -15,8 +18,12 @@ from repro.core.characterization import (
     run_characterization,
     storage_power_sweep,
 )
-from repro.core.metrics import IN_SITU, POST_PROCESSING
+from repro.core.metrics import IN_SITU, POST_PROCESSING, MetricSet
 from repro.errors import ConfigurationError
+from repro.exec.api import RunRequest, build_pipeline
+from repro.pipelines.base import PipelineSpec
+from repro.pipelines.platform import SimulatedPlatform
+from repro.pipelines.sampling import SamplingPolicy
 from repro.units import years
 
 
@@ -158,3 +165,69 @@ class TestRunCharacterizationApi:
         small = run_characterization(intervals_hours=(72.0,), spec=spec)
         assert len(small.metrics) == 2
         assert small.metrics.sample_intervals() == [72.0]
+
+
+def canonical_sha256(obj) -> str:
+    """sha256 of ``obj``'s sorted-keys compact JSON."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def fig3_cells() -> list:
+    """Both pipelines at 8, 24 and 72 h on the default spec, each on its own
+    platform: ``(result, events processed)`` per cell, in that order."""
+    base = PipelineSpec()
+    cells = []
+    for hours in (8.0, 24.0, 72.0):
+        for name in (IN_SITU, POST_PROCESSING):
+            request = RunRequest(pipeline=name, spec=base.with_sampling(SamplingPolicy(hours)))
+            platform = SimulatedPlatform()
+            result = build_pipeline(request).execute(request, platform=platform)
+            cells.append((result, platform.sim.events_processed))
+    return cells
+
+
+class TestFig3GridIsPinned:
+    """Every event and every output byte of the Fig. 3 grid.
+
+    A host-side speed-up may not add, drop or reorder a simulated event, nor
+    move a float.  The digests are those the end-to-end benchmark's
+    ``sweep-cache`` workload checks, computed the same way.
+    """
+
+    def test_events_processed(self, fig3_cells):
+        events = [n for _, n in fig3_cells]
+        assert events == [3_782, 9_724, 1_262, 3_244, 422, 1_084]
+        assert sum(events) == 19_518
+
+    def test_identity_payloads(self, fig3_cells):
+        payloads = sorted(
+            (result.identity_dict() for result, _ in fig3_cells),
+            key=lambda d: json.dumps(d["request"], sort_keys=True),
+        )
+        assert canonical_sha256(payloads) == (
+            "8849f72497574b05eaa78480ffe544fb74d04abc6cdcf12e61b9f892149cc1ad"
+        )
+
+    def test_calibration_and_fig9_fig10_rows(self, fig3_cells):
+        study = CharacterizationStudy(
+            MetricSet(result.measurement for result, _ in fig3_cells), PipelineSpec()
+        )
+        model = study.calibrate().model
+        analyzer = study.analyzer()
+        duration = study.spec.ocean.duration_seconds
+        fig9 = analyzer.storage_vs_rate(
+            intervals_hours=(1.0, 4.0, 8.0, 24.0, 72.0, 192.0, 384.0),
+            duration_seconds=duration,
+        )
+        fig10 = analyzer.energy_vs_rate(
+            intervals_hours=(1.0, 2.0, 4.0, 8.0, 12.0, 24.0, 48.0, 96.0),
+            duration_seconds=duration,
+        )
+        assert canonical_sha256({
+            "calibration": {"t_sim_ref": model.t_sim_ref, "alpha": model.alpha,
+                            "beta": model.beta, "power_watts": model.power_watts},
+            "fig9": [list(row) for row in fig9],
+            "fig10": [list(row) for row in fig10],
+        }) == "acce83b84aa2137aa28774a792252d152e2e17872c29135a9cdf77ec6beae57f"

@@ -152,6 +152,38 @@ class TestNode:
         with pytest.raises(ConfigurationError):
             cluster.split(group, 4)
 
+    def test_power_table_reads_the_model_exactly(self, sim):
+        """The per-group table of node power gives ``power_model.power(u, f)``
+        bit for bit, through DVFS changes and after a split."""
+        model = e5_2670_node()
+        cluster = ComputeCluster(sim, n_nodes=10, node_model=model)
+        (group,) = cluster.groups
+        levels = [(0.5, None), (1.0, 1.3), (0.5, None), (0.25, 2.2), (1.0, None), (1.0, 1.3)]
+
+        def step(group, u, f):
+            sim.timeout(1.0)
+            sim.run()
+            group.set_utilization(u, frequency_ghz=f)
+            expected = model.power(u, f)
+            assert repr(group.current_power) == repr(expected)
+            assert repr(group.power_signal.value_at(sim.now)) == repr(expected)
+
+        for u, f in levels:
+            step(group, u, f)
+        rest = cluster.split(group, 4)
+        for u, f in reversed(levels):
+            step(rest, u, f)
+            step(group, 1.0 - u, f)
+        assert rest.n_cores == group.n_cores == 16
+
+    def test_invalid_frequency_raises_on_every_call(self, sim):
+        group = NodeGroup(sim, 0, e5_2670_node())
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                group.set_utilization(0.5, frequency_ghz=0.0)
+        group.set_utilization(0.5)
+        assert group.current_power == e5_2670_node().power(0.5)
+
 
 class TestCageAndInterconnect:
     def test_cage_attaches_monitor(self, sim):

@@ -19,6 +19,14 @@ from repro.core.metrics import (
     PhaseTimeline,
 )
 from repro.errors import ConfigurationError
+from repro.exec.api import RunRequest
+from repro.faults.resilience import CheckpointPolicy
+from repro.faults.spec import NODE_CRASH, FaultEvent, FaultSpec
+from repro.ocean.driver import MPASOceanConfig
+from repro.pipelines.base import PipelineSpec
+from repro.pipelines.insitu import InSituPipeline
+from repro.pipelines.sampling import SamplingPolicy
+from repro.units import DAY
 
 
 def make_measurement(pipeline, hours, time, storage_gb, power=44_000.0, outputs=10):
@@ -97,6 +105,21 @@ class TestPhaseTimeline:
         with pytest.raises(ConfigurationError):
             PhaseTimeline().add("x", 5.0, 4.0)
 
+    def test_by_phase_of_a_faulted_run(self):
+        """A recovered run's timeline, recovery and checkpoint phases included."""
+        run = InSituPipeline().execute(RunRequest(
+            spec=PipelineSpec(ocean=MPASOceanConfig(duration_seconds=10 * DAY),
+                              sampling=SamplingPolicy(24.0)),
+            faults=FaultSpec(seed=0, events=(FaultEvent(at_seconds=22.0, kind=NODE_CRASH),)),
+            checkpoints=CheckpointPolicy(every_n_outputs=2, restart_penalty_seconds=30.0),
+        ))
+        assert run.recoveries == 1
+        tl = run.measurement.timeline
+        totals = tl.by_phase()
+        assert {"recovery", "checkpoint"} <= set(totals)
+        assert list(totals) == tl.phases()
+        assert bits(totals) == bits({p: tl.total(p) for p in tl.phases()})
+
     @settings(deadline=None, max_examples=200)
     @given(st.lists(SEGMENTS, max_size=40))
     def test_columns_match_the_list_of_tuples_layout(self, segments):
@@ -107,6 +130,9 @@ class TestPhaseTimeline:
         assert [bits(r) for r in tl.records] == [bits(r) for r in reference.records]
         assert tl.phases() == reference.phases()
         assert bits(tl.by_phase()) == bits(reference.by_phase())
+        # The one-pass totals are total()'s, in first-appearance order.
+        assert bits(tl.by_phase()) == bits({p: tl.total(p) for p in tl.phases()})
+        assert "wait" not in tl.by_phase()
         for phase in PHASES:
             assert bits(tl.total(phase)) == bits(reference.total(phase))
         # An absent phase sums nothing: sum()'s int 0, on both layouts.

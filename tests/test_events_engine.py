@@ -54,6 +54,16 @@ class TestTimeout:
         with pytest.raises(SimulationError):
             sim.timeout(-1.0)
 
+    def test_nan_delay_rejected(self, sim):
+        """A NaN delay would set the clock to NaN, and no later event could
+        be told to be in the past."""
+        with pytest.raises(SimulationError):
+            sim.timeout(float("nan"))
+        assert sim.queue_depth == 0
+        sim.timeout(2.0)
+        sim.run()
+        assert sim.now == 2.0
+
     def test_zero_delay_fires_now(self, sim):
         fired = []
         ev = sim.timeout(0.0, value="v")
@@ -235,6 +245,16 @@ class TestRunControl:
         sim.run()
         with pytest.raises(SimulationError):
             sim.run(until=0.5)
+
+    def test_run_until_nan_raises(self, sim):
+        """``run(until=nan)`` would run every event, then leave now at NaN."""
+        fired = []
+        sim.timeout(3.0).callbacks.append(lambda _ev: fired.append(sim.now))
+        with pytest.raises(SimulationError):
+            sim.run(until=float("nan"))
+        assert (fired, sim.now, sim.queue_depth) == ([], 0.0, 1)
+        sim.run()
+        assert (fired, sim.now) == ([3.0], 3.0)
 
     def test_step_on_empty_queue_raises(self, sim):
         with pytest.raises(SimulationError):

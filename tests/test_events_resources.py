@@ -307,6 +307,106 @@ class TestBandwidthPipe:
         assert sim.now == pytest.approx(350.0 / 50.0)
 
 
+class WaterFillingPipe(BandwidthPipe):
+    """The pipe reprogrammed by the general steps for any membership: the
+    completion scan, water-filling, the rate ``sum`` and the horizon ``min``
+    (reference)."""
+
+    def _allocate(self):
+        pending = list(self._active)
+        budget = self.capacity
+        while pending:
+            share = budget / len(pending)
+            constrained = [t for t in pending if t.cap is not None and t.cap < share]
+            if not constrained:
+                for t in pending:
+                    t.rate = share
+                return
+            for t in constrained:
+                t.rate = t.cap
+                budget -= t.cap
+                pending.remove(t)
+
+    def _reprogram(self):
+        eps = self._completion_epsilon()
+        finished = [t for t in self._active if t.remaining <= eps]
+        for t in finished:
+            self._active.remove(t)
+            self._bytes_moved += t.remaining
+            t.remaining = 0.0
+            t.rate = 0.0
+            t.succeed(t.size)
+        self._allocate()
+        self._rate = sum(t.rate for t in self._active)
+        if self.on_rate_change is not None:
+            self.on_rate_change(self.sim.now, self._rate)
+        if not self._active:
+            return
+        horizon = min(t.remaining / t.rate for t in self._active if t.rate > 0.0)
+        horizon = max(horizon, 2.0 * math.ulp(max(self.sim.now, 1.0)))
+        self._wakeup_token += 1
+        token = self._wakeup_token
+        wake = self.sim.timeout(horizon)
+        wake.callbacks.append(lambda _ev, tok=token: self._on_wakeup(tok))
+
+
+def pipe_run(pipe_cls, capacity, transfers, start=0.0):
+    """Start ``(size, cap)`` transfers together at ``start`` on a fresh
+    ``pipe_cls``: their rates at the start, the pipe's rate, each completion
+    time, the bytes moved and the events processed."""
+    sim = Simulator()
+    pipe = pipe_cls(sim, capacity=capacity)
+    seen = {}
+
+    def wait(i, transfer):
+        yield transfer
+        seen[i] = sim.now
+
+    def proc():
+        yield sim.timeout(start)
+        started = [pipe.transfer(size, cap=cap) for size, cap in transfers]
+        seen["rates"] = [t.rate for t in started] + [pipe.current_rate]
+        for i, transfer in enumerate(started):
+            sim.process(wait(i, transfer))
+
+    sim.process(proc())
+    sim.run()
+    return seen, pipe.bytes_moved, sim.events_processed
+
+
+class TestBandwidthPipeFastPaths:
+    @settings(deadline=None, max_examples=80)
+    @given(
+        capacity=st.floats(min_value=1.0, max_value=1e9),
+        size=st.floats(min_value=1.0, max_value=1e9),
+        start=st.floats(min_value=0.0, max_value=1e7),
+        # No cap, or a cap below, at or above the capacity.
+        cap_factor=st.one_of(st.none(), st.just(1.0), st.floats(min_value=1e-3, max_value=1e3)),
+    )
+    def test_lone_transfer_matches_water_filling(self, capacity, size, start, cap_factor):
+        cap = None if cap_factor is None else capacity * cap_factor
+        transfers = [(size, cap)]
+        # repr spells every float exactly and tells ints from floats.
+        assert repr(pipe_run(BandwidthPipe, capacity, transfers, start)) == repr(
+            pipe_run(WaterFillingPipe, capacity, transfers, start)
+        )
+
+    @pytest.mark.parametrize("caps", [(None, None), (10.0, None), (None, 30.0), (10.0, 20.0),
+                                      (None, 10.0, 45.0)])
+    def test_concurrent_transfers_share_as_before(self, caps):
+        transfers = [(100.0 * (i + 1), cap) for i, cap in enumerate(caps)]
+        assert repr(pipe_run(BandwidthPipe, 100.0, transfers)) == repr(
+            pipe_run(WaterFillingPipe, 100.0, transfers)
+        )
+
+    def test_two_uncapped_transfers_split_the_pipe(self):
+        # 50 B/s each until the first is done at 2 s; the second then moves
+        # its last 200 B at 100 B/s.
+        seen, moved, _ = pipe_run(BandwidthPipe, 100.0, [(100.0, None), (300.0, None)])
+        assert seen == {"rates": [50.0, 50.0, 100.0], 0: 2.0, 1: 4.0}
+        assert moved == 400.0
+
+
 class TestBandwidthPipeProperties:
     @settings(deadline=None, max_examples=40)
     @given(

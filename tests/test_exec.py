@@ -34,12 +34,15 @@ from repro.exec.api import (
     MODE_REAL,
     RunRequest,
     RunResult,
+    _plain,
     build_pipeline,
     pipeline_factories,
 )
 from repro.exec.bench import compare_to_baseline, run_bench, sweep_requests, write_report
 from repro.exec.cache import QUARANTINE_DIRNAME, DiskCache
 from repro.exec.engine import ExecutionEngine, execute_request
+from repro.faults.resilience import CheckpointPolicy
+from repro.faults.spec import FaultSpec
 from repro.obs.manifest import SCHEMA_VERSION, collect_provenance
 from repro.ocean.driver import MPASOceanConfig
 from repro.pipelines.base import PipelineSpec
@@ -185,6 +188,31 @@ class TestRunRequest:
         )
         monkeypatch.setattr(copy, "deepcopy", refuse)
         assert request.to_dict()["spec"]["sampling"] == {"interval_hours": 72.0}
+
+    def test_plain_matches_asdict(self):
+        """The field names kept per class give ``asdict``'s dict: the same
+        keys in the same order and the same values, bit for bit."""
+        faults = FaultSpec.campaign(seed=3, horizon_seconds=400.0, mtbf_hours=0.05)
+        checkpoints = CheckpointPolicy(every_n_outputs=2)
+        requests = [
+            RunRequest(pipeline=IN_SITU, spec=tiny_spec()),
+            RunRequest(pipeline=IN_SITU, spec=tiny_spec(), cluster=SMALL_CLUSTER),
+            RunRequest(pipeline=IN_SITU, spec=tiny_spec(), storage=FAST_STORAGE),
+            RunRequest(pipeline=IN_SITU, spec=tiny_spec(), faults=faults),
+            RunRequest(pipeline=IN_SITU, spec=tiny_spec(), checkpoints=checkpoints),
+            RunRequest(
+                pipeline=POST_PROCESSING, spec=tiny_spec(24.0), faults=faults,
+                checkpoints=checkpoints, cluster=SMALL_CLUSTER, storage=FAST_STORAGE,
+            ),
+        ]
+        assert faults.events
+        for request in requests * 2:  # the second pass reads cached names
+            assert repr(_plain(request)) == repr(asdict(request))
+
+    def test_plain_passes_a_dataclass_class_through(self):
+        assert _plain(ClusterConfig) is ClusterConfig
+        assert _plain((PipelineSpec, 1.5)) == (PipelineSpec, 1.5)
+        assert _plain(SMALL_CLUSTER) == asdict(SMALL_CLUSTER)
 
     def test_task_seed_deterministic(self):
         request = RunRequest(pipeline=IN_SITU, spec=tiny_spec())

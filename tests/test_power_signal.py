@@ -60,6 +60,28 @@ class TestRecording:
         with pytest.raises(ConfigurationError):
             s.set(1.0, -5.0)
 
+    def test_nan_initial_power_rejected(self):
+        with pytest.raises(ConfigurationError):
+            PowerSignal(float("nan"))
+
+    def test_nan_power_rejected(self):
+        """A NaN draw would make every integral over it NaN."""
+        s = PowerSignal(10.0)
+        with pytest.raises(ConfigurationError):
+            s.set(5.0, float("nan"))
+        assert s.breakpoints == [(0.0, 10.0)]
+        assert s.integrate(0.0, 10.0) == 100.0
+
+    def test_nan_time_rejected(self):
+        """A NaN time would let the next update go back in time."""
+        s = PowerSignal(10.0)
+        s.set(4.0, 15.0)
+        with pytest.raises(MeterError):
+            s.set(float("nan"), 20.0)
+        with pytest.raises(MeterError):
+            s.set(3.0, 30.0)
+        assert s.breakpoints == [(0.0, 10.0), (4.0, 15.0)]
+
     def test_query_before_start_rejected(self):
         s = PowerSignal(100.0, start_time=50.0)
         with pytest.raises(MeterError):
