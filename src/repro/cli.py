@@ -321,20 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative tolerance of the conservation check",
     )
 
-    p = sub.add_parser("lint", help="run the project static-analysis pass")
-    p.add_argument("paths", nargs="*", default=["src"], help="files/directories")
-    p.add_argument("--format", choices=("text", "json", "sarif"), default="text")
-    p.add_argument("--select", default=None, help="comma-separated rule ids")
-    p.add_argument("--disable", default=None, help="comma-separated rule ids")
-    p.add_argument(
-        "--baseline", choices=("write", "check"), default=None,
-        help="known-debt baseline: snapshot findings or check against them",
+    p = sub.add_parser(
+        "lint", help="run the project static-analysis pass", add_help=False
     )
     p.add_argument(
-        "--baseline-file", default=None, metavar="PATH",
-        help="baseline location (default: .repro-lint-baseline.json)",
+        "rest", nargs=argparse.REMAINDER,
+        help="arguments for repro.lint.cli (try `repro lint --help`)",
     )
-    p.add_argument("--list-rules", action="store_true")
     return parser
 
 
@@ -581,12 +574,6 @@ def _cmd_proportionality(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs(args: argparse.Namespace) -> int:
-    from repro.obs.cli import main as obs_main
-
-    return obs_main(list(args.rest))
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
     from repro.obs.profile import profile_directory, render_text, write_flamegraph
@@ -613,24 +600,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.cli import main as lint_main
-
-    argv = list(args.paths)
-    argv += ["--format", args.format]
-    if args.select:
-        argv += ["--select", args.select]
-    if args.disable:
-        argv += ["--disable", args.disable]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.baseline_file:
-        argv += ["--baseline-file", args.baseline_file]
-    if args.list_rules:
-        argv.append("--list-rules")
-    return lint_main(argv)
-
-
 _COMMANDS = {
     "characterize": _cmd_characterize,
     "calibrate": _cmd_calibrate,
@@ -644,9 +613,7 @@ _COMMANDS = {
     "bench": _cmd_bench,
     "proportionality": _cmd_proportionality,
     "hypotheses": _cmd_hypotheses,
-    "obs": _cmd_obs,
     "profile": _cmd_profile,
-    "lint": _cmd_lint,
 }
 
 
@@ -675,12 +642,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.errors import ConfigurationError, SweepError
 
     raw = list(argv) if argv is not None else sys.argv[1:]
+    # `obs` and `lint` have their own parsers: forward everything verbatim
+    # (argparse.REMAINDER drops a leading option like `obs --help`, so
+    # bypass the outer parser entirely).
     if raw and raw[0] == "obs":
-        # Forward everything verbatim (argparse.REMAINDER drops a leading
-        # option like `obs --help`, so bypass the outer parser entirely).
         from repro.obs.cli import main as obs_main
 
         return obs_main(raw[1:])
+    if raw and raw[0] == "lint":
+        from repro.lint.cli import main as lint_main
+
+        return lint_main(raw[1:])
     args = build_parser().parse_args(raw)
     args._raw_argv = raw
     handler = _COMMANDS[args.command]

@@ -83,7 +83,11 @@ class NodeGroup:
     @property
     def current_power(self) -> float:
         """Instantaneous power draw of one member node in watts."""
-        key = (self._utilization, self._frequency_ghz)
+        return self._draw(self._utilization, self._frequency_ghz)
+
+    def _draw(self, utilization: float, frequency_ghz: Optional[float]) -> float:
+        """``power_model.power(utilization, frequency_ghz)``, from the table."""
+        key = (utilization, frequency_ghz)
         watts = self._watts.get(key)
         if watts is None:
             watts = self._watts[key] = self.power_model.power(*key)
@@ -101,12 +105,15 @@ class NodeGroup:
         """Change every member's utilization (and optionally DVFS frequency) *now*."""
         if not 0.0 <= utilization <= 1.0:
             raise ConfigurationError(f"utilization outside [0, 1]: {utilization}")
+        # The draw first: ``power_model.power`` validates the frequency, and
+        # a rejected set must leave the group as it was.
+        watts = self._draw(utilization, frequency_ghz)
         now = self.sim.now
         self._busy_core_seconds += self._utilization * self.n_cores * (now - self._last_change)
         self._last_change = now
         self._utilization = utilization
         self._frequency_ghz = frequency_ghz
-        self.power_signal.set(now, self.current_power)
+        self.power_signal.set(now, watts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

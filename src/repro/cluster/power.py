@@ -74,7 +74,7 @@ class CpuPowerModel:
         if not 0.0 <= utilization <= 1.0:
             raise ConfigurationError(f"utilization outside [0, 1]: {utilization}")
         f = self.base_frequency_ghz if frequency_ghz is None else frequency_ghz
-        if f <= 0:
+        if not f > 0:  # NaN too: a NaN draw would reach the power signal
             raise ConfigurationError(f"non-positive frequency: {f}")
         ratio = f / self.base_frequency_ghz
         dynamic = (self.peak_watts - self.idle_watts) * utilization**self.gamma

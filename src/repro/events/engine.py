@@ -26,6 +26,7 @@ from repro.errors import DeadlockError, Interrupt, SimulationError
 __all__ = ["Event", "Timeout", "Process", "AllOf", "AnyOf", "Simulator"]
 
 _PENDING = object()
+_INF = float("inf")
 
 
 class Event:
@@ -102,9 +103,10 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        # ``not >=`` also rejects NaN, which would stall the clock at NaN.
-        if not delay >= 0:
-            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
+        # ``not`` of the chain also rejects NaN, which would stall the clock
+        # at NaN, and inf, which would move it to inf.
+        if not 0 <= delay < _INF:
+            raise SimulationError(f"timeout delay must be finite and >= 0, got {delay}")
         # Event.__init__ and Simulator._enqueue, inlined: every simulated
         # duration is a timeout.
         self.sim = sim

@@ -383,7 +383,7 @@ class ExecutionEngine:
                 rest = [s for s in work if s not in suspects]
                 for state in suspects:
                     pool = self._ensure_pool(pool)
-                    pool = self._run_single(pool, state, results, retry_next)
+                    pool = self._run_batch(pool, [state], results, retry_next)
                 if rest:
                     pool = self._ensure_pool(pool)
                     pool = self._run_batch(pool, rest, results, retry_next)
@@ -492,34 +492,6 @@ class ExecutionEngine:
                 pool.shutdown(wait=False, cancel_futures=True)
             self._respawn()
             return None
-        return pool
-
-    def _run_single(
-        self,
-        pool: ProcessPoolExecutor,
-        state: _TaskState,
-        results: list,
-        retry_next: List[_TaskState],
-    ) -> Optional[ProcessPoolExecutor]:
-        """One isolated task — crash attribution is unambiguous here."""
-        session = obs.active()
-        future = self._submit(pool, state, session)
-        try:
-            result = future.result(timeout=self._remaining(state))
-        except FuturesTimeoutError:
-            self._note_deadline(state, results, retry_next)
-            self._kill_pool(pool)
-            self._respawn()
-            return None
-        except BrokenProcessPool:
-            self._note_crash(state, results, retry_next)
-            pool.shutdown(wait=False, cancel_futures=True)
-            self._respawn()
-            return None
-        except Exception as exc:
-            self._note_task_error(state, exc, results, retry_next)
-            return pool
-        self._settle_success(state, result, results, session)
         return pool
 
     # -------------------------------------------------------------- settling

@@ -6,9 +6,9 @@ yields :class:`Finding` objects.  The runner parses each file once, runs
 every registered rule over it, and filters the results through the
 suppression comments found in the source:
 
-* ``x = a_gb + b_bytes  # repro-lint: disable=unit-mix`` — suppresses the
+* ``x = a_gb + b_bytes  # repro-lint: disable=dim-mix`` — suppresses the
   named rule(s) on that line only;
-* a standalone ``# repro-lint: disable=unit-mix`` comment line —
+* a standalone ``# repro-lint: disable=dim-mix`` comment line —
   suppresses the named rule(s) for the entire file;
 * ``disable=all`` — suppresses every rule.
 
@@ -153,7 +153,7 @@ class Rule:
     refer to.
     """
 
-    #: Stable identifier, e.g. ``"unit-mix"``.
+    #: Stable identifier, e.g. ``"dim-mix"``.
     id: str = ""
     #: One-line description shown by ``--list-rules`` and the README.
     summary: str = ""

@@ -1,53 +1,22 @@
-"""Units-discipline rules.
+"""Units-discipline rule.
 
 The library's internal convention (see :mod:`repro.units`) is seconds /
-bytes / watts / joules.  Two rules police it:
-
-* ``unit-mix`` — additive arithmetic or comparisons between identifiers
-  whose name suffixes denote *different* units (``x_gb + y_bytes``,
-  ``t_hours < t_seconds``).  Multiplication and division are exempt —
-  crossing units there is how physics works (W × s = J).
-* ``magic-number`` — numeric literals ≥ 1e6 inside ``core/``,
-  ``pipelines/``, ``power/`` or ``storage/`` whose value duplicates a
-  named constant from :mod:`repro.units` or :mod:`repro.paper`.
+bytes / watts / joules.  ``magic-number`` flags numeric literals ≥ 1e6
+inside ``core/``, ``pipelines/``, ``power/`` or ``storage/`` whose value
+duplicates a named constant from :mod:`repro.units` or :mod:`repro.paper`.
+Additive arithmetic and comparisons across units are the flow rule
+``dim-mix``'s (see :mod:`repro.lint.flow`).
 """
 
 from __future__ import annotations
 
 import ast
 import math
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 from repro.lint.engine import FileContext, Finding, Rule, register
 
-__all__ = ["MagicNumberRule", "UnitMixRule", "unit_of_identifier"]
-
-#: suffix → (dimension family, canonical unit). Single-letter suffixes are
-#: deliberately absent (``_s`` is usually "per second" in rate names).
-_UNIT_SUFFIXES: Dict[str, Tuple[str, str]] = {
-    "ms": ("time", "milliseconds"),
-    "sec": ("time", "seconds"),
-    "secs": ("time", "seconds"),
-    "seconds": ("time", "seconds"),
-    "minutes": ("time", "minutes"),
-    "hour": ("time", "hours"),
-    "hours": ("time", "hours"),
-    "day": ("time", "days"),
-    "days": ("time", "days"),
-    "months": ("time", "months"),
-    "years": ("time", "years"),
-    "bytes": ("data", "bytes"),
-    "kb": ("data", "kilobytes"),
-    "mb": ("data", "megabytes"),
-    "gb": ("data", "gigabytes"),
-    "tb": ("data", "terabytes"),
-    "watts": ("power", "watts"),
-    "kw": ("power", "kilowatts"),
-    "mw": ("power", "megawatts"),
-    "joules": ("energy", "joules"),
-    "kwh": ("energy", "kilowatt-hours"),
-    "mwh": ("energy", "megawatt-hours"),
-}
+__all__ = ["MagicNumberRule"]
 
 #: Paths (posix fragments) where magic-number applies.
 _MAGIC_SCOPES = (
@@ -59,75 +28,6 @@ _MAGIC_SCOPES = (
 
 #: Literals below this never count as magic numbers.
 _MAGIC_THRESHOLD = 1e6
-
-
-def _identifier(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-def unit_of_identifier(name: str) -> Optional[Tuple[str, str]]:
-    """``(family, unit)`` implied by an identifier's suffix, or ``None``.
-
-    Rate names (anything containing ``_per_``) carry compound units and
-    are ignored.
-    """
-    lowered = name.lower()
-    if "_per_" in lowered:
-        return None
-    tail = lowered.rsplit("_", 1)[-1]
-    return _UNIT_SUFFIXES.get(tail)
-
-
-def _unit_of_node(node: ast.AST) -> Optional[Tuple[str, str, str]]:
-    name = _identifier(node)
-    if name is None:
-        return None
-    unit = unit_of_identifier(name)
-    if unit is None:
-        return None
-    return (name, unit[0], unit[1])
-
-
-@register
-class UnitMixRule(Rule):
-    """Additive arithmetic between identifiers of different units."""
-
-    id = "unit-mix"
-    summary = (
-        "addition/subtraction/comparison mixes identifiers whose suffixes "
-        "denote different units (e.g. *_gb with *_bytes)"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        """Flag +/-/comparison whose operands carry clashing unit suffixes."""
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-                pairs = [(node.left, node.right)]
-            elif isinstance(node, ast.Compare):
-                operands = [node.left, *node.comparators]
-                pairs = list(zip(operands, operands[1:]))
-            elif isinstance(node, ast.AugAssign) and isinstance(
-                node.op, (ast.Add, ast.Sub)
-            ):
-                pairs = [(node.target, node.value)]
-            else:
-                continue
-            for left, right in pairs:
-                a = _unit_of_node(left)
-                b = _unit_of_node(right)
-                if a is None or b is None:
-                    continue
-                if a[1] != b[1] or a[2] != b[2]:
-                    yield ctx.finding(
-                        self.id,
-                        node,
-                        f"`{a[0]}` is in {a[2]} but `{b[0]}` is in {b[2]}; "
-                        "convert through repro.units before combining",
-                    )
 
 
 def _known_constants() -> Dict[str, str]:

@@ -11,8 +11,8 @@ Zero-dependency observability for every layer of the reproduction:
   per-run :class:`RunManifest` (config, durations, metric snapshot,
   provenance) written next to benchmark results.
 * **Timelines** (:class:`TimelineSampler`, :class:`TimelineConfig`) —
-  sim-clock-gridded snapshots of live engine/storage/power gauges into a
-  ring-buffered ``timeline.jsonl`` stream.
+  sim-clock-gridded snapshots of live engine/storage/power gauges, written
+  by the session to a ``timeline.jsonl`` stream.
 * **Watchdogs** (:class:`WatchRule`, :class:`Watchdog`) — declarative SLO
   rules evaluated at every timeline sample, emitting ``obs.alert`` events
   and ``repro_alert_<name>_total`` counters.

@@ -334,14 +334,9 @@ def summarize(path: str) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     """Argument parser for ``repro obs``."""
-    from repro.obs.drift import (
-        DEFAULT_MAD_K,
-        DEFAULT_MIN_RECORDS,
-        DEFAULT_REL_FLOOR,
-        DIRECTIONS,
-    )
+    from repro.obs.drift import DIRECTIONS
     from repro.obs.store.core import DEFAULT_STORE_DIR
-    from repro.obs.store.trend import DEFAULT_TREND_WINDOW, STATS
+    from repro.obs.store.trend import STATS, TREND_WINDOW
 
     parser = argparse.ArgumentParser(
         prog="repro obs", description="inspect telemetry run directories"
@@ -479,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "trend", help="per-metric trajectories across ingested runs, "
-        "MAD-band gated (exit 2 on regression with --check)"
+        f"gated on the MAD band of the {TREND_WINDOW} runs before the latest "
+        "(exit 2 on regression with --check)"
     )
     p.add_argument(
         "metrics", nargs="+", metavar="METRIC",
@@ -496,24 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--direction", default="above", choices=DIRECTIONS,
         help="which side of the band counts as regression (default: above)",
-    )
-    p.add_argument(
-        "--window", type=int, default=DEFAULT_TREND_WINDOW,
-        help=f"reference window of prior runs (default {DEFAULT_TREND_WINDOW})",
-    )
-    p.add_argument(
-        "--mad-k", type=float, default=DEFAULT_MAD_K,
-        help=f"band half-width in scaled MAD units (default {DEFAULT_MAD_K})",
-    )
-    p.add_argument(
-        "--rel-floor", type=float, default=DEFAULT_REL_FLOOR,
-        help="relative floor on the half-width as a fraction of |median| "
-        f"(default {DEFAULT_REL_FLOOR})",
-    )
-    p.add_argument(
-        "--min-records", type=int, default=DEFAULT_MIN_RECORDS,
-        help="prior points required before gating "
-        f"(default {DEFAULT_MIN_RECORDS})",
     )
     p.add_argument(
         "--scenario-digest", default=None, metavar="HEX",
@@ -720,10 +698,6 @@ def _cmd_trend(args: argparse.Namespace) -> int:
         runs=rows,
         stat=args.stat,
         direction=args.direction,
-        window=args.window,
-        mad_k=args.mad_k,
-        rel_floor=args.rel_floor,
-        min_records=args.min_records,
     )
     failed = [t for t in trends if t.failed]
     if args.json:

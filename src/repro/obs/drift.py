@@ -7,15 +7,15 @@ history of comparable values?*
 
 The reference band around the history is ``median ± halfwidth`` with
 
-``halfwidth = max(mad_k * 1.4826 * MAD, rel_floor * |median|)``
+``halfwidth = max(MAD_K * 1.4826 * MAD, REL_FLOOR * |median|)``
 
-— the ``1.4826`` factor makes the MAD a consistent sigma estimator under
-normal noise, and the relative floor keeps near-constant histories (MAD
-~ 0) from flagging ordinary jitter.  Drift is directional: wall times and
-energy fail *above* the band, speedups fail *below* it; the opposite
-direction is improvement, not drift.  Histories shorter than
-``min_records`` produce no verdict at all, so a fresh store never blocks
-a gate.
+(4 MADs, a 25 % floor) — the ``1.4826`` factor makes the MAD a consistent
+sigma estimator under normal noise, and the relative floor keeps
+near-constant histories (MAD ~ 0) from flagging ordinary jitter.  Drift is
+directional: wall times and energy fail *above* the band, speedups fail
+*below* it; the opposite direction is improvement, not drift.  Histories
+shorter than ``MIN_RECORDS`` (3) values produce no verdict at all, so a
+fresh store never blocks a gate.
 """
 
 from __future__ import annotations
@@ -26,13 +26,12 @@ from typing import List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "DEFAULT_MAD_K",
-    "DEFAULT_MIN_RECORDS",
-    "DEFAULT_REL_FLOOR",
     "DIRECTIONS",
     "DriftCheck",
+    "MAD_K",
     "MAD_SCALE",
-    "check_band_settings",
+    "MIN_RECORDS",
+    "REL_FLOOR",
     "check_value",
     "mad_band",
     "median",
@@ -42,13 +41,13 @@ __all__ = [
 MAD_SCALE = 1.4826
 
 #: Band half-width in (consistency-scaled) MAD units.
-DEFAULT_MAD_K = 4.0
+MAD_K = 4.0
 
 #: Relative floor on the band half-width, as a fraction of |median|.
-DEFAULT_REL_FLOOR = 0.25
+REL_FLOOR = 0.25
 
 #: Below this many history values there is no trajectory to drift from.
-DEFAULT_MIN_RECORDS = 3
+MIN_RECORDS = 3
 
 #: Which side of the band counts as failure.  ``"above"`` suits costs
 #: (seconds, joules, bytes), ``"below"`` suits rates and speedups,
@@ -68,19 +67,11 @@ def median(values: Sequence[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def mad_band(
-    values: Sequence[float],
-    mad_k: float = DEFAULT_MAD_K,
-    rel_floor: float = DEFAULT_REL_FLOOR,
-) -> Tuple[float, float]:
+def mad_band(values: Sequence[float]) -> Tuple[float, float]:
     """``(median, halfwidth)`` of the tolerance band around ``values``."""
-    if mad_k <= 0 or rel_floor < 0:
-        raise ConfigurationError(
-            f"mad_k must be > 0 and rel_floor >= 0: {mad_k}, {rel_floor}"
-        )
     med = median(values)
     mad = median([abs(v - med) for v in values])
-    return med, max(mad_k * MAD_SCALE * mad, rel_floor * abs(med))
+    return med, max(MAD_K * MAD_SCALE * mad, REL_FLOOR * abs(med))
 
 
 @dataclass(frozen=True)
@@ -121,44 +112,25 @@ class DriftCheck:
         }
 
 
-def check_band_settings(
-    direction: str, mad_k: float, rel_floor: float, min_records: int
-) -> None:
-    """Raise :class:`ConfigurationError` for a setting no history can use.
-
-    Gates call this before they look at the history, so a bad setting fails
-    on a fresh store too instead of passing until the history grows.
-    """
-    if direction not in DIRECTIONS:
-        raise ConfigurationError(
-            f"unknown drift direction {direction!r}; expected one of {DIRECTIONS}"
-        )
-    if mad_k <= 0 or rel_floor < 0 or min_records < 1:
-        raise ConfigurationError(
-            "mad_k must be > 0, rel_floor >= 0 and min_records >= 1: "
-            f"{mad_k}, {rel_floor}, {min_records}"
-        )
-
-
 def check_value(
     metric: str,
     value: float,
     history: Sequence[float],
     direction: str = "above",
-    mad_k: float = DEFAULT_MAD_K,
-    rel_floor: float = DEFAULT_REL_FLOOR,
-    min_records: int = DEFAULT_MIN_RECORDS,
 ) -> Optional[DriftCheck]:
     """The drift verdict for ``value`` against ``history``.
 
-    ``None`` means "no trajectory yet" (fewer than ``min_records`` history
-    values) — callers must treat that as an informational pass.
+    ``None`` means "no trajectory yet" (fewer than :data:`MIN_RECORDS`
+    history values) — callers must treat that as an informational pass.
     """
-    check_band_settings(direction, mad_k, rel_floor, min_records)
+    if direction not in DIRECTIONS:
+        raise ConfigurationError(
+            f"unknown drift direction {direction!r}; expected one of {DIRECTIONS}"
+        )
     series: List[float] = [float(v) for v in history]
-    if len(series) < min_records:
+    if len(series) < MIN_RECORDS:
         return None
-    med, halfwidth = mad_band(series, mad_k=mad_k, rel_floor=rel_floor)
+    med, halfwidth = mad_band(series)
     value = float(value)
     above = value > med + halfwidth
     below = value < med - halfwidth

@@ -164,7 +164,6 @@ def render_store_html(
     store: RunStore,
     runs: Optional[Sequence[RunRow]] = None,
     metrics: Optional[Sequence[str]] = None,
-    **trend_kwargs,
 ) -> str:
     """The full dashboard document for a store (optionally pre-filtered)."""
     rows = store.runs() if runs is None else list(runs)
@@ -173,11 +172,7 @@ def render_store_html(
             f"store {store.root!r} holds no ingested runs to report on"
         )
     names = list(metrics) if metrics else default_trend_metrics(store, rows)
-    trends = [
-        t
-        for t in compute_trends(store, names, runs=rows, **trend_kwargs)
-        if t.points
-    ]
+    trends = [t for t in compute_trends(store, names, runs=rows) if t.points]
     failures = [t for t in trends if t.failed]
     body = [
         f"<h1>repro run registry — {len(rows)} run(s)</h1>",
@@ -215,11 +210,10 @@ def write_store_report(
     output: Optional[str] = None,
     runs: Optional[Sequence[RunRow]] = None,
     metrics: Optional[Sequence[str]] = None,
-    **trend_kwargs,
 ) -> str:
     """Render and write the dashboard; returns the output path."""
     path = output or os.path.join(store.root, DEFAULT_STORE_REPORT_FILENAME)
-    doc = render_store_html(store, runs=runs, metrics=metrics, **trend_kwargs)
+    doc = render_store_html(store, runs=runs, metrics=metrics)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)

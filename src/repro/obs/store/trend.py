@@ -1,10 +1,11 @@
 """Per-metric trajectories across ingested runs: ``repro obs trend``.
 
 A *trend* is one metric's value extracted from every selected run, in
-ingest order, optionally gated: the latest value is compared against the
-MAD band (:mod:`repro.obs.drift`) of the preceding values.  Ingested
-``repro bench`` reports are runs like any other (labelled ``bench-quick``
-or ``bench-full``), so "this bench run drifted" is a trend check too.
+ingest order, gated: the latest value is compared against the MAD band
+(:mod:`repro.obs.drift`) of the :data:`TREND_WINDOW` values before it.
+Ingested ``repro bench`` reports are runs like any other (labelled
+``bench-quick`` or ``bench-full``), so "this bench run drifted" is a trend
+check too.
 
 Metric names resolve in priority order against a run's records:
 
@@ -29,20 +30,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.drift import (
-    DEFAULT_MAD_K,
-    DEFAULT_MIN_RECORDS,
-    DEFAULT_REL_FLOOR,
-    DriftCheck,
-    check_band_settings,
-    check_value,
-)
+from repro.obs.drift import DriftCheck, check_value
 from repro.obs.store.core import RunRow, RunStore
 
 __all__ = [
-    "DEFAULT_TREND_WINDOW",
     "MetricTrend",
     "STATS",
+    "TREND_WINDOW",
     "TrendPoint",
     "compute_trend",
     "compute_trends",
@@ -54,7 +48,7 @@ __all__ = [
 STATS = ("auto", "value", "sum", "count", "mean", "max", "last", "p50", "p95", "p99")
 
 #: How many trailing points form the reference window for gating.
-DEFAULT_TREND_WINDOW = 10
+TREND_WINDOW = 10
 
 _HISTOGRAM_STATS = ("sum", "count", "p50", "p95", "p99")
 
@@ -199,21 +193,14 @@ def compute_trend(
     runs: Optional[Sequence[RunRow]] = None,
     stat: str = "auto",
     direction: str = "above",
-    window: int = DEFAULT_TREND_WINDOW,
-    mad_k: float = DEFAULT_MAD_K,
-    rel_floor: float = DEFAULT_REL_FLOOR,
-    min_records: int = DEFAULT_MIN_RECORDS,
-    gate: bool = True,
 ) -> MetricTrend:
     """One metric's trajectory over ``runs`` (default: every run), gated.
 
     The gate compares the *latest* point against the MAD band of the
-    ``window`` points before it; fewer than ``min_records`` prior points
-    means no verdict (``check is None``) — an informational pass.
+    :data:`TREND_WINDOW` points before it; fewer than
+    :data:`~repro.obs.drift.MIN_RECORDS` prior points means no verdict
+    (``check is None``) — an informational pass.
     """
-    check_band_settings(direction, mad_k, rel_floor, min_records)
-    if window < 1:
-        raise ConfigurationError(f"window must be >= 1: {window}")
     rows = store.runs() if runs is None else list(runs)
     points: List[TrendPoint] = []
     for row in rows:
@@ -230,17 +217,9 @@ def compute_trend(
             )
         )
     check: Optional[DriftCheck] = None
-    if gate and points:
-        history = [p.value for p in points[:-1]][-window:]
-        check = check_value(
-            metric,
-            points[-1].value,
-            history,
-            direction=direction,
-            mad_k=mad_k,
-            rel_floor=rel_floor,
-            min_records=min_records,
-        )
+    if points:
+        history = [p.value for p in points[:-1]][-TREND_WINDOW:]
+        check = check_value(metric, points[-1].value, history, direction=direction)
     return MetricTrend(metric=metric, stat=stat, points=tuple(points), check=check)
 
 
@@ -248,11 +227,15 @@ def compute_trends(
     store: RunStore,
     metrics: Sequence[str],
     runs: Optional[Sequence[RunRow]] = None,
-    **kwargs,
+    stat: str = "auto",
+    direction: str = "above",
 ) -> List[MetricTrend]:
     """:func:`compute_trend` for each metric, sharing the run selection."""
     rows = store.runs() if runs is None else list(runs)
-    return [compute_trend(store, metric, runs=rows, **kwargs) for metric in metrics]
+    return [
+        compute_trend(store, metric, runs=rows, stat=stat, direction=direction)
+        for metric in metrics
+    ]
 
 
 def render_trends(trends: Sequence[MetricTrend]) -> str:

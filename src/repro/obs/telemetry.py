@@ -27,9 +27,8 @@ from __future__ import annotations
 import functools
 import os
 import time
-from collections import deque
 from contextlib import contextmanager
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 from repro.errors import ConfigurationError
 from repro.obs.exporters import JsonlWriter, write_prometheus
@@ -69,10 +68,6 @@ SIM = "sim"
 
 #: Histogram fed by every recorded phase (labelled by phase name).
 PHASE_SECONDS_METRIC = "repro_pipeline_phase_seconds"
-
-#: In-memory tail of recent records kept by every session (for tests and
-#: directory-less sessions).
-RECENT_CAPACITY = 512
 
 #: Subdirectory of a session's telemetry directory holding worker shards.
 SHARDS_DIRNAME = "shards"
@@ -115,9 +110,8 @@ class TelemetrySession:
         self.trace = trace
         self.trace_id = trace.trace_id if trace is not None else derive_trace_id(label)
         self.phase_totals: Dict[str, float] = {}
-        self.recent: Deque[dict] = deque(maxlen=RECENT_CAPACITY)
         #: Full record retention (shard sessions keep everything so the
-        #: parent can merge them; root sessions keep only ``recent``).
+        #: parent can merge them; root sessions keep none).
         self.records: Optional[List[dict]] = [] if keep_records else None
         self.closed = False
         self._writer: Optional[JsonlWriter] = None
@@ -158,7 +152,6 @@ class TelemetrySession:
         self._seq += 1
         record["seq"] = self._seq
         record["trace"] = self.trace_id
-        self.recent.append(record)
         if self.records is not None:
             self.records.append(record)
         if self._writer is not None:

@@ -4,14 +4,14 @@ Spans and end-of-run counters say *how much*; this module says *when*.  A
 :class:`TimelineSampler` rides the event engine's step-listener hook and, on
 a fixed simulated-time grid, snapshots a set of registered **probes** —
 cheap callables reading live gauges out of the engine, the storage model and
-the power model — into ring-buffered samples that the telemetry session
-appends to a dedicated ``timeline.jsonl`` stream (tagged with the same
-``trace_id`` as every other record).
+the power model — into samples that the sampler's telemetry session appends
+to a dedicated ``timeline.jsonl`` stream (tagged with the same ``trace_id``
+as every other record).
 
 Design constraints, in priority order:
 
-* **Bit-identity off.**  The sampler is only constructed when a session's
-  :class:`TimelineConfig` enables it; with sampling off no ``timeline.jsonl``
+* **Bit-identity off.**  The sampler is only constructed for a session
+  that has a :class:`TimelineConfig`; with sampling off no ``timeline.jsonl``
   is created and ``events.jsonl`` is byte-identical to a pre-timeline run.
 * **Determinism on.**  Samples land on a fixed grid regardless of how
   simulation events interleave: on every processed event the sampler emits
@@ -45,9 +45,8 @@ Series names follow ``repro_timeline_<layer>_<name>_<unit>`` (see
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.exporters import RowText
@@ -74,9 +73,6 @@ __all__ = [
 #: Default number of grid points across a run when no interval is given:
 #: ``interval = duration / DEFAULT_TIMELINE_POINTS``.
 DEFAULT_TIMELINE_POINTS = 128
-
-#: Default ring capacity (samples kept in memory per sampler).
-DEFAULT_RING_CAPACITY = 4096
 
 #: Node-state bands for the per-state power probes: a node is *busy* at or
 #: above this utilization ...
@@ -125,12 +121,9 @@ def derived(source: str, source_fn: Probe, of: Callable[[float], float]) -> Prob
 class TimelineConfig:
     """Session-level sampling policy, propagated to pool workers via traces."""
 
-    enabled: bool = True
     #: Grid spacing in simulated seconds; ``None`` derives it from the run
     #: duration (``duration / DEFAULT_TIMELINE_POINTS``).
     interval_seconds: Optional[float] = None
-    #: In-memory ring capacity per sampler.
-    capacity: int = DEFAULT_RING_CAPACITY
     #: Enforced power cap; enables the cap/headroom series and the
     #: ``power_cap_exceeded`` watch rule.
     power_cap_watts: Optional[float] = None
@@ -142,30 +135,6 @@ class TimelineConfig:
             raise ConfigurationError(
                 f"timeline interval must be positive, got {self.interval_seconds}"
             )
-        if self.capacity <= 0:
-            raise ConfigurationError(
-                f"timeline ring capacity must be positive, got {self.capacity}"
-            )
-
-    def to_dict(self) -> dict:
-        """JSON-safe form (for trace propagation and manifests)."""
-        return {
-            "enabled": self.enabled,
-            "interval_seconds": self.interval_seconds,
-            "capacity": self.capacity,
-            "power_cap_watts": self.power_cap_watts,
-            "checkpoint_overdue_seconds": self.checkpoint_overdue_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TimelineConfig":
-        return cls(
-            enabled=bool(data.get("enabled", True)),
-            interval_seconds=data.get("interval_seconds"),
-            capacity=int(data.get("capacity", DEFAULT_RING_CAPACITY)),
-            power_cap_watts=data.get("power_cap_watts"),
-            checkpoint_overdue_seconds=data.get("checkpoint_overdue_seconds"),
-        )
 
 
 class TimelineSampler:
@@ -181,10 +150,9 @@ class TimelineSampler:
         self,
         sim,
         interval_seconds: float,
-        session: Optional["TelemetrySession"] = None,
+        session: "TelemetrySession",
         label: str = "run",
         watchdog: Optional["Watchdog"] = None,
-        capacity: int = DEFAULT_RING_CAPACITY,
     ) -> None:
         if interval_seconds <= 0:
             raise ConfigurationError(
@@ -195,9 +163,6 @@ class TimelineSampler:
         self.session = session
         self.label = label
         self.watchdog = watchdog
-        #: Most recent samples, oldest first (ring buffer).
-        self.recent: Deque[dict] = deque(maxlen=capacity)
-        self.n_samples = 0
         #: Registered probes by series name, in registration order.
         self._probes: Dict[str, Probe] = {}
         #: Series names sorted (the order samples list them), the row
@@ -311,26 +276,21 @@ class TimelineSampler:
             row[i] = float(of(row[source]))
         values = dict(zip(self._names, row))
         record = {"type": "sample", "t": t, "label": self.label, "values": values}
-        self.recent.append(record)
-        self.n_samples += 1
         self._last_t = t
         session = self.session
-        if session is not None:
-            # A session without a directory writes no file and needs no text.
-            text = None if session.directory is None else self._row_text.render(row)
-            session.emit_timeline(record, text)
-            if self._samples_counter is None:
-                self._samples_counter = session.registry.counter(
-                    "repro_obs_timeline_samples_total", label=self.label
-                )
-            self._samples_counter.inc()
+        # A session without a directory writes no file and needs no text.
+        text = None if session.directory is None else self._row_text.render(row)
+        session.emit_timeline(record, text)
+        if self._samples_counter is None:
+            self._samples_counter = session.registry.counter(
+                "repro_obs_timeline_samples_total", label=self.label
+            )
+        self._samples_counter.inc()
         if self.watchdog is not None:
             for alert in self.watchdog.observe(t, values):
                 self._emit_alert(alert)
 
     def _emit_alert(self, alert) -> None:
-        if self.session is None:
-            return
         self.session.event("obs.alert", **alert.to_fields())
         self.session.registry.counter(
             alert_metric_name(alert.rule), severity=alert.severity

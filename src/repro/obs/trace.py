@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Optional
 
 from repro.obs.timeline import TimelineConfig
 
@@ -50,29 +50,3 @@ class TraceContext:
     #: The parent session's sampling policy, so worker shards sample their
     #: runs on the same grid (``None`` when the parent has sampling off).
     timeline: Optional[TimelineConfig] = None
-
-    def to_dict(self) -> dict:
-        """JSON-safe representation."""
-        return {
-            "trace_id": self.trace_id,
-            "parent_span_id": self.parent_span_id,
-            "label": self.label,
-            "task_index": self.task_index,
-            "shard_dir": self.shard_dir,
-            "timeline": None if self.timeline is None else self.timeline.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TraceContext":
-        """Inverse of :meth:`to_dict`."""
-        parent = data.get("parent_span_id")
-        shard_dir = data.get("shard_dir")
-        timeline = data.get("timeline")
-        return cls(
-            trace_id=str(data["trace_id"]),
-            parent_span_id=None if parent is None else int(parent),
-            label=str(data.get("label", "run")),
-            task_index=int(data.get("task_index", 0)),
-            shard_dir=None if shard_dir is None else str(shard_dir),
-            timeline=None if timeline is None else TimelineConfig.from_dict(timeline),
-        )

@@ -231,7 +231,7 @@ class SimulatedPlatform:
             listener = self.sim.add_step_listener(
                 lambda event, now: processed.inc()
             )
-            if session.timeline is not None and session.timeline.enabled:
+            if session.timeline is not None:
                 sampler = self._build_sampler(
                     session, run_spec, checkpoints, artifacts, t_start
                 )
@@ -359,7 +359,6 @@ class SimulatedPlatform:
             session=session,
             label=run_spec.output_prefix,
             watchdog=watchdog,
-            capacity=tcfg.capacity,
         )
         sampler.add_probes(engine_probes(self.sim))
         sampler.add_probes(storage_probes(self.storage.fs))

@@ -13,6 +13,7 @@ see :mod:`repro.power.meter`.
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,6 +30,9 @@ class PowerSignal:
         # repro-unit: initial_watts=watts, start_time=seconds
         if not initial_watts >= 0:  # NaN too, as in set()
             raise ConfigurationError(f"power must be >= 0 W, got {initial_watts}")
+        # A NaN start rejects every later set(); an infinite one any finite one.
+        if not math.isfinite(start_time):
+            raise ConfigurationError(f"start time must be finite, got {start_time}")
         self.name = name
         self._times: list[float] = [float(start_time)]
         self._watts: list[float] = [float(initial_watts)]

@@ -20,6 +20,8 @@ from repro.cluster.power import CpuPowerModel, NodePowerModel, PState, e5_2670_n
 from repro.cluster.topology import Interconnect
 from repro.errors import ConfigurationError
 from repro.events.engine import Simulator
+from repro.obs.registry import MetricsRegistry
+from repro.obs.telemetry import TelemetrySession
 from repro.obs.timeline import TimelineSampler, power_probes
 from repro.power.meter import PowerMeter
 from repro.power.signal import PowerSignal
@@ -183,6 +185,24 @@ class TestNode:
                 group.set_utilization(0.5, frequency_ghz=0.0)
         group.set_utilization(0.5)
         assert group.current_power == e5_2670_node().power(0.5)
+
+    @pytest.mark.parametrize("frequency_ghz", [0.0, float("nan")])
+    def test_rejected_set_leaves_the_group_unchanged(self, sim, frequency_ghz):
+        group = NodeGroup(sim, 0, e5_2670_node())
+        group.set_utilization(0.2)
+        sim.run(until=10.0)
+        before = (
+            group.utilization, group.frequency_ghz, group.current_power,
+            group.busy_core_seconds(), group.power_signal.breakpoints,
+        )
+        with pytest.raises(ConfigurationError):
+            group.set_utilization(0.5, frequency_ghz=frequency_ghz)
+        assert (
+            group.utilization, group.frequency_ghz, group.current_power,
+            group.busy_core_seconds(), group.power_signal.breakpoints,
+        ) == before
+        sim.run(until=20.0)
+        assert group.busy_core_seconds() == 0.2 * group.n_cores * 20.0
 
 
 class TestCageAndInterconnect:
@@ -469,7 +489,8 @@ class TestTracedSurface:
             return wrapper
 
         cluster = ComputeCluster(sim, n_nodes=25)
-        sampler = TimelineSampler(sim, interval_seconds=1.0)
+        session = TelemetrySession(keep_records=True, registry=MetricsRegistry())
+        sampler = TimelineSampler(sim, interval_seconds=1.0, session=session)
         add_probe = TimelineSampler.__dict__["add_probe"]
         for name, fn in power_probes(cluster, cap_watts=1_000.0):
             add_probe(sampler, name, timed(name, fn))
@@ -480,7 +501,7 @@ class TestTracedSurface:
         sim.process(late())
         sampler.attach()
         sim.run()
-        assert sampler.n_samples == 3
+        assert len(session.timeline_records) == 3
         # The compute series is still a gauge, the headroom still derived
         # from the draw, and the draw still read at every tick.
         assert reads["repro_timeline_power_compute_watts"] == 1

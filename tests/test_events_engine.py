@@ -64,6 +64,15 @@ class TestTimeout:
         sim.run()
         assert sim.now == 2.0
 
+    def test_infinite_delay_rejected(self, sim):
+        """An infinite delay would move the clock to inf for every later event."""
+        with pytest.raises(SimulationError):
+            sim.timeout(float("inf"))
+        assert sim.queue_depth == 0
+        sim.timeout(2.0)
+        sim.run()
+        assert sim.now == 2.0
+
     def test_zero_delay_fires_now(self, sim):
         fired = []
         ev = sim.timeout(0.0, value="v")

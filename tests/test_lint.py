@@ -101,56 +101,6 @@ class TestEngine:
         assert [f.line for f in findings if f.rule == "mutable-default"] == [3]
 
 
-class TestUnitMixRule:
-    def test_addition_across_families_is_flagged(self, tmp_path):
-        findings = lint_source(
-            tmp_path, "mod.py", "def f(t_seconds, n_bytes):\n    return t_seconds + n_bytes\n"
-        )
-        assert "unit-mix" in rule_ids(findings)
-
-    def test_same_family_different_unit_is_flagged(self, tmp_path):
-        findings = lint_source(
-            tmp_path, "mod.py", "def f(size_gb, size_bytes):\n    return size_gb - size_bytes\n"
-        )
-        assert "unit-mix" in rule_ids(findings)
-
-    def test_comparison_is_flagged(self, tmp_path):
-        findings = lint_source(
-            tmp_path, "mod.py", "def f(t_hours, t_seconds):\n    return t_hours < t_seconds\n"
-        )
-        assert "unit-mix" in rule_ids(findings)
-
-    def test_same_unit_is_fine(self, tmp_path):
-        findings = lint_source(
-            tmp_path, "mod.py", "def f(a_gb, b_gb):\n    return a_gb + b_gb\n"
-        )
-        assert "unit-mix" not in rule_ids(findings)
-
-    def test_multiplication_across_units_is_fine(self, tmp_path):
-        """W x s = J: crossing units under * and / is physics, not a bug."""
-        findings = lint_source(
-            tmp_path, "mod.py", "def f(p_watts, t_seconds):\n    return p_watts * t_seconds\n"
-        )
-        assert "unit-mix" not in rule_ids(findings)
-
-    def test_rate_identifiers_are_exempt(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "mod.py",
-            "def f(bw_bytes_per_s, n_bytes):\n    return bw_bytes_per_s + n_bytes\n",
-        )
-        assert "unit-mix" not in rule_ids(findings)
-
-    def test_suppression_comment(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "mod.py",
-            "def f(t_seconds, n_bytes):\n"
-            "    return t_seconds + n_bytes  # repro-lint: disable=unit-mix\n",
-        )
-        assert "unit-mix" not in rule_ids(findings)
-
-
 class TestMagicNumberRule:
     IN_SCOPE = "src/repro/core/mod.py"
 
@@ -424,7 +374,7 @@ class TestReporters:
     def _findings(self):
         return [
             Finding(path="a.py", line=3, col=1, rule="bare-except", message="m1"),
-            Finding(path="b.py", line=7, col=5, rule="unit-mix", message="m2"),
+            Finding(path="b.py", line=7, col=5, rule="dim-mix", message="m2"),
         ]
 
     def test_text_report_lists_findings_and_summary(self):
@@ -512,16 +462,16 @@ class TestContextHelpers:
     def test_file_context_records_suppression_kinds(self, tmp_path):
         target = tmp_path / "mod.py"
         source = (
-            "# repro-lint: disable=unit-mix\n"
+            "# repro-lint: disable=dim-mix\n"
             "x = 1  # repro-lint: disable=magic-number\n"
         )
         target.write_text(source)
         import ast
 
         ctx = FileContext(target, source, ast.parse(source))
-        assert "unit-mix" in ctx.file_suppressions
+        assert "dim-mix" in ctx.file_suppressions
         assert ctx.line_suppressions == {2: {"magic-number"}}
-        assert ctx.suppressed("unit-mix", 99)
+        assert ctx.suppressed("dim-mix", 99)
         assert ctx.suppressed("magic-number", 2)
         assert not ctx.suppressed("magic-number", 1)
 
@@ -635,7 +585,7 @@ class TestStableReportOrder:
 
     def _findings_shuffled(self):
         ordered = [
-            Finding(path="a.py", line=1, col=1, rule="unit-mix", message="m"),
+            Finding(path="a.py", line=1, col=1, rule="dim-mix", message="m"),
             Finding(path="a.py", line=1, col=1, rule="zzz-rule", message="m"),
             Finding(path="a.py", line=9, col=1, rule="bare-except", message="m"),
             Finding(path="b.py", line=2, col=4, rule="bare-except", message="m"),

@@ -221,6 +221,73 @@ class TestDimRules:
         )
         assert "dim-mix" in rule_ids(findings)
 
+    def test_addition_across_families_is_flagged(self, tmp_path):
+        findings = lint_source(
+            tmp_path, "mod.py", "def f(t_seconds, n_bytes):\n    return t_seconds + n_bytes\n"
+        )
+        assert "dim-mix" in rule_ids(findings)
+
+    def test_same_family_different_unit_is_flagged(self, tmp_path):
+        findings = lint_source(
+            tmp_path, "mod.py", "def f(size_gb, size_bytes):\n    return size_gb - size_bytes\n"
+        )
+        assert "dim-mix" in rule_ids(findings)
+
+    def test_comparison_across_scales_is_flagged(self, tmp_path):
+        findings = lint_source(
+            tmp_path, "mod.py", "def f(t_hours, t_seconds):\n    return t_hours < t_seconds\n"
+        )
+        assert "dim-mix" in rule_ids(findings)
+
+    def test_same_unit_is_fine(self, tmp_path):
+        findings = lint_source(
+            tmp_path, "mod.py", "def f(a_gb, b_gb):\n    return a_gb + b_gb\n"
+        )
+        assert findings == []
+
+    def test_multiplication_across_units_is_fine(self, tmp_path):
+        """W x s = J: crossing units under * and / is physics, not a bug."""
+        findings = lint_source(
+            tmp_path, "mod.py", "def f(p_watts, t_seconds):\n    return p_watts * t_seconds\n"
+        )
+        assert findings == []
+
+    def test_rate_plus_amount_is_flagged(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            "mod.py",
+            "def f(bw_bytes_per_s, n_bytes):\n    return bw_bytes_per_s + n_bytes\n",
+        )
+        assert "dim-mix" in rule_ids(findings)
+
+    def test_augmented_assignment_is_flagged(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            "mod.py",
+            "def f(total_bytes, t_seconds):\n"
+            "    total_bytes += t_seconds\n"
+            "    return total_bytes\n",
+        )
+        assert [(f.rule, f.line) for f in findings] == [("dim-mix", 2)]
+
+    def test_attribute_chains_are_flagged(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            "mod.py",
+            "def f(self, other):\n"
+            "    return self.size_gb + other.stats.size_bytes\n",
+        )
+        assert [(f.rule, f.line) for f in findings] == [("dim-mix", 2)]
+
+    def test_suppression_comment(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            "mod.py",
+            "def f(t_seconds, n_bytes):\n"
+            "    return t_seconds + n_bytes  # repro-lint: disable=dim-mix\n",
+        )
+        assert findings == []
+
     def test_annotation_overrides_name(self, tmp_path):
         source = (
             "def mean(total_joules, n):  # repro-unit: joules\n"

@@ -163,11 +163,11 @@ class TestSpans:
         assert not obs.enabled()
 
     def test_nesting_records_parents(self):
-        with obs.session() as sess:
+        with obs.session(keep_records=True) as sess:
             with obs.span("outer"):
                 with obs.span("inner"):
                     pass
-        records = list(sess.recent)
+        records = list(sess.records)
         inner = next(r for r in records if r["name"] == "inner")
         outer = next(r for r in records if r["name"] == "outer")
         assert inner["parent"] == outer["id"]
@@ -176,20 +176,20 @@ class TestSpans:
 
     def test_sim_clock_domain(self):
         sim = Simulator()
-        with obs.session() as sess:
+        with obs.session(keep_records=True) as sess:
             with obs.span("des", clock=sim):
                 sim.timeout(5.0)
                 sim.run()
-        (record,) = [r for r in sess.recent if r["type"] == "span"]
+        (record,) = [r for r in sess.records if r["type"] == "span"]
         assert record["domain"] == obs.SIM
         assert record["dur"] == pytest.approx(5.0)
 
     def test_error_is_attributed(self):
-        with obs.session() as sess:
+        with obs.session(keep_records=True) as sess:
             with pytest.raises(ValueError):
                 with obs.span("doomed"):
                     raise ValueError("boom")
-        (record,) = [r for r in sess.recent if r["type"] == "span"]
+        (record,) = [r for r in sess.records if r["type"] == "span"]
         assert record["attrs"]["error"] == "ValueError"
 
     def test_decorator_form(self):
@@ -197,10 +197,10 @@ class TestSpans:
         def work(x):
             return x + 1
 
-        with obs.session() as sess:
+        with obs.session(keep_records=True) as sess:
             assert work(1) == 2
             assert work(2) == 3
-        spans = [r for r in sess.recent if r["type"] == "span"]
+        spans = [r for r in sess.records if r["type"] == "span"]
         assert len(spans) == 2
         assert all(s["attrs"]["flavor"] == "decorated" for s in spans)
 

@@ -459,37 +459,12 @@ class TestTrend:
         with pytest.raises(ConfigurationError):
             compute_trend(store, "repro_pipeline_phase_seconds", stat="mean")
 
-    def test_band_settings_are_checked_on_a_short_history(
-        self, tmp_path, capsys
-    ):
-        # One run leaves no prior point and an absent metric no point at
-        # all, so no verdict is reached: a bad setting must fail anyway, not
-        # pass until the history grows.
-        store = self.build_store(tmp_path, [100.0])
-        for option, value, named in (
-            ("--window", "0", "window"),
-            ("--mad-k", "0", "mad_k"),
-            ("--rel-floor", "-0.1", "rel_floor"),
-            ("--min-records", "0", "min_records"),
-        ):
-            for metric in (
-                "repro_engine_steps_total", "repro_storage_writes_total"
-            ):
-                assert obs_cli_main(
-                    ["trend", "--store", store.root, "--check", option, value,
-                     metric]
-                ) == 2, (option, metric)
-                assert named in capsys.readouterr().err, (option, metric)
-
     def test_drift_primitives_shared_with_bench_ledger(self):
         median, halfwidth = mad_band([10.0, 10.0, 10.0, 10.0])
         assert median == 10.0
-        assert halfwidth == pytest.approx(2.5)  # rel_floor * |median|
+        assert halfwidth == pytest.approx(2.5)  # REL_FLOOR * |median|
         check = check_value("m", 13.0, [10.0, 10.0, 10.0, 10.0])
         assert check is not None and check.failed
-        # A bad setting fails before the short-history pass.
-        with pytest.raises(ConfigurationError, match="mad_k"):
-            check_value("m", 13.0, [], mad_k=0.0)
 
 
 # ------------------------------------------------------------ bench runs

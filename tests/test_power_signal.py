@@ -64,6 +64,12 @@ class TestRecording:
         with pytest.raises(ConfigurationError):
             PowerSignal(float("nan"))
 
+    @pytest.mark.parametrize("start", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_start_time_rejected(self, start):
+        """Rejected where it is given, not at a later set()."""
+        with pytest.raises(ConfigurationError):
+            PowerSignal(10.0, start_time=start)
+
     def test_nan_power_rejected(self):
         """A NaN draw would make every integral over it NaN."""
         s = PowerSignal(10.0)

@@ -22,7 +22,7 @@ from repro.obs.profile import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import write_report
-from repro.obs.trace import TraceContext, derive_trace_id
+from repro.obs.trace import derive_trace_id
 from repro.ocean.driver import MPASOceanConfig
 from repro.pipelines.base import PipelineSpec
 from repro.units import MONTH
@@ -50,16 +50,6 @@ def _run_grid(directory, spec, engine=None, intervals=(24.0,)) -> None:
 
 
 class TestTraceContext:
-    def test_round_trip(self):
-        ctx = TraceContext(
-            trace_id=derive_trace_id("characterize"),
-            parent_span_id=3,
-            label="characterize",
-            task_index=7,
-            shard_dir="/tmp/shards",
-        )
-        assert TraceContext.from_dict(ctx.to_dict()) == ctx
-
     def test_trace_id_is_deterministic(self):
         assert derive_trace_id("characterize") == derive_trace_id("characterize")
         assert derive_trace_id("a") != derive_trace_id("b")

@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import math
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -105,68 +106,67 @@ def _ticking_sim(n_steps: int = 10, step: float = 1.0) -> Simulator:
     return sim
 
 
+def _sampler(sim, interval_seconds):
+    """A sampler whose own ``keep_records`` session keeps every sample."""
+    session = obs.TelemetrySession(keep_records=True, registry=obs.MetricsRegistry())
+    return obs.TimelineSampler(sim, interval_seconds, session=session)
+
+
+def _samples(sampler) -> list:
+    return sampler.session.timeline_records
+
+
 class TestTimelineSampler:
     def test_samples_land_on_the_grid(self):
         sim = _ticking_sim(n_steps=10, step=1.0)
-        sampler = obs.TimelineSampler(sim, interval_seconds=2.5)
+        sampler = _sampler(sim, interval_seconds=2.5)
         sampler.add_probe("repro_timeline_engine_clock_seconds", lambda t: t)
         sampler.attach()
         sim.run()
         sampler.detach()
-        times = [s["t"] for s in sampler.recent]
+        times = [s["t"] for s in _samples(sampler)]
         # Grid ticks at 2.5/5.0/7.5/10.0; run ends exactly on the last tick,
         # so detach adds nothing.
         assert times == [2.5, 5.0, 7.5, 10.0]
         assert all(
             s["values"]["repro_timeline_engine_clock_seconds"] == s["t"]
-            for s in sampler.recent
+            for s in _samples(sampler)
         )
 
     def test_detach_snapshots_the_end_state(self):
         sim = _ticking_sim(n_steps=3, step=1.0)
-        sampler = obs.TimelineSampler(sim, interval_seconds=2.0)
+        sampler = _sampler(sim, interval_seconds=2.0)
         sampler.add_probe("repro_timeline_engine_clock_seconds", lambda t: t)
         sampler.attach()
         sim.run()
         sampler.detach()
-        assert [s["t"] for s in sampler.recent] == [2.0, 3.0]
+        assert [s["t"] for s in _samples(sampler)] == [2.0, 3.0]
 
     def test_coarse_events_still_hit_every_tick(self):
         # One event jumping far ahead must emit one row per crossed tick.
         sim = _ticking_sim(n_steps=1, step=10.0)
-        sampler = obs.TimelineSampler(sim, interval_seconds=2.0)
+        sampler = _sampler(sim, interval_seconds=2.0)
         sampler.add_probe("repro_timeline_engine_clock_seconds", lambda t: t)
         sampler.attach()
         sim.run()
         sampler.detach()
-        assert [s["t"] for s in sampler.recent] == [2.0, 4.0, 6.0, 8.0, 10.0]
+        assert [s["t"] for s in _samples(sampler)] == [2.0, 4.0, 6.0, 8.0, 10.0]
 
     def test_grid_ticks_are_repeated_additions(self):
         # One event at 1.25 crosses twelve 0.1 s ticks.  Each tick is the
         # previous one plus the interval, so tick k drifts off k * interval.
         sim = _ticking_sim(n_steps=1, step=1.25)
-        sampler = obs.TimelineSampler(sim, interval_seconds=0.1)
+        sampler = _sampler(sim, interval_seconds=0.1)
         sampler.add_probe("repro_timeline_engine_clock_seconds", lambda t: t)
         sampler.attach()
         sim.run()
         sampler.detach()
         grid = list(itertools.accumulate([0.1] * 12))
-        assert [s["t"] for s in sampler.recent] == grid + [1.25]
+        assert [s["t"] for s in _samples(sampler)] == grid + [1.25]
         assert grid[9] == 0.9999999999999999 != 10 * 0.1
 
-    def test_ring_capacity_bounds_memory(self):
-        sim = _ticking_sim(n_steps=20, step=1.0)
-        sampler = obs.TimelineSampler(sim, interval_seconds=1.0, capacity=5)
-        sampler.add_probe("repro_timeline_engine_clock_seconds", lambda t: t)
-        sampler.attach()
-        sim.run()
-        sampler.detach()
-        assert sampler.n_samples == 20
-        assert len(sampler.recent) == 5
-        assert [s["t"] for s in sampler.recent] == [16.0, 17.0, 18.0, 19.0, 20.0]
-
     def test_probe_name_discipline(self):
-        sampler = obs.TimelineSampler(Simulator(), interval_seconds=1.0)
+        sampler = _sampler(Simulator(), interval_seconds=1.0)
         sampler.add_probe("repro_timeline_engine_clock_seconds", lambda t: t)
         with pytest.raises(ConfigurationError):
             sampler.add_probe("repro_timeline_engine_clock_seconds", lambda t: t)
@@ -177,17 +177,19 @@ class TestTimelineSampler:
 
     def test_interval_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            obs.TimelineSampler(Simulator(), interval_seconds=0.0)
+            _sampler(Simulator(), interval_seconds=0.0)
 
     def test_config_round_trips(self):
+        # The config reaches pool workers pickled inside their trace context.
         cfg = obs.TimelineConfig(
-            interval_seconds=3.5, capacity=16, power_cap_watts=1_000.0
+            interval_seconds=3.5, power_cap_watts=1_000.0,
+            checkpoint_overdue_seconds=60.0,
         )
-        assert obs.TimelineConfig.from_dict(cfg.to_dict()) == cfg
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        ctx = obs.TraceContext(trace_id="t", timeline=cfg)
+        assert pickle.loads(pickle.dumps(ctx)).timeline == cfg
         with pytest.raises(ConfigurationError):
             obs.TimelineConfig(interval_seconds=-1.0)
-        with pytest.raises(ConfigurationError):
-            obs.TimelineConfig(capacity=0)
 
 
 # ---------------------------------------------------------------- watchdog
@@ -445,7 +447,7 @@ class TestSamplerBookkeeping:
     def test_values_sorted_names_in_registration_order(self):
         sim = _ticking_sim(n_steps=4, step=1.0)
         calls = []
-        sampler = obs.TimelineSampler(sim, interval_seconds=1.0)
+        sampler = _sampler(sim, interval_seconds=1.0)
         sampler.add_probe(
             "repro_timeline_storage_fill_ratio", lambda t: calls.append(FILL) or 0.5
         )
@@ -459,8 +461,8 @@ class TestSamplerBookkeeping:
         sim.run()
         sampler.detach()
         assert sampler.series_names == (FILL, QUEUE, DRAW)
-        assert sampler.n_samples == 4
-        for sample in sampler.recent:
+        assert len(_samples(sampler)) == 4
+        for sample in _samples(sampler):
             assert list(sample["values"]) == [QUEUE, DRAW, FILL]
         assert sorted(calls) == sorted([FILL, QUEUE, DRAW] * 4)
 
@@ -475,7 +477,7 @@ class TestSamplerBookkeeping:
             counter = session.registry.counter(
                 "repro_obs_timeline_samples_total", label="run"
             )
-            assert counter.value == sampler.n_samples == 5
+            assert counter.value == session.n_timeline == 5
 
     def test_ost_probe_sees_a_write_at_one_simulated_time(self):
         sim = Simulator()
@@ -539,7 +541,7 @@ class TestGaugesOncePerEvent:
     def test_gauge_per_crossing_event_clock_per_tick(self):
         level, reads = [0.0], []
         sim = _scripted_sim(level)
-        sampler = obs.TimelineSampler(sim, interval_seconds=1.0)
+        sampler = _sampler(sim, interval_seconds=1.0)
         sampler.add_probes(_scripted_probes(level, reads))
         sampler.attach()
         sim.run()
@@ -551,7 +553,7 @@ class TestGaugesOncePerEvent:
         assert reads.count(LEVEL) == 3 and reads.count(CLOCK) == 5
         assert [
             (s["t"], s["values"][LEVEL], s["values"][CLOCK], s["values"][SLACK])
-            for s in sampler.recent
+            for s in _samples(sampler)
         ] == [
             (1.0, 2.0, 1.0, 9.0),
             (2.0, 4.0, 2.0, 8.0),
@@ -560,7 +562,7 @@ class TestGaugesOncePerEvent:
             (4.2, 4.0, 4.2, 10.0 - 4.2),
         ]
         # Each tick has its own record and values.
-        assert len({id(s["values"]) for s in sampler.recent}) == 5
+        assert len({id(s["values"]) for s in _samples(sampler)}) == 5
 
     def test_stripped_marks_write_the_same_bytes_and_alerts(self, tmp_path):
         rules = [
@@ -616,12 +618,12 @@ class TestPowerSeries:
         cluster = ComputeCluster(sim, n_nodes=25)
         idle, busy = (cluster.node_model.power(u) for u in (0.0, 1.0))
         self._late_change(sim, cluster, at=2.5)
-        sampler = obs.TimelineSampler(sim, interval_seconds=1.0)
+        sampler = _sampler(sim, interval_seconds=1.0)
         sampler.add_probes(obs.power_probes(cluster, cap_watts=CAP))
         sampler.attach()
         sim.run()
         sampler.detach()
-        rows = [(s["t"], s["values"]) for s in sampler.recent]
+        rows = [(s["t"], s["values"]) for s in _samples(sampler)]
         # The event at 2.5 crosses the ticks at 1 and 2: the draw reads the
         # power before the event there, the compute series the power after.
         assert [t for t, _ in rows] == [1.0, 2.0, 2.5]
@@ -635,7 +637,7 @@ class TestPowerSeries:
         sim = Simulator()
         cluster = ComputeCluster(sim, n_nodes=25)
         self._late_change(sim, cluster, at=3.5)
-        sampler = obs.TimelineSampler(sim, interval_seconds=1.0)
+        sampler = _sampler(sim, interval_seconds=1.0)
         sampler.add_probes(obs.power_probes(cluster, cap_watts=CAP))
         reads = []
         value_at = PowerSignal.value_at
@@ -785,7 +787,7 @@ class TestRowText:
         # Names, probes and row text are rebuilt at the next sample; every
         # line still reads as the encoder writes its record.
         sim = _ticking_sim(n_steps=4, step=1.0)
-        with obs.session(str(tmp_path), label="tl") as session:
+        with obs.session(str(tmp_path), label="tl", keep_records=True) as session:
             sampler = obs.TimelineSampler(sim, interval_seconds=1.0, session=session)
             sampler.add_probe(QUEUE, lambda t: -0.0 if t < 2.0 else t)
             sampler.attach()
@@ -794,8 +796,8 @@ class TestRowText:
             sim.run()
             sampler.detach()
         lines = (tmp_path / obs.TIMELINE_FILENAME).read_text().splitlines()
-        assert lines == [_ENCODER.encode(record) for record in sampler.recent]
-        assert [list(record["values"]) for record in sampler.recent] == [
+        assert lines == [_ENCODER.encode(record) for record in _samples(sampler)]
+        assert [list(record["values"]) for record in _samples(sampler)] == [
             [QUEUE], [QUEUE], [QUEUE, DRAW], [QUEUE, DRAW],
         ]
 
@@ -875,11 +877,6 @@ class TestPlatformIntegration:
         a = [m.to_dict() for m in plain.metrics]
         b = [m.to_dict() for m in sampled.metrics]
         assert a == b
-
-    def test_disabled_config_is_equivalent_to_none(self, tmp_path, small_spec):
-        d = tmp_path / "disabled"
-        _run_with_timeline(d, small_spec, enabled=False)
-        assert not (d / obs.TIMELINE_FILENAME).exists()
 
     def test_power_cap_alerts_are_deterministic(self, tmp_path, small_spec):
         a, b = tmp_path / "a", tmp_path / "b"
