@@ -19,6 +19,8 @@ from repro.errors import ConfigurationError
 
 __all__ = ["PState", "CpuPowerModel", "NodePowerModel"]
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class PState:
@@ -74,8 +76,9 @@ class CpuPowerModel:
         if not 0.0 <= utilization <= 1.0:
             raise ConfigurationError(f"utilization outside [0, 1]: {utilization}")
         f = self.base_frequency_ghz if frequency_ghz is None else frequency_ghz
-        if not f > 0:  # NaN too: a NaN draw would reach the power signal
-            raise ConfigurationError(f"non-positive frequency: {f}")
+        # NaN and inf too: a NaN or infinite draw would reach the power signal.
+        if not 0 < f < _INF:
+            raise ConfigurationError(f"frequency must be finite and > 0 GHz, got {f}")
         ratio = f / self.base_frequency_ghz
         dynamic = (self.peak_watts - self.idle_watts) * utilization**self.gamma
         return self.idle_watts + dynamic * ratio**3

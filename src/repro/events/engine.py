@@ -414,14 +414,17 @@ class Simulator:
         Raises
         ------
         SimulationError
-            If ``until`` is before the current time or is NaN.
+            If ``until`` is before the current time, infinite or NaN.
         DeadlockError
             If the queue drains while processes are still alive (they are
             waiting on events nobody will trigger).
         """
-        # ``not >=`` also rejects NaN, which would leave ``now`` at NaN.
-        if until is not None and not until >= self._now:
-            raise SimulationError(f"run(until={until}) needs a time at or after now={self._now}")
+        # ``not`` of the chain also rejects NaN, which would leave ``now`` at
+        # NaN, and inf, which would move it to inf once the queue drains.
+        if until is not None and not self._now <= until < _INF:
+            raise SimulationError(
+                f"run(until={until}) needs a finite time at or after now={self._now}"
+            )
         while self._heap:
             if until is not None and self.peek() > until:
                 self._now = until

@@ -110,7 +110,8 @@ class RowText:
     dict, but encodes each key once and keeps each column's last value and
     text: a column is re-formatted only when its value changed or is zero
     (``-0.0 == 0.0``, so zeros are re-formatted to keep their sign; NaN
-    never equals itself, so it is always re-formatted).
+    never equals itself, so it is always re-formatted), and only among the
+    columns the caller says may have moved.
     """
 
     __slots__ = ("_keys", "_last", "_text")
@@ -123,10 +124,14 @@ class RowText:
         self._last: List[Optional[float]] = [None] * len(names)
         self._text = [""] * len(names)
 
-    def render(self, row: Sequence[float]) -> str:
-        """The JSON text of ``dict(zip(names, row))``."""
+    def render(self, row: Sequence[float], columns: Optional[Sequence[int]] = None) -> str:
+        """The JSON text of ``dict(zip(names, row))``.
+
+        ``columns``, when given, are the only columns whose values may
+        differ from the last render's; every other column keeps its text.
+        """
         last, text = self._last, self._text
-        for i, value in enumerate(row):
+        for i, value in enumerate(row) if columns is None else ((i, row[i]) for i in columns):
             if value != last[i] or value == 0.0:
                 last[i] = value
                 text[i] = self._keys[i] + (

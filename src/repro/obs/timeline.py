@@ -30,13 +30,18 @@ Design constraints, in priority order:
   the crossing event's time it reports the power before that event, while
   the compute and storage series already report the power after it.  The
   headroom (cap minus draw) follows the draw, and ``power_cap_exceeded``
-  watches the draw.
+  watches the draw.  At a later tick of one event only the clock and
+  derived columns can move: that tick's values are the previous tick's,
+  copied, with those columns replaced; its text re-formats only them; and
+  the watchdog evaluates only the rules on them plus any rule in the
+  middle of an episode.  Every tick still gets its own record and values
+  dict.
 * **Observation only.**  Probes must not mutate simulation state; the
   sampler never schedules events (a timeout-based sampler would keep the
   event heap non-empty forever and break ``sim.run()``).
 
-A :class:`~repro.obs.watch.Watchdog` can be attached; it is evaluated at
-every sample and its alerts become ``obs.alert`` events in the main event
+A :class:`~repro.obs.watch.Watchdog` can be attached; it observes every
+sample and its alerts become ``obs.alert`` events in the main event
 stream plus ``repro_alert_<name>_total`` counters.
 
 Series names follow ``repro_timeline_<layer>_<name>_<unit>`` (see
@@ -176,6 +181,13 @@ class TimelineSampler:
         self._derived: List[Tuple[int, int, Callable[[float], float]]] = []
         self._row: List[float] = []
         self._row_text: Optional[RowText] = None
+        #: The clock and derived columns, sorted, and their series names:
+        #: all that can move between the ticks one event crosses.
+        self._moving: List[int] = []
+        self._moving_names: frozenset = frozenset()
+        #: The last sample's values, which the next tick of the same event
+        #: copies.
+        self._values: Dict[str, float] = {}
         #: ``repro_obs_timeline_samples_total{label}``, looked up at the
         #: first sample so that a sampler that never samples adds no series.
         self._samples_counter = None
@@ -238,8 +250,10 @@ class TimelineSampler:
         if self._next > now:
             return
         self._read_gauges(self._next)
+        later = False
         while self._next <= now:
-            self._sample(self._next)
+            self._sample(self._next, later)
+            later = True
             self._next += self.interval
 
     def _build(self) -> None:
@@ -255,6 +269,8 @@ class TimelineSampler:
                 self._derived.append((i, column[source], of))
             else:
                 self._clocks.append((i, fn))
+        self._moving = sorted(entry[0] for entry in self._clocks + self._derived)
+        self._moving_names = frozenset(self._names[i] for i in self._moving)
         self._row = [0.0] * len(self._names)
         self._row_text = RowText(self._names)
 
@@ -266,20 +282,32 @@ class TimelineSampler:
         for i, fn in self._gauges:
             row[i] = float(fn(t))
 
-    def _sample(self, t: float) -> None:
+    def _sample(self, t: float, later: bool = False) -> None:
         # The row keeps the gauges of the last _read_gauges; each tick
-        # fills its clock and derived columns.
+        # fills its clock and derived columns.  At a later tick of one
+        # event only those columns can have moved since the previous
+        # sample, so only they are copied into its values, re-rendered and
+        # re-checked.
         row = self._row
         for i, fn in self._clocks:
             row[i] = float(fn(t))
         for i, source, of in self._derived:
             row[i] = float(of(row[source]))
-        values = dict(zip(self._names, row))
+        if later:
+            columns, moved = self._moving, self._moving_names
+            values = self._values.copy()
+            names = self._names
+            for i in columns:
+                values[names[i]] = row[i]
+        else:
+            columns = moved = None
+            values = dict(zip(self._names, row))
+        self._values = values
         record = {"type": "sample", "t": t, "label": self.label, "values": values}
         self._last_t = t
         session = self.session
         # A session without a directory writes no file and needs no text.
-        text = None if session.directory is None else self._row_text.render(row)
+        text = None if session.directory is None else self._row_text.render(row, columns)
         session.emit_timeline(record, text)
         if self._samples_counter is None:
             self._samples_counter = session.registry.counter(
@@ -287,7 +315,7 @@ class TimelineSampler:
             )
         self._samples_counter.inc()
         if self.watchdog is not None:
-            for alert in self.watchdog.observe(t, values):
+            for alert in self.watchdog.observe(t, values, moved=moved):
                 self._emit_alert(alert)
 
     def _emit_alert(self, alert) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.naming import alert_metric_name, validate_timeline_series_name
@@ -188,6 +188,9 @@ class Watchdog:
         #: ``(rule, series, state, predicate)`` per sampled series-name set,
         #: in evaluation order: rules outer, sorted series inner.
         self._bindings: Dict[Tuple[str, ...], List[_Binding]] = {}
+        #: Over a run of calls with the same bindings and ``moved``: those
+        #: two and the bindings the run evaluates.
+        self._live: Optional[Tuple[List[_Binding], AbstractSet[str], List[_Binding]]] = None
         #: Every alert ever returned by :meth:`observe`, in firing order.
         self.alerts: List[Alert] = []
 
@@ -201,18 +204,40 @@ class Watchdog:
             if rule.matches(series)
         ]
 
-    def observe(self, t: float, values: Mapping[str, float]) -> List[Alert]:
+    def observe(
+        self, t: float, values: Mapping[str, float], *, moved: Optional[AbstractSet[str]] = None
+    ) -> List[Alert]:
         """Evaluate every rule against one sample; returns fresh alerts.
 
         ``values`` is the sample's ``{series: value}`` mapping.  Series a
         rule selects but the sample lacks are skipped (their breach state is
         untouched), so heterogeneous samplers can share one watchdog.  Rules
         are matched once per distinct set of series names.
+
+        ``moved``, when given, holds the only series whose values may differ
+        from the previous call's.  A binding on another series is then
+        evaluated only mid-episode (a breach begun, or a growth rule's run
+        of rises under way): otherwise its unchanged value would leave its
+        state as it is.
         """
         names = tuple(values)
         bindings = self._bindings.get(names)
         if bindings is None:
             bindings = self._bindings[names] = self._bind(names)
+        if moved is None:
+            self._live = None
+        else:
+            # A binding left out at the run's first call is not evaluated,
+            # so it cannot enter an episode before the run ends; one kept
+            # that leaves its episode is evaluated again to no effect.
+            live = self._live
+            if live is None or live[0] is not bindings or live[1] is not moved:
+                live = self._live = (bindings, moved, [
+                    binding for binding in bindings
+                    if binding[1] in moved or binding[2].breach_start is not None
+                    or binding[2].rises
+                ])
+            bindings = live[2]
         fired: List[Alert] = []
         for rule, series, state, predicate in bindings:
             value = float(values[series])

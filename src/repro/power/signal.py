@@ -22,14 +22,16 @@ from repro.errors import ConfigurationError, MeterError
 
 __all__ = ["PowerSignal"]
 
+_INF = float("inf")
+
 
 class PowerSignal:
     """An append-only piecewise-constant function of time (seconds → watts)."""
 
     def __init__(self, initial_watts: float = 0.0, start_time: float = 0.0, name: str = "") -> None:
         # repro-unit: initial_watts=watts, start_time=seconds
-        if not initial_watts >= 0:  # NaN too, as in set()
-            raise ConfigurationError(f"power must be >= 0 W, got {initial_watts}")
+        if not 0 <= initial_watts < _INF:  # NaN and inf too, as in set()
+            raise ConfigurationError(f"power must be finite and >= 0 W, got {initial_watts}")
         # A NaN start rejects every later set(); an infinite one any finite one.
         if not math.isfinite(start_time):
             raise ConfigurationError(f"start time must be finite, got {start_time}")
@@ -47,10 +49,11 @@ class PowerSignal:
         moves forward).  Setting the same value twice is a no-op; setting a
         new value at exactly the last breakpoint's time overwrites it.
         """
-        # ``not >=`` also rejects NaN, which would poison every integral
-        # and, as a time, let the next update go back in time.
-        if not watts >= 0:
-            raise ConfigurationError(f"power must be >= 0 W, got {watts}")
+        # ``not`` of the chain also rejects NaN and inf, which would poison
+        # every integral; ``not >=`` rejects a NaN time, which would let the
+        # next update go back in time.
+        if not 0 <= watts < _INF:
+            raise ConfigurationError(f"power must be finite and >= 0 W, got {watts}")
         last_t = self._times[-1]
         if not time >= last_t:
             raise MeterError(f"power signal update at {time} precedes the last one at {last_t}")

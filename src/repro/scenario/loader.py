@@ -97,6 +97,16 @@ def _yaml_module(path: str):
     return yaml
 
 
+def _safe_load(yaml, text: str):
+    """``yaml.safe_load(text)``, parsed by libyaml where PyYAML has it.
+
+    ``CSafeLoader`` and ``SafeLoader`` share ``SafeConstructor`` and the
+    resolver, so they build the same objects; the C parser is several
+    times faster.
+    """
+    return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
 def _parse_quantity(
     value,
     path: str,
@@ -436,7 +446,7 @@ def _parse_override_value(text: str):
         except ValueError:
             return text
     try:
-        return yaml.safe_load(text)
+        return _safe_load(yaml, text)
     except yaml.YAMLError:
         return text
 
@@ -522,7 +532,7 @@ def load_scenario(
     else:
         yaml = _yaml_module(path)
         try:
-            data = yaml.safe_load(text)
+            data = _safe_load(yaml, text)
         except yaml.YAMLError as exc:
             raise ScenarioError("", f"invalid YAML in {path}: {exc}")
     if data is None:

@@ -58,6 +58,12 @@ class TestCpuPowerModel:
         with pytest.raises(ConfigurationError):
             CpuPowerModel(idle_watts=100.0, peak_watts=50.0)
 
+    def test_infinite_frequency_rejected(self):
+        """An infinite frequency would make the draw inf."""
+        cpu = CpuPowerModel(idle_watts=10.0, peak_watts=100.0)
+        with pytest.raises(ConfigurationError):
+            cpu.power(0.5, frequency_ghz=float("inf"))
+
     def test_slowest_pstate(self):
         cpu = CpuPowerModel(idle_watts=10.0, peak_watts=100.0)
         assert cpu.slowest_pstate().frequency_ghz == 1.2
@@ -186,7 +192,7 @@ class TestNode:
         group.set_utilization(0.5)
         assert group.current_power == e5_2670_node().power(0.5)
 
-    @pytest.mark.parametrize("frequency_ghz", [0.0, float("nan")])
+    @pytest.mark.parametrize("frequency_ghz", [0.0, float("nan"), float("inf")])
     def test_rejected_set_leaves_the_group_unchanged(self, sim, frequency_ghz):
         group = NodeGroup(sim, 0, e5_2670_node())
         group.set_utilization(0.2)

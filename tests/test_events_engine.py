@@ -265,6 +265,16 @@ class TestRunControl:
         sim.run()
         assert (fired, sim.now) == ([3.0], 3.0)
 
+    def test_run_until_inf_raises(self, sim):
+        """``run(until=inf)`` would move now to inf once the queue drained."""
+        sim.timeout(1.0)
+        with pytest.raises(SimulationError):
+            sim.run(until=float("inf"))
+        assert (sim.now, sim.queue_depth) == (0.0, 1)
+        sim.run()
+        sim.timeout(2.0)
+        assert sim.peek() == 3.0
+
     def test_step_on_empty_queue_raises(self, sim):
         with pytest.raises(SimulationError):
             sim.step()

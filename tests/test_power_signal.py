@@ -64,6 +64,10 @@ class TestRecording:
         with pytest.raises(ConfigurationError):
             PowerSignal(float("nan"))
 
+    def test_infinite_initial_power_rejected(self):
+        with pytest.raises(ConfigurationError):
+            PowerSignal(float("inf"))
+
     @pytest.mark.parametrize("start", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_start_time_rejected(self, start):
         """Rejected where it is given, not at a later set()."""
@@ -77,6 +81,14 @@ class TestRecording:
             s.set(5.0, float("nan"))
         assert s.breakpoints == [(0.0, 10.0)]
         assert s.integrate(0.0, 10.0) == 100.0
+
+    def test_infinite_power_rejected(self):
+        """An infinite draw would make every integral over it inf."""
+        s = PowerSignal(10.0)
+        with pytest.raises(ConfigurationError):
+            s.set(1.0, float("inf"))
+        assert s.breakpoints == [(0.0, 10.0)]
+        assert s.integrate(0.0, 2.0) == 20.0
 
     def test_nan_time_rejected(self):
         """A NaN time would let the next update go back in time."""

@@ -280,6 +280,67 @@ class TestOverrides:
             apply_overrides(data, ["pipelines.7.kind=in-transit"])
 
 
+#: ``--set`` values covering each scalar the YAML resolver tells apart, and
+#: flow collections.
+_SET_VALUES = [
+    "3", "1e9", ".inf", ".nan", "~", "yes", "'3'", "0x10", "2024-02-29",
+    "[8, 24]", "{kind: in-transit, staging_nodes: 15}",
+]
+
+
+class TestYamlLoaders:
+    """libyaml's ``CSafeLoader`` builds what PyYAML's ``SafeLoader`` builds."""
+
+    @pytest.fixture
+    def yaml(self):
+        yaml = pytest.importorskip("yaml")
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML has no libyaml loader")
+        return yaml
+
+    @staticmethod
+    def _both(monkeypatch, yaml, load):
+        """``repr(load())`` through ``CSafeLoader``, then through ``SafeLoader``."""
+        with_c = repr(load())
+        monkeypatch.delattr(yaml, "CSafeLoader")
+        return with_c, repr(load())
+
+    @pytest.mark.parametrize(
+        "path", sorted(GALLERY_DIR.glob("*.yaml")), ids=lambda path: path.name
+    )
+    def test_every_template_loads_the_same(self, monkeypatch, yaml, path):
+        with_c, pure = self._both(monkeypatch, yaml, lambda: load_scenario(str(path)))
+        assert with_c == pure
+
+    @pytest.mark.parametrize("text", _SET_VALUES)
+    def test_every_set_value_parses_the_same(self, monkeypatch, yaml, text):
+        from repro.scenario.loader import _parse_override_value
+
+        with_c, pure = self._both(monkeypatch, yaml, lambda: _parse_override_value(text))
+        assert with_c == pure == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+    def test_libyaml_parses_files_and_set_values(self, monkeypatch, yaml):
+        parsed = []
+
+        class Recording(yaml.CSafeLoader):
+            def __init__(self, stream):
+                parsed.append(stream)
+                super().__init__(stream)
+
+        monkeypatch.setattr(yaml, "CSafeLoader", Recording)
+        load_scenario(str(GALLERY_DIR / "powercap-stress.yaml"), ["faults.seed=3"])
+        assert len(parsed) == 2 and parsed[1] == "3"
+
+    def test_malformed_yaml_raises_with_either_loader(self, monkeypatch, yaml, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("schema_version: 1\nsampling: [8, 24\n")
+        with pytest.raises(ScenarioError, match="invalid YAML"):
+            load_scenario(str(bad))
+        monkeypatch.delattr(yaml, "CSafeLoader")
+        with pytest.raises(ScenarioError, match="invalid YAML"):
+            load_scenario(str(bad))
+
+
 class TestBuilders:
     def test_default_scenario_builds_all_none(self):
         from repro.exec.supervise import TaskPolicy

@@ -501,17 +501,35 @@ SLACK = "repro_timeline_engine_slack_seconds"
 _EVENT_TIMES = (0.3, 1.0, 1.5, 4.2)
 
 
-def _scripted_sim(level: list) -> Simulator:
-    """One event per :data:`_EVENT_TIMES` entry; the k-th sets the level to k."""
+#: ``(level, time)`` per event: the k-th of :data:`_EVENT_TIMES` sets the
+#: level to k.
+_SCRIPT = tuple((float(k), t) for k, t in enumerate(_EVENT_TIMES, start=1))
+
+
+def _scripted_sim(level: list, script=_SCRIPT) -> Simulator:
+    """One event per ``(level, time)`` of ``script``, which sets the level."""
     sim = Simulator()
 
-    def script():
-        for k, t in enumerate(_EVENT_TIMES, start=1):
+    def run():
+        for value, t in script:
             yield sim.timeout(t - sim.now)
-            level[0] = float(k)
+            level[0] = value
 
-    sim.process(script())
+    sim.process(run())
     return sim
+
+
+@st.composite
+def _scripts(draw):
+    """Scripts on a 1 s grid whose events each cross 0–8 ticks and make the
+    level rise, hold, drop or read NaN."""
+    t, level, script = 0.0, 0.0, []
+    for step in draw(st.lists(_STEPS, max_size=12)):
+        # Quarter seconds add up exactly; 8 s spans at most 8 ticks.
+        t += draw(st.integers(min_value=0, max_value=32)) / 4.0
+        level += 0.0 if math.isnan(step) else step
+        script.append((step if math.isnan(step) else level, t))
+    return tuple(script)
 
 
 def _scripted_probes(level: list, reads: list) -> list:
@@ -564,17 +582,27 @@ class TestGaugesOncePerEvent:
         # Each tick has its own record and values.
         assert len({id(s["values"]) for s in _samples(sampler)}) == 5
 
-    def test_stripped_marks_write_the_same_bytes_and_alerts(self, tmp_path):
+    @settings(deadline=None, max_examples=150)
+    @given(script=_scripts())
+    @example(script=_SCRIPT)
+    def test_stripped_marks_write_the_same_bytes_and_alerts(self, script):
+        # Stripped, every probe is a clock probe: each tick reads, renders
+        # and checks every column, the reference the later ticks of an
+        # event (gauges kept, only clock and derived columns moved) match.
         rules = [
             obs.WatchRule(name="level_high", series=LEVEL, op=">", threshold=1.5,
                           for_seconds=1.5),
+            obs.WatchRule(name="level_over", series=LEVEL, op=">=", threshold=2.0),
+            obs.WatchRule(name="level_growth", series=LEVEL, kind="growth", window=3),
+            obs.WatchRule(name="clock_late", series=CLOCK, op=">", threshold=2.5,
+                          for_seconds=1.0),
             obs.WatchRule(name="clock_growth", series=CLOCK, kind="growth", window=3),
         ]
 
         def run(directory, strip_marks):
             level = [0.0]
-            sim = _scripted_sim(level)
-            with obs.session(str(directory), label="tl") as session:
+            sim = _scripted_sim(level, script)
+            with obs.session(str(directory), label="tl", keep_records=True) as session:
                 sampler = obs.TimelineSampler(
                     sim, interval_seconds=1.0, session=session, watchdog=obs.Watchdog(rules)
                 )
@@ -585,15 +613,26 @@ class TestGaugesOncePerEvent:
                 sampler.detach()
             timeline = (directory / obs.TIMELINE_FILENAME).read_bytes()
             events = (directory / obs.EVENTS_FILENAME).read_bytes()
-            return timeline, events
+            return timeline, events, session.timeline_records
 
-        marked = run(tmp_path / "marked", False)
-        assert run(tmp_path / "stripped", True) == marked
-        events = obs.read_jsonl(str(tmp_path / "marked" / obs.EVENTS_FILENAME))
-        alerts = collect_alerts(list(events))
-        assert [(a["rule"], a["t"]) for a in alerts] == [
-            ("level_high", 3.0), ("clock_growth", 3.0),
-        ]
+        with tempfile.TemporaryDirectory() as root:
+            timeline, events, records = run(Path(root) / "marked", False)
+            assert run(Path(root) / "stripped", True)[:2] == (timeline, events)
+        # A keep_records session (a pool shard) keeps each tick's own values
+        # dict, and the encoder writes each record as the row text did.
+        assert len({id(record["values"]) for record in records}) == len(records)
+        assert all(list(record["values"]) == [CLOCK, LEVEL, SLACK] for record in records)
+        assert [_ENCODER.encode(record) for record in records] == (
+            timeline.decode("utf-8").splitlines()
+        )
+        if script == _SCRIPT:
+            alerts = collect_alerts(
+                [json.loads(line) for line in events.decode("utf-8").splitlines()]
+            )
+            assert [(a["rule"], a["t"]) for a in alerts] == [
+                ("level_over", 1.0), ("level_high", 3.0), ("clock_growth", 3.0),
+                ("clock_late", 4.0),
+            ]
 
 
 # ------------------------------------------------------------ power series
@@ -686,6 +725,22 @@ def _named_rows(draw):
     return names, draw(st.lists(row, max_size=8))
 
 
+@st.composite
+def _moving_rows(draw):
+    """Names, a first row, then ``(columns, row)`` steps: each row keeps the
+    previous one's values outside its sorted ``columns``."""
+    names = sorted(draw(st.lists(st.text(), min_size=1, max_size=6, unique=True)))
+    first = row = draw(st.lists(_CELLS, min_size=len(names), max_size=len(names)))
+    steps = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        columns = sorted(draw(st.sets(st.integers(min_value=0, max_value=len(names) - 1))))
+        row = list(row)
+        for i in columns:
+            row[i] = draw(_CELLS)
+        steps.append((columns, row))
+    return names, first, steps
+
+
 #: A timeline record's ``values`` as the sampler builds them.
 _VALUES = {DRAW: 15_000.5, QUEUE: -0.0, FILL: math.nan, OST0: math.inf}
 
@@ -746,6 +801,21 @@ class TestRowText:
         text = RowText(names)
         for row in rows:
             assert text.render(row) == _ENCODER.encode(dict(zip(names, row)))
+
+    @settings(deadline=None, max_examples=300)
+    @given(_moving_rows())
+    @example((["a", "b", "c"], [0.0, math.nan, math.inf], [
+        ([0], [-0.0, math.nan, math.inf]),
+        ([0, 2], [0.0, math.nan, -math.inf]),
+        ([1], [0.0, math.nan, -math.inf]),
+        ([0, 1, 2], [-0.0, 1.5, math.inf]),
+    ]))
+    def test_rendering_only_the_moved_columns_is_the_encoder_text(self, moving_rows):
+        names, first, steps = moving_rows
+        text = RowText(names)
+        assert text.render(first) == _ENCODER.encode(dict(zip(names, first)))
+        for columns, row in steps:
+            assert text.render(row, columns) == _ENCODER.encode(dict(zip(names, row)))
 
     def test_names_must_come_sorted_and_distinct(self):
         for names in (["b", "a"], ["a", "a"]):
