@@ -5,10 +5,12 @@ torn JSON file that a later run loads: manifests, Prometheus expositions,
 bench reports and cache sidecars are all *whole-file* artifacts, so they get
 the classic write-to-temp + :func:`os.replace` treatment — the new content
 becomes visible atomically or not at all.  Append-only JSONL streams
-(sweep journals, the run store index) instead use a single ``O_APPEND``
-write per record, so a crash can at worst truncate the final line —
-exactly the damage :func:`repro.obs.exporters.read_jsonl` already
-tolerates and counts.
+instead hand each record to the OS as one ``os.write`` of its complete
+line, so a crash can at worst truncate the final line — exactly the damage
+:func:`repro.obs.exporters.read_jsonl` already tolerates and counts.  Sweep
+journals and the run store index open an ``O_APPEND`` descriptor per record
+(:func:`append_jsonl_line`); the telemetry streams keep one unbuffered
+descriptor open per stream (:class:`repro.obs.exporters.JsonlWriter`).
 """
 
 from __future__ import annotations

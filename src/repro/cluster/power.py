@@ -81,7 +81,17 @@ class CpuPowerModel:
             raise ConfigurationError(f"frequency must be finite and > 0 GHz, got {f}")
         ratio = f / self.base_frequency_ghz
         dynamic = (self.peak_watts - self.idle_watts) * utilization**self.gamma
-        return self.idle_watts + dynamic * ratio**3
+        try:
+            cube = ratio**3
+        except OverflowError:  # the cube leaves the float range
+            cube = _INF
+        watts = self.idle_watts + dynamic * cube
+        # A finite frequency can still overflow the draw: reject it here too.
+        if not watts < _INF:
+            raise ConfigurationError(
+                f"socket draw at utilization {utilization} and {f} GHz is not finite"
+            )
+        return watts
 
     def slowest_pstate(self) -> PState:
         """The lowest-frequency P-state (for idle-period management studies)."""
@@ -126,11 +136,11 @@ class NodePowerModel:
         if not 0.0 <= utilization <= 1.0:
             raise ConfigurationError(f"utilization outside [0, 1]: {utilization}")
         dram = self.dram_idle_watts + (self.dram_active_watts - self.dram_idle_watts) * utilization
-        return (
-            self.base_watts
-            + dram
-            + self.n_sockets * self.cpu.power(utilization, frequency_ghz)
-        )
+        cpu = self.cpu.power(utilization, frequency_ghz)
+        watts = self.base_watts + dram + self.n_sockets * cpu
+        if not watts < _INF:
+            raise ConfigurationError(f"node draw is not finite: {watts}")
+        return watts
 
     def dynamic_range(self) -> float:
         """Fractional increase from idle to peak (the paper's 193 % for compute)."""

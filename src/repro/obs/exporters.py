@@ -1,9 +1,10 @@
 """Telemetry exporters: JSONL event streams and Prometheus text exposition.
 
 * :class:`JsonlWriter` — append-only newline-delimited JSON; one record per
-  line, keys sorted, so streams diff cleanly across runs.  A timeline
-  sample's fixed ``label``/``trace``/``type`` text is encoded once per
-  writer; each of its lines formats only ``seq`` and ``t``.
+  line, keys sorted, so streams diff cleanly across runs, and each line
+  handed to the OS in one ``os.write``.  A timeline sample's fixed
+  ``label``/``trace``/``type`` text is encoded once per writer; each of its
+  lines formats only ``seq`` and ``t``.
 * :class:`RowText` — the JSON text of successive rows of one fixed set of
   float columns, re-formatting only the values that changed.
 * :func:`read_jsonl` — the matching reader (iterator of dicts).
@@ -18,7 +19,7 @@ import json
 import math
 import os
 import warnings
-from typing import IO, Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.obs.registry import DEFAULT_BUCKETS, Histogram, MetricsRegistry
 
@@ -35,9 +36,12 @@ _SAMPLE_KEYS = frozenset(("label", "seq", "t", "trace", "type", "values"))
 class JsonlWriter:
     """Append-only JSON-lines stream with deterministic key order.
 
-    Every record is flushed to the OS as one complete line, so a crashed
-    process leaves at most a torn *final* line — exactly the damage
-    :func:`read_jsonl` tolerates — never a buffer's worth of lost records.
+    Each record reaches the OS whole, as one ``os.write`` of its complete
+    line on an unbuffered descriptor (a short write is continued), the way
+    :func:`repro.atomicio.append_jsonl_line` appends journal records.  No
+    record waits in a buffer, so a process that dies abruptly leaves every
+    record it wrote and at most a torn *final* line, exactly the damage
+    :func:`read_jsonl` tolerates.
     """
 
     def __init__(self, path: str) -> None:
@@ -45,35 +49,37 @@ class JsonlWriter:
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        self._fh: Optional[IO[str]] = open(path, "w", encoding="utf-8")
-        self.n_written = 0
+        self._fd: Optional[int] = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         #: The last sample's ``(label, trace, type)`` and the line text
         #: before its ``seq`` and after its ``t``.
         self._sample_head: Optional[tuple] = None
         self._sample_text = ("", "")
 
     def write(self, record: dict, values_json: Optional[str] = None) -> None:
-        """Serialize one record onto its own line (flushed whole).
+        """Serialize one record onto its own line, written whole.
 
         ``values_json``, when given, is the already-encoded text of
         ``record["values"]`` (see :class:`RowText`); the line is the same
         as without it.
         """
-        if self._fh is None:
+        fd = self._fd
+        if fd is None:
             raise ValueError(f"writer for {self.path!r} is closed")
         if values_json is None:
-            line = _ENCODER.encode(record)
+            line = _ENCODER.encode(record) + "\n"
         else:
             line = self._line(record, values_json)
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        self.n_written += 1
+        data = line.encode()
+        written = os.write(fd, data)
+        while written < len(data):
+            data = data[written:]
+            written = os.write(fd, data)
 
     def _line(self, record: dict, values_json: str) -> str:
-        # A timeline sample (text label/trace/type, an int seq, a float or
-        # int t) is laid out here, encoding its fixed text only when it
-        # differs from the previous sample's; any other record goes through
-        # the encoder whole.
+        # The record's line, newline included.  A timeline sample (text
+        # label/trace/type, an int seq, a float or int t) is laid out here,
+        # encoding its fixed text only when it differs from the previous
+        # sample's; any other record goes through the encoder whole.
         seq, t = record.get("seq"), record.get("t")
         if record.keys() == _SAMPLE_KEYS and type(seq) is int and type(t) in (float, int):
             head = (record["label"], record["trace"], record["type"])
@@ -81,20 +87,20 @@ class JsonlWriter:
                 label, trace, kind = (_ENCODER.encode(text) for text in head)
                 self._sample_head = head
                 self._sample_text = (
-                    '{"label": ' + label + ', "seq": ',
-                    ', "trace": ' + trace + ', "type": ' + kind + ', "values": ',
+                    f'{{"label": {label}, "seq": ',
+                    f', "trace": {trace}, "type": {kind}, "values": ',
                 )
             if head == self._sample_head:
                 before, after = self._sample_text
                 t_text = repr(t) if type(t) is int or math.isfinite(t) else _ENCODER.encode(t)
-                return before + repr(seq) + ', "t": ' + t_text + after + values_json + "}"
-        return _ENCODER.encode(record)
+                return f'{before}{seq!r}, "t": {t_text}{after}{values_json}}}\n'
+        return _ENCODER.encode(record) + "\n"
 
     def close(self) -> None:
-        """Flush and close the stream (idempotent)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        """Close the stream (idempotent)."""
+        fd, self._fd = self._fd, None
+        if fd is not None:
+            os.close(fd)
 
     def __enter__(self) -> "JsonlWriter":
         return self
@@ -108,10 +114,10 @@ class RowText:
 
     :meth:`render` returns exactly what the shared encoder writes for that
     dict, but encodes each key once and keeps each column's last value and
-    text: a column is re-formatted only when its value changed or is zero
-    (``-0.0 == 0.0``, so zeros are re-formatted to keep their sign; NaN
-    never equals itself, so it is always re-formatted), and only among the
-    columns the caller says may have moved.
+    text: a column is re-formatted only when its value changed or a zero
+    flipped its sign (``-0.0 == 0.0``; NaN never equals itself, so it is
+    always re-formatted), and only among the columns the caller says may
+    have moved.
     """
 
     __slots__ = ("_keys", "_last", "_text")
@@ -130,11 +136,15 @@ class RowText:
         ``columns``, when given, are the only columns whose values may
         differ from the last render's; every other column keeps its text.
         """
-        last, text = self._last, self._text
-        for i, value in enumerate(row) if columns is None else ((i, row[i]) for i in columns):
-            if value != last[i] or value == 0.0:
+        last, text, keys = self._last, self._text, self._keys
+        for i in range(len(row)) if columns is None else columns:
+            value = row[i]
+            # -0.0 == 0.0, so a zero keeps its text only while its sign holds.
+            if value != last[i] or (
+                value == 0.0 and math.copysign(1.0, value) != math.copysign(1.0, last[i])
+            ):
                 last[i] = value
-                text[i] = self._keys[i] + (
+                text[i] = keys[i] + (
                     repr(value) if math.isfinite(value) else _ENCODER.encode(value)
                 )
         return "{" + ", ".join(text) + "}"

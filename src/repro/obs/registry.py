@@ -42,6 +42,8 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 
 _LabelKey = Tuple[Tuple[str, str], ...]
 
+_INF = float("inf")
+
 
 def _label_key(labels: Dict[str, str]) -> _LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
@@ -92,9 +94,12 @@ class Counter:
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be >= 0)."""
-        if amount < 0:
-            raise ConfigurationError(f"counter increment must be >= 0, got {amount}")
+        """Add ``amount`` (must be finite and >= 0)."""
+        # NaN and inf too: either would poison the counter for good.
+        if not 0 <= amount < _INF:
+            raise ConfigurationError(
+                f"counter increment must be finite and >= 0, got {amount}"
+            )
         self.value += float(amount)
 
 
@@ -133,8 +138,13 @@ class Histogram:
         self.count = 0
 
     def observe(self, value: float) -> None:
-        """Record one observation."""
+        """Record one observation (must be finite and >= 0)."""
         value = float(value)
+        # A NaN would land in the first bucket and turn the sum into NaN.
+        if not 0 <= value < _INF:
+            raise ConfigurationError(
+                f"histogram observation must be finite and >= 0, got {value}"
+            )
         self.bucket_counts[bisect.bisect_left(self.bounds, value)] += 1
         self.sum += value
         self.count += 1
@@ -164,7 +174,7 @@ _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 class _Family:
     """All series sharing one metric name."""
 
-    __slots__ = ("name", "kind", "help", "bounds", "series")
+    __slots__ = ("name", "kind", "help", "bounds", "series", "_by_items")
 
     def __init__(self, name: str, kind: str, help: str, bounds: Optional[Sequence[float]]) -> None:
         self.name = name
@@ -172,8 +182,15 @@ class _Family:
         self.help = help
         self.bounds = tuple(bounds) if bounds is not None else None
         self.series: Dict[_LabelKey, object] = {}
+        #: Series by a text-only label set's items in the order given, so
+        #: that a label set is sorted into its key only when first seen.
+        self._by_items: Dict[tuple, object] = {}
 
     def child(self, labels: Dict[str, str]):
+        items = tuple(labels.items())
+        metric = self._by_items.get(items)
+        if metric is not None:
+            return metric
         key = _label_key(labels)
         metric = self.series.get(key)
         if metric is None:
@@ -182,6 +199,9 @@ class _Family:
             else:
                 metric = _KINDS[self.kind](labels)
             self.series[key] = metric
+        # Only text: items equal as tuples can differ in text (1 == True).
+        if all(type(k) is str and type(v) is str for k, v in items):
+            self._by_items[items] = metric
         return metric
 
 

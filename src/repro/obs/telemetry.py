@@ -99,9 +99,9 @@ class TelemetrySession:
         self.config = dict(config) if config is not None else {}
         self.created_unix = time.time()
         #: Owning process.  Forked pool workers inherit ``_ACTIVE`` (and its
-        #: open file handle); the helpers treat a session from another pid
-        #: as absent, so workers fall through to their own shard sessions
-        #: instead of corrupting the parent's stream.
+        #: open stream descriptors); the helpers treat a session from
+        #: another pid as absent, so workers fall through to their own shard
+        #: sessions instead of corrupting the parent's stream.
         self.pid = os.getpid()
         self.run_id = f"{label}-{self.pid}-{int(self.created_unix)}"
         #: The trace this session belongs to.  Root sessions derive a

@@ -64,6 +64,14 @@ class TestCpuPowerModel:
         with pytest.raises(ConfigurationError):
             cpu.power(0.5, frequency_ghz=float("inf"))
 
+    @pytest.mark.parametrize("frequency_ghz", [1e103, 1e200])
+    def test_overflowing_frequency_rejected(self, frequency_ghz):
+        """A finite frequency whose draw overflows: inf at 1e103, and the
+        cube alone leaves the float range at 1e200."""
+        cpu = CpuPowerModel(idle_watts=10.0, peak_watts=100.0)
+        with pytest.raises(ConfigurationError):
+            cpu.power(1.0, frequency_ghz)
+
     def test_slowest_pstate(self):
         cpu = CpuPowerModel(idle_watts=10.0, peak_watts=100.0)
         assert cpu.slowest_pstate().frequency_ghz == 1.2
@@ -74,6 +82,13 @@ class TestCpuPowerModel:
 
 
 class TestNodePowerModel:
+    def test_infinite_sum_rejected(self):
+        """Each socket's draw is finite, but two of them overflow."""
+        node = NodePowerModel(cpu=CpuPowerModel(idle_watts=10.0, peak_watts=1e308))
+        assert node.cpu.power(1.0) == 1e308
+        with pytest.raises(ConfigurationError):
+            node.power(1.0)
+
     def test_caddy_node_calibration(self):
         """The calibrated node hits the paper's 100 W / 293.3 W endpoints."""
         node = e5_2670_node()
@@ -192,7 +207,7 @@ class TestNode:
         group.set_utilization(0.5)
         assert group.current_power == e5_2670_node().power(0.5)
 
-    @pytest.mark.parametrize("frequency_ghz", [0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("frequency_ghz", [0.0, float("nan"), float("inf"), 1e103, 1e200])
     def test_rejected_set_leaves_the_group_unchanged(self, sim, frequency_ghz):
         group = NodeGroup(sim, 0, e5_2670_node())
         group.set_utilization(0.2)
@@ -207,6 +222,7 @@ class TestNode:
             group.utilization, group.frequency_ghz, group.current_power,
             group.busy_core_seconds(), group.power_signal.breakpoints,
         ) == before
+        assert all(math.isfinite(watts) for watts in group._watts.values())
         sim.run(until=20.0)
         assert group.busy_core_seconds() == 0.2 * group.n_cores * 20.0
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.characterization import run_characterization
@@ -14,7 +17,7 @@ from repro.errors import ConfigurationError
 from repro.events.engine import Simulator
 from repro.obs.cli import main as obs_cli_main
 from repro.obs.cli import resolve_directory, summarize
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import DEFAULT_BUCKETS, Counter, Histogram, MetricsRegistry
 from repro.ocean.driver import MPASOceanConfig
 from repro.pipelines.base import PipelineSpec
 from repro.units import MONTH
@@ -83,6 +86,26 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             reg.counter("repro_storage_writes_total").inc(-1.0)
 
+    @pytest.mark.parametrize("amount", [float("nan"), float("inf")])
+    def test_counter_rejects_non_finite(self, amount):
+        reg = MetricsRegistry()
+        c = reg.counter("repro_storage_writes_total")
+        c.inc(2.0)
+        with pytest.raises(ConfigurationError):
+            c.inc(amount)
+        assert c.value == 2.0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_histogram_rejects_non_finite_and_negative(self, value):
+        reg = MetricsRegistry()
+        h = reg.histogram("repro_pipeline_phase_seconds", buckets=(1.0, 10.0))
+        h.observe(0.5)
+        with pytest.raises(ConfigurationError):
+            h.observe(value)
+        assert h.cumulative() == [(1.0, 1), (10.0, 1), (float("inf"), 1)]
+        assert (h.sum, h.count) == (0.5, 1)
+        assert "nan" not in obs.to_prometheus(reg)
+
     def test_gauge_moves_both_ways(self):
         reg = MetricsRegistry()
         g = reg.gauge("repro_cluster_utilization_ratio")
@@ -104,9 +127,68 @@ class TestRegistry:
 
     def test_same_labels_return_same_series(self):
         reg = MetricsRegistry()
-        a = reg.counter("repro_pipeline_runs_total", pipeline="x", mode="sim")
-        b = reg.counter("repro_pipeline_runs_total", mode="sim", pipeline="x")
-        assert a is b
+        labels = {"pipeline": "x", "mode": "sim", "cached": "false"}
+        first = reg.counter("repro_pipeline_runs_total", **labels)
+        for _ in range(2):  # a label set seen before, in every keyword order
+            for order in itertools.permutations(labels):
+                assert reg.counter(
+                    "repro_pipeline_runs_total", **{k: labels[k] for k in order}
+                ) is first
+        assert reg.counter("repro_pipeline_runs_total") is reg.counter("repro_pipeline_runs_total")
+        assert len(reg.snapshot()["repro_pipeline_runs_total"]["series"]) == 2
+
+    def test_label_values_name_series_by_their_text(self):
+        # 1 and "1" read the same; 1 and True are equal as dict keys but
+        # read "1" and "True", so they name two series.
+        reg = MetricsRegistry()
+        for _ in range(2):
+            one = reg.counter("repro_pipeline_runs_total", node=1)
+            assert reg.counter("repro_pipeline_runs_total", node="1") is one
+            true = reg.counter("repro_pipeline_runs_total", node=True)
+            assert true is not one
+            assert reg.counter("repro_pipeline_runs_total", node=1) is one
+            assert reg.counter("repro_pipeline_runs_total", node=True) is true
+            one.inc()
+            true.inc(2.0)
+        text = obs.to_prometheus(reg)
+        assert 'repro_pipeline_runs_total{node="1"} 2' in text
+        assert 'repro_pipeline_runs_total{node="True"} 4' in text
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.tuples(
+        st.dictionaries(st.sampled_from(["a", "b", "c"]),
+                        st.sampled_from([1, "1", True, 1.0, "x", 0.0, -0.0])),
+        st.floats(min_value=0.0, max_value=10.0),
+    ), max_size=20))
+    def test_lookups_match_sorted_key_lookups(self, lookups):
+        # The reference finds every series by its sorted text key, with no
+        # shortcut for a label set seen before.
+        def sorted_key_child(family, labels):
+            key = tuple(sorted((k, str(v)) for k, v in labels.items()))
+            if key not in family.series:
+                family.series[key] = (
+                    Histogram(labels, family.bounds or DEFAULT_BUCKETS)
+                    if family.kind == "histogram" else Counter(labels)
+                )
+            return family.series[key]
+
+        reg, reference = MetricsRegistry(), MetricsRegistry()
+        for labels, amount in lookups:
+            reg.counter("repro_pipeline_runs_total", **labels).inc(amount)
+            reg.histogram("repro_pipeline_phase_seconds", **labels).observe(amount)
+            for name, kind in (("repro_pipeline_runs_total", "counter"),
+                               ("repro_pipeline_phase_seconds", "histogram")):
+                metric = sorted_key_child(reference._family(name, kind, ""), labels)
+                if kind == "counter":
+                    metric.inc(amount)
+                else:
+                    metric.observe(amount)
+
+        def typed(snapshot):  # 1 == True as label values: compare their JSON
+            return json.dumps(snapshot, sort_keys=True)
+
+        assert typed(reg.snapshot()) == typed(reference.snapshot())
+        assert obs.to_prometheus(reg) == obs.to_prometheus(reference)
 
     def test_histogram_buckets_are_cumulative(self):
         reg = MetricsRegistry()

@@ -13,7 +13,10 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -795,6 +798,7 @@ class TestRowText:
     @settings(deadline=None, max_examples=300)
     @given(_named_rows())
     @example((["a"], [[0.0], [-0.0], [0.0]]))
+    @example((["a", "b"], [[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]))
     @example((["a"], [[math.nan], [math.nan]]))
     def test_render_is_the_encoder_text(self, named_rows):
         names, rows = named_rows
@@ -809,6 +813,9 @@ class TestRowText:
         ([0, 2], [0.0, math.nan, -math.inf]),
         ([1], [0.0, math.nan, -math.inf]),
         ([0, 1, 2], [-0.0, 1.5, math.inf]),
+    ]))
+    @example((["a", "b"], [0.0, 1.0], [
+        ([0], [-0.0, 1.0]), ([0], [-0.0, 1.0]), ([0], [0.0, 1.0]),
     ]))
     def test_rendering_only_the_moved_columns_is_the_encoder_text(self, moving_rows):
         names, first, steps = moving_rows
@@ -1039,6 +1046,92 @@ class TestTelemetryBytesArePinned:
             obs.TIMELINE_FILENAME:
                 "7ac3b00d9b9dafb2c25b1180fb4a875fcdf5baf72fa2464055ce0b992fa2bde1",
         }
+
+
+# ------------------------------------------------------------ stream writes
+
+#: A child that writes events and timeline samples through a session, saves
+#: the encoder's lines of every record it emitted, and exits without
+#: closing the session.
+_ABRUPT_EXIT = """
+import os, sys
+from repro import obs
+from repro.events.engine import Simulator
+from repro.obs.exporters import _ENCODER
+from repro.obs.timeline import state_probe
+
+directory = sys.argv[1]
+sim = Simulator()
+
+def ticker():
+    for _ in range(6):
+        yield sim.timeout(1.25)
+
+sim.process(ticker())
+with obs.session(directory, label="killed", keep_records=True,
+                 timeline=obs.TimelineConfig(interval_seconds=0.5)) as session:
+    sampler = obs.TimelineSampler(sim, interval_seconds=0.5, session=session)
+    sampler.add_probe("repro_timeline_engine_queue_depth_total",
+                      state_probe(lambda t: sim.queue_depth))
+    sampler.add_probe("repro_timeline_power_draw_watts", lambda t: 100.0 - t)
+    sampler.attach()
+    obs.event("begin", n=1)
+    with obs.span("run", clock=sim):
+        sim.run()
+    obs.event("end", note="caf\u00e9")
+    for name, records in (("events", session.records),
+                          ("timeline", session.timeline_records)):
+        with open(os.path.join(directory, name + ".expected"), "w") as fh:
+            fh.write("".join(_ENCODER.encode(record) + "\\n" for record in records))
+    os._exit(0)
+"""
+
+
+class TestJsonlWriter:
+    def test_records_survive_an_abrupt_exit(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", _ABRUPT_EXIT, str(tmp_path)],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert out.returncode == 0, out.stderr[-2000:]
+        # The session never closed: no manifest, and every record it
+        # emitted is on disk, each line as the encoder writes it.
+        assert not (tmp_path / obs.MANIFEST_FILENAME).exists()
+        for name in ("events", "timeline"):
+            expected = (tmp_path / f"{name}.expected").read_bytes()
+            assert expected.count(b"\n") >= 3
+            assert (tmp_path / f"{name}.jsonl").read_bytes() == expected
+
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        import repro.obs.exporters as exporters
+
+        real_write = os.write
+        sizes = []
+
+        def write_at_most_7_bytes(fd, data):
+            sizes.append(len(data))
+            return real_write(fd, data[:7])
+
+        records = [_sample_record("run", "t1", 1, 0.5), _sample_record("run", "t1", 2, -0.0)]
+        events = [{"type": "event", "name": "caf\u00e9", "seq": 3, "trace": "t1"}]
+        path = tmp_path / "records.jsonl"
+        monkeypatch.setattr(exporters.os, "write", write_at_most_7_bytes)
+        with JsonlWriter(str(path)) as writer:
+            for record, values_json in records:
+                writer.write(record, values_json)
+            for record in events:
+                writer.write(record)
+        monkeypatch.undo()
+        expected = [_ENCODER.encode(record) for record, _ in records]
+        expected += [_ENCODER.encode(record) for record in events]
+        assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in expected)
+        # Each line's first write offered the whole line; the rest continued it.
+        assert len(sizes) == sum(math.ceil((len(line) + 1) / 7) for line in expected)
+        assert sizes[0] == len(expected[0]) + 1
 
 
 # ---------------------------------------------------------------- obs CLI
