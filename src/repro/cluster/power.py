@@ -22,6 +22,22 @@ __all__ = ["PState", "CpuPowerModel", "NodePowerModel"]
 _INF = float("inf")
 
 
+def _require(model: object, name: str, unit: str, positive: bool = False) -> None:
+    """Reject a NaN, infinite or out-of-range constant where it arrives.
+
+    Left in, such a value fails far from the input (a NaN idle power makes
+    every draw NaN) or silently bends the model (``gamma = inf`` flattens
+    the utilization curve).
+    """
+    value = getattr(model, name)
+    # ``not`` of the chain also rejects NaN.
+    if not (0 < value < _INF if positive else 0 <= value < _INF):
+        floor = "> 0" if positive else ">= 0"
+        raise ConfigurationError(
+            f"{type(model).__name__}.{name} must be finite and {floor}{unit}, got {value}"
+        )
+
+
 @dataclass(frozen=True)
 class PState:
     """A DVFS operating point of a CPU socket."""
@@ -32,8 +48,7 @@ class PState:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.frequency_ghz <= 0:
-            raise ConfigurationError(f"non-positive frequency: {self.frequency_ghz}")
+        _require(self, "frequency_ghz", " GHz", positive=True)
 
 
 @dataclass(frozen=True)
@@ -60,14 +75,14 @@ class CpuPowerModel:
     )
 
     def __post_init__(self) -> None:
-        if self.idle_watts < 0:
-            raise ConfigurationError(f"negative idle power: {self.idle_watts}")
+        _require(self, "idle_watts", " W")
+        _require(self, "peak_watts", " W")
+        _require(self, "base_frequency_ghz", " GHz", positive=True)
+        _require(self, "gamma", "", positive=True)
         if self.peak_watts < self.idle_watts:
             raise ConfigurationError(
                 f"peak power {self.peak_watts} below idle {self.idle_watts}"
             )
-        if self.gamma <= 0:
-            raise ConfigurationError(f"gamma must be positive: {self.gamma}")
         if not self.pstates:
             raise ConfigurationError("a CPU needs at least one P-state")
 
@@ -116,8 +131,8 @@ class NodePowerModel:
     def __post_init__(self) -> None:
         if self.n_sockets < 1:
             raise ConfigurationError(f"node needs >= 1 socket, got {self.n_sockets}")
-        if min(self.base_watts, self.dram_idle_watts) < 0:
-            raise ConfigurationError("negative component power")
+        for name in ("base_watts", "dram_idle_watts", "dram_active_watts"):
+            _require(self, name, " W")
         if self.dram_active_watts < self.dram_idle_watts:
             raise ConfigurationError("active DRAM power below idle DRAM power")
 

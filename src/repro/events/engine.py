@@ -78,7 +78,7 @@ class Event:
         # Simulator._enqueue, inlined: the most frequent trigger.
         sim = self.sim
         sim._counter += 1
-        heappush(sim._heap, (sim._now, sim._counter, self))
+        heappush(sim._heap, (sim.now, sim._counter, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -116,7 +116,7 @@ class Timeout(Event):
         self.defused = False
         self.delay = delay
         sim._counter += 1
-        heappush(sim._heap, (sim._now + delay, sim._counter, self))
+        heappush(sim._heap, (sim.now + delay, sim._counter, self))
 
 
 class Process(Event):
@@ -227,8 +227,9 @@ class Process(Event):
                     SimulationError("yielded an event belonging to another Simulator")
                 )
                 continue
-            if target.processed:
-                # Already fired and delivered: resume immediately with its value.
+            if target.callbacks is None:
+                # Already fired and delivered (processed): resume immediately
+                # with its value.
                 event = target
                 continue
             target.callbacks.append(self._resume)
@@ -308,20 +309,20 @@ class Simulator:
         sim = Simulator()
         sim.process(gen)      # register processes
         sim.run()             # run to quiescence (or run(until=t))
+
+    :attr:`now`, the current simulated time in seconds, is a plain
+    attribute: the simulator's models read it on every event, and a read
+    costs no property call.  Only the engine assigns it (:meth:`step` and
+    :meth:`run`); code outside it reads it and never writes it.
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        self.now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._counter = 0
         self._active_processes = 0
         self._n_processed = 0
         self._step_listeners: list[Callable[[Event, float], None]] = []
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def queue_depth(self) -> int:
@@ -341,7 +342,7 @@ class Simulator:
     def _enqueue(self, event: Event) -> None:
         """Schedule a triggered ``event`` at the current time."""
         self._counter += 1
-        heappush(self._heap, (self._now, self._counter, event))
+        heappush(self._heap, (self.now, self._counter, event))
 
     def event(self) -> Event:
         """Create a fresh pending event."""
@@ -395,9 +396,9 @@ class Simulator:
         if not self._heap:
             raise SimulationError("step() on an empty event queue")
         time, _, event = heappop(self._heap)
-        if time < self._now:  # pragma: no cover - guarded by _enqueue
+        if time < self.now:  # pragma: no cover - guarded by _enqueue
             raise SimulationError("event scheduled in the past")
-        self._now = time
+        self.now = time
         self._n_processed += 1
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
@@ -406,10 +407,13 @@ class Simulator:
             raise event._value
         if self._step_listeners:
             for listener in tuple(self._step_listeners):
-                listener(event, self._now)
+                listener(event, self.now)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or simulated time reaches ``until``.
+
+        Each event is dispatched exactly as :meth:`step` dispatches it, by
+        this method's own loop rather than a call to :meth:`step`.
 
         Raises
         ------
@@ -421,18 +425,34 @@ class Simulator:
         """
         # ``not`` of the chain also rejects NaN, which would leave ``now`` at
         # NaN, and inf, which would move it to inf once the queue drains.
-        if until is not None and not self._now <= until < _INF:
+        if until is not None and not self.now <= until < _INF:
             raise SimulationError(
-                f"run(until={until}) needs a finite time at or after now={self._now}"
+                f"run(until={until}) needs a finite time at or after now={self.now}"
             )
-        while self._heap:
-            if until is not None and self.peek() > until:
-                self._now = until
+        heap = self._heap
+        listeners = self._step_listeners
+        # No event is later than an infinite horizon: ``run()`` drains.
+        horizon = _INF if until is None else until
+        while heap:
+            if heap[0][0] > horizon:
+                self.now = until
                 return
-            self.step()
+            time, _, event = heappop(heap)
+            if time < self.now:  # pragma: no cover - guarded by _enqueue
+                raise SimulationError("event scheduled in the past")
+            self.now = time
+            self._n_processed += 1
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks:
+                callback(event)
+            if not event._ok and not event.defused:
+                raise event._value
+            if listeners:
+                for listener in tuple(listeners):
+                    listener(event, self.now)
         if self._active_processes > 0:
             raise DeadlockError(
                 f"event queue drained with {self._active_processes} process(es) still waiting"
             )
         if until is not None:
-            self._now = until
+            self.now = until

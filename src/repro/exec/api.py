@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.errors import ConfigurationError
@@ -276,10 +277,26 @@ class RunRequest:
             **topology,
         )
 
+    @cached_property
+    def _canonical_text(self) -> str:
+        """The canonical JSON text of :meth:`to_dict`, built on first use.
+
+        The request is frozen, so its text never changes.  Only the text is
+        kept: a memoised dict could be mutated by whoever it was handed to.
+        """
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
     def cache_key(self, code_version: str) -> str:
-        """Content address: sha256 of the canonical (request, code) JSON."""
-        payload = {"request": self.to_dict(), "code_version": code_version}
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        """Content address: sha256 of the canonical (request, code) JSON.
+
+        The text is ``json.dumps({"request": self.to_dict(), "code_version":
+        code_version}, sort_keys=True, separators=(",", ":"))``, composed
+        from the request's memoised text.
+        """
+        canonical = (
+            f'{{"code_version":{json.dumps(code_version)},'
+            f'"request":{self._canonical_text}}}'
+        )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def task_seed(self) -> int:

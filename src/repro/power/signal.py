@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -108,7 +108,14 @@ class PowerSignal:
         holds its state until it changes it), so ``t1`` may exceed
         :attr:`last_time`.
         """
-        return _integral(np.asarray(self._times), np.asarray(self._watts), t0, t1)
+        times = np.asarray(self._times)
+        if t1 < t0:
+            raise MeterError(f"reversed integration window [{t0}, {t1}]")
+        if t0 < times[0]:
+            raise MeterError(f"window starts at {t0}, before signal start {times[0]}")
+        if t1 == t0:
+            return 0.0
+        return _energy_over(times, np.asarray(self._watts))(t0, t1)
 
     def mean(self, t0: float, t1: float) -> float:
         # repro-unit: watts, t0=seconds, t1=seconds
@@ -118,17 +125,19 @@ class PowerSignal:
     def means(self, edges: Sequence[float]) -> list[float]:
         """:meth:`mean` over each window ``[edges[i], edges[i + 1]]``.
 
-        The breakpoint lists become arrays once for all the windows; each
-        window's arithmetic is :meth:`integrate`'s, so a window's mean does
-        not depend on the other windows, bit for bit.
+        A window's mean is :meth:`integrate`'s arithmetic over it divided by
+        its width, so it does not depend on the other windows, bit for bit.
         """
         times = np.asarray(self._times)
-        watts = np.asarray(self._watts)
+        energy = _energy_over(times, np.asarray(self._watts))
+        first = times[0]
         out = []
         for t0, t1 in zip(edges[:-1], edges[1:]):
             if t1 <= t0:
                 raise MeterError(f"degenerate averaging window [{t0}, {t1}]")
-            out.append(_integral(times, watts, t0, t1) / (t1 - t0))
+            if t0 < first:
+                raise MeterError(f"window starts at {t0}, before signal start {first}")
+            out.append(energy(t0, t1) / (t1 - t0))
         return out
 
     def max_over(self, t0: float, t1: float) -> float:
@@ -156,20 +165,30 @@ class PowerSignal:
             raise ConfigurationError("total() of zero signals")
         distinct = list({id(s): s for s in signals}.values())
         start = max(s.start_time for s in distinct)
+        times = [np.asarray(s._times) for s in distinct]
         merged = _sorted_unique(
-            np.concatenate(
-                [np.asarray(s._times)[np.asarray(s._times) >= start] for s in distinct]
-                + [np.array([start])]
-            )
+            np.concatenate([t[t >= start] for t in times] + [np.array([start])])
         )
-        # Vectorized sum: sample every signal at every merged breakpoint.
-        samples = {id(s): s.samples(merged) for s in distinct}
+        # Vectorized sum: sample every signal at every merged breakpoint
+        # (``samples``, on the arrays above), then add it once per appearance.
+        samples = {
+            id(s): np.asarray(s._watts)[np.searchsorted(t, merged, side="right") - 1]
+            for s, t in zip(distinct, times)
+        }
         total_watts = np.zeros(merged.size)
         for s in signals:
             total_watts += samples[id(s)]
+        # The breakpoints set() would keep: the merged times are distinct,
+        # so each sum that differs from the one before opens a segment.
+        if not total_watts.max() < _INF:  # finite inputs can overflow to inf
+            bad = total_watts[~(total_watts < _INF)][0]
+            raise ConfigurationError(f"power must be finite and >= 0 W, got {float(bad)}")
+        keep = np.empty(merged.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(total_watts[1:], total_watts[:-1], out=keep[1:])
         out = PowerSignal(float(total_watts[0]), start_time=float(merged[0]), name=name)
-        for t, w in zip(merged[1:], total_watts[1:]):
-            out.set(float(t), float(w))
+        out._times = merged[keep].tolist()
+        out._watts = total_watts[keep].tolist()
         return out
 
     def samples(self, times: Sequence[float]) -> np.ndarray:
@@ -200,19 +219,28 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _integral(times: np.ndarray, watts: np.ndarray, t0: float, t1: float) -> float:
-    # repro-unit: joules, t0=seconds, t1=seconds
-    """Energy over ``[t0, t1]`` of the signal with breakpoint arrays
-    ``times``/``watts``; see :meth:`PowerSignal.integrate`."""
-    if t1 < t0:
-        raise MeterError(f"reversed integration window [{t0}, {t1}]")
-    if t0 < times[0]:
-        raise MeterError(f"window starts at {t0}, before signal start {times[0]}")
-    if t1 == t0:
-        return 0.0
-    # Segment i covers [times[i], times[i+1]) with power watts[i]; the final
-    # segment extends to t1.
-    edges = np.append(times, max(t1, times[-1]))
-    lo = np.clip(edges[:-1], t0, t1)
-    hi = np.clip(edges[1:], t0, t1)
-    return float(np.sum((hi - lo) * watts))
+def _energy_over(times: np.ndarray, watts: np.ndarray) -> Callable[[float, float], float]:
+    """Energy over ``[t0, t1]``, for ``times[0] <= t0 < t1``, of the signal
+    with breakpoint arrays ``times``/``watts``; see :meth:`PowerSignal.integrate`.
+
+    Segment i covers ``[times[i], times[i+1])`` with power ``watts[i]``.  The
+    segment edges are built once, with ``inf`` as the last: it clips to
+    ``t1``, so the final segment extends to ``t1`` whether or not ``t1``
+    passes the last breakpoint.  Each window clips the edges into a buffer
+    kept across calls, and a segment's clipped end is the next one's
+    clipped start.  Every window sums its product over every segment:
+    numpy's pairwise summation groups terms by index, so leaving out the
+    segments outside the window would change the last bits.
+    """
+    edges = np.append(times, _INF)
+    clipped = np.empty(edges.size)
+    span = np.empty(times.size)
+
+    def energy(t0: float, t1: float) -> float:
+        # repro-unit: joules, t0=seconds, t1=seconds
+        # np.clip(edges, t0, t1), by ufunc into the buffer.
+        np.minimum(np.maximum(edges, t0, out=clipped), t1, out=clipped)
+        np.subtract(clipped[1:], clipped[:-1], out=span)
+        return float(np.sum(np.multiply(span, watts, out=span)))
+
+    return energy

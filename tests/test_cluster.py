@@ -119,6 +119,70 @@ class TestNodePowerModel:
             )
 
 
+_NAN = float("nan")
+_INF = float("inf")
+
+
+def _cpu(**constants) -> CpuPowerModel:
+    return CpuPowerModel(**{"idle_watts": 10.0, "peak_watts": 100.0, **constants})
+
+
+class TestConstantsCheckedWhereTheyArrive:
+    """A NaN, infinite or out-of-range constant fails in the constructor,
+    naming its field, not at a later ``power()`` call far from the input."""
+
+    @pytest.mark.parametrize("value", [_NAN, _INF, -1.0])
+    def test_cpu_idle_watts(self, value):
+        with pytest.raises(ConfigurationError, match=r"CpuPowerModel\.idle_watts"):
+            _cpu(idle_watts=value)
+
+    @pytest.mark.parametrize("value", [_NAN, _INF])
+    def test_cpu_peak_watts(self, value):
+        with pytest.raises(ConfigurationError, match=r"CpuPowerModel\.peak_watts"):
+            _cpu(peak_watts=value)
+
+    @pytest.mark.parametrize("value", [0.0, _NAN, _INF, -2.6])
+    def test_cpu_base_frequency_ghz(self, value):
+        with pytest.raises(ConfigurationError, match=r"CpuPowerModel\.base_frequency_ghz"):
+            _cpu(base_frequency_ghz=value)
+
+    @pytest.mark.parametrize("value", [0.0, _NAN, _INF])
+    def test_cpu_gamma(self, value):
+        """``gamma = inf`` would flatten the curve: ``u**inf`` is 0 below full load."""
+        with pytest.raises(ConfigurationError, match=r"CpuPowerModel\.gamma"):
+            _cpu(gamma=value)
+
+    @pytest.mark.parametrize("value", [_NAN, _INF, -1.0])
+    def test_node_base_watts(self, value):
+        with pytest.raises(ConfigurationError, match=r"NodePowerModel\.base_watts"):
+            NodePowerModel(cpu=_cpu(), base_watts=value)
+
+    @pytest.mark.parametrize("value", [_NAN, _INF, -1.0])
+    def test_node_dram_idle_watts(self, value):
+        with pytest.raises(ConfigurationError, match=r"NodePowerModel\.dram_idle_watts"):
+            NodePowerModel(cpu=_cpu(), dram_idle_watts=value)
+
+    @pytest.mark.parametrize("value", [_NAN, _INF])
+    def test_node_dram_active_watts(self, value):
+        with pytest.raises(ConfigurationError, match=r"NodePowerModel\.dram_active_watts"):
+            NodePowerModel(cpu=_cpu(), dram_active_watts=value)
+
+    @pytest.mark.parametrize("value", [0.0, _NAN, _INF, -1.0])
+    def test_pstate_frequency_ghz(self, value):
+        with pytest.raises(ConfigurationError, match=r"PState\.frequency_ghz"):
+            PState(value)
+
+    def test_calibrated_node_unchanged(self):
+        """The paper's node passes every check with its exact constants."""
+        node = e5_2670_node()
+        assert (node.cpu.idle_watts, node.cpu.peak_watts) == (25.0, 109.665)
+        assert (node.base_watts, node.dram_idle_watts, node.dram_active_watts) == (
+            34.0, 16.0, 40.0
+        )
+        assert node.idle_watts == 100.0
+        assert node.peak_watts == 34.0 + 40.0 + 2 * 109.665
+
+
 class TestNode:
     def test_utilization_drives_power_signal(self, sim):
         node = NodeGroup(sim, 0, e5_2670_node())

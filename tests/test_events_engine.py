@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeadlockError, SimulationError
 from repro.events.engine import Simulator
+from repro.exec.api import RunRequest, build_pipeline
+from repro.pipelines.base import PipelineSpec
+from repro.pipelines.platform import SimulatedPlatform
+from repro.pipelines.sampling import SamplingPolicy
 
 
 class TestEvent:
@@ -313,3 +319,87 @@ class TestClockMonotonicityProperty:
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
         assert sim.now == max(delays)
+
+
+def _stepping(sim: Simulator) -> None:
+    """Make ``sim.run()`` a manual :meth:`Simulator.step` loop."""
+
+    def run(until=None):
+        assert until is None
+        while sim.queue_depth:
+            sim.step()
+        if sim.active_processes:
+            raise DeadlockError("queue drained with processes waiting")
+
+    sim.run = run
+
+
+def _fig3_cell(stepping: bool):
+    """The Fig. 3 post-processing cell at 72 h, with every step observed."""
+    request = RunRequest(
+        pipeline="post-processing",
+        spec=PipelineSpec().with_sampling(SamplingPolicy(72.0)),
+    )
+    platform = SimulatedPlatform()
+    steps = []
+    platform.sim.add_step_listener(
+        lambda event, now: steps.append((type(event).__name__, event.ok, now))
+    )
+    if stepping:
+        _stepping(platform.sim)
+    result = build_pipeline(request).execute(request, platform=platform)
+    return platform.sim, steps, result.identity_dict()
+
+
+class TestRunIsAStepLoop:
+    """``run()`` dispatches in its own loop; ``step()`` is unchanged, so a
+    manual ``step()`` loop sees every event in the same order."""
+
+    def test_fig3_cell(self):
+        sim, steps, identity = _fig3_cell(stepping=False)
+        stepped_sim, stepped_steps, stepped_identity = _fig3_cell(stepping=True)
+        assert sim.events_processed == stepped_sim.events_processed == len(steps) == 1_084
+        assert sim.now == stepped_sim.now
+        assert steps == stepped_steps
+        assert identity == stepped_identity
+        assert json.dumps(identity, sort_keys=True) == json.dumps(stepped_identity, sort_keys=True)
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        st.lists(st.lists(st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 100.0),
+                          max_size=5), min_size=1, max_size=8),
+        st.none() | st.floats(0.0, 300.0),
+    )
+    def test_processes_and_horizons(self, plans, until):
+        """Same events, clock and listener calls, with or without ``until``."""
+
+        def observe(sim):
+            seen = []
+            sim.add_step_listener(lambda event, now: seen.append((type(event).__name__, now)))
+
+            def proc(delays):
+                for delay in delays:
+                    yield sim.timeout(delay)
+                return len(delays)
+
+            for delays in plans:
+                sim.process(proc(delays))
+            return seen
+
+        ran, stepped = Simulator(), Simulator()
+        ran_seen, stepped_seen = observe(ran), observe(stepped)
+        ran.run(until=until)
+        while stepped.queue_depth and (until is None or stepped.peek() <= until):
+            stepped.step()
+        assert ran_seen == stepped_seen
+        assert ran.events_processed == stepped.events_processed
+        assert ran.queue_depth == stepped.queue_depth
+        assert ran.now == (stepped.now if until is None else until)
+
+    def test_now_is_a_plain_attribute(self, sim):
+        """Read without a property call; the engine alone assigns it."""
+        assert "now" in vars(sim)
+        assert not isinstance(getattr(Simulator, "now", None), property)
+        sim.timeout(2.5)
+        sim.run()
+        assert vars(sim)["now"] == 2.5

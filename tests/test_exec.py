@@ -12,7 +12,7 @@ import os
 import pickle
 import pickletools
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -38,12 +38,19 @@ from repro.exec.api import (
     build_pipeline,
     pipeline_factories,
 )
-from repro.exec.bench import compare_to_baseline, run_bench, sweep_requests, write_report
+from repro.exec.bench import (
+    QUICK_INTERVALS,
+    compare_to_baseline,
+    run_bench,
+    sweep_requests,
+    write_report,
+)
 from repro.exec.cache import QUARANTINE_DIRNAME, DiskCache
 from repro.exec.engine import ExecutionEngine, execute_request
 from repro.faults.resilience import CheckpointPolicy
 from repro.faults.spec import FaultSpec
 from repro.obs.manifest import SCHEMA_VERSION, collect_provenance
+from repro.obs.trace import TraceContext
 from repro.ocean.driver import MPASOceanConfig
 from repro.pipelines.base import PipelineSpec
 from repro.pipelines.insitu import InSituPipeline
@@ -227,6 +234,82 @@ class TestRunRequest:
         assert pipeline.n_staging_nodes == 5
         with pytest.raises(ConfigurationError):
             build_pipeline(RunRequest(pipeline="mystery"))
+
+
+def _reference_key(request: RunRequest, code_version: str) -> str:
+    """The cache key as ``json.dumps`` lays out the whole payload."""
+    payload = {"request": request.to_dict(), "code_version": code_version}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+#: Code versions whose JSON needs escapes: quotes, a backslash, non-ASCII.
+CODE_VERSIONS = ("v1", "task-seed", "", 'say "hi" \\ bye', "v\u00e9rsion", "\u7248\u672c-\U0001f600")
+
+
+def _keyed_requests() -> list:
+    return sweep_requests(QUICK_INTERVALS) + [
+        RunRequest(
+            pipeline=POST_PROCESSING,
+            spec=tiny_spec(24.0),
+            faults=FaultSpec.campaign(seed=3, horizon_seconds=400.0, mtbf_hours=0.05),
+            checkpoints=CheckpointPolicy(every_n_outputs=2),
+            seed=11,
+        ),
+        RunRequest(pipeline=IN_SITU, spec=tiny_spec(), cluster=SMALL_CLUSTER,
+                   storage=FAST_STORAGE),
+    ]
+
+
+class TestCanonicalText:
+    """Keys composed from a request's memoised JSON text equal the keys of
+    the whole payload serialised at once."""
+
+    def test_keys_and_seeds_match_the_reference(self):
+        requests = _keyed_requests()
+        assert len(requests) == 14
+        for request in requests:
+            for code_version in CODE_VERSIONS:
+                assert request.cache_key(code_version) == _reference_key(request, code_version)
+            digest = _reference_key(request, "task-seed")
+            assert request.task_seed() == (int(digest[:16], 16) ^ request.seed) & 0x7FFFFFFF
+        keys = {request.cache_key("v1") for request in requests}
+        assert len(keys) == len(requests)
+
+    def test_a_mutated_dict_leaves_the_key(self):
+        request = RunRequest(pipeline=IN_SITU, spec=tiny_spec())
+        key = request.cache_key("v1")
+        out = request.to_dict()
+        out["seed"] = 99
+        out["spec"]["sampling"]["interval_hours"] = 1.0
+        assert request.cache_key("v1") == key == _reference_key(request, "v1")
+
+    def test_derived_requests_are_keyed_by_their_own_fields(self):
+        request = RunRequest(spec=tiny_spec())
+        request.cache_key("v1")  # memoise the parent's text first
+        derived = [
+            replace(request, seed=5),
+            request.with_spec(tiny_spec(24.0)),
+            request.bound_to(InTransitPipeline(n_staging_nodes=15)),
+            request.bound_to(InSituPipeline()),
+        ]
+        for other in derived:
+            assert other.cache_key("v1") == _reference_key(other, "v1")
+            assert other.cache_key("v1") != request.cache_key("v1")
+        # The trace is transport, not identity.
+        traced = replace(request, trace=TraceContext(trace_id="t" * 32))
+        assert traced.cache_key("v1") == request.cache_key("v1")
+
+    @pytest.mark.parametrize("memoised", [False, True])
+    def test_a_pickled_request_keeps_its_key(self, memoised):
+        for request in _keyed_requests()[-3:]:
+            key = _reference_key(request, "v1")
+            if memoised:
+                assert request.cache_key("v1") == key
+            clone = pickle.loads(pickle.dumps(request))
+            assert clone == request
+            assert clone.cache_key("v1") == key
+            assert clone.task_seed() == request.task_seed()
 
 
 class TestDiskCache:

@@ -323,7 +323,8 @@ class TestSession:
         assert manifest.label == "unit"
         assert manifest.n_events == 2
         assert manifest.provenance["seeds"] == {"seed": 7}
-        prom = open(os.path.join(d, obs.PROM_FILENAME)).read()
+        with open(os.path.join(d, obs.PROM_FILENAME)) as fh:
+            prom = fh.read()
         assert "# TYPE repro_storage_writes_total counter" in prom
         assert "repro_storage_writes_total 1" in prom
 

@@ -226,7 +226,8 @@ class TestQuarantine:
         store.ingest(make_run(tmp_path, "r1"))
         (row,) = store.runs()
         segment = store.segment_path(row)
-        lines = open(segment).read().splitlines()
+        with open(segment) as fh:
+            lines = fh.read().splitlines()
         # Damage a MIDDLE line: that is corruption, not truncation.
         lines[1] = '{"kind": "met'
         with open(segment, "w") as fh:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, MeterError
 from repro.power.signal import PowerSignal, _sorted_unique
+from repro.power.trace import PowerTrace
 
 SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
@@ -267,3 +268,215 @@ class TestSamples:
         s = PowerSignal(10.0, start_time=1.0)
         with pytest.raises(MeterError):
             s.samples([0.0])
+
+
+# --------------------------------------------------------------- the oracle
+#
+# The meter read as it was before ``total`` compared its sums at once and
+# ``means`` reused its buffers: one ``set()`` per merged breakpoint, and one
+# fresh clip, product and pairwise sum per window.  The shortcuts must give
+# the same breakpoints and the same bits.
+
+
+def _reference_total(signals, name="total"):
+    signals = list(signals)
+    if not signals:
+        raise ConfigurationError("total() of zero signals")
+    distinct = list({id(s): s for s in signals}.values())
+    start = max(s.start_time for s in distinct)
+    merged = _sorted_unique(
+        np.concatenate(
+            [np.asarray(s._times)[np.asarray(s._times) >= start] for s in distinct]
+            + [np.array([start])]
+        )
+    )
+    samples = {id(s): s.samples(merged) for s in distinct}
+    total_watts = np.zeros(merged.size)
+    for s in signals:
+        total_watts += samples[id(s)]
+    out = PowerSignal(float(total_watts[0]), start_time=float(merged[0]), name=name)
+    for t, w in zip(merged[1:], total_watts[1:]):
+        out.set(float(t), float(w))
+    return out
+
+
+def _reference_integral(times, watts, t0, t1):
+    if t1 < t0:
+        raise MeterError(f"reversed integration window [{t0}, {t1}]")
+    if t0 < times[0]:
+        raise MeterError(f"window starts at {t0}, before signal start {times[0]}")
+    if t1 == t0:
+        return 0.0
+    edges = np.append(times, max(t1, times[-1]))
+    lo = np.clip(edges[:-1], t0, t1)
+    hi = np.clip(edges[1:], t0, t1)
+    return float(np.sum((hi - lo) * watts))
+
+
+def _reference_means(signal, edges):
+    times = np.asarray(signal._times)
+    watts = np.asarray(signal._watts)
+    out = []
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        if t1 <= t0:
+            raise MeterError(f"degenerate averaging window [{t0}, {t1}]")
+        out.append(_reference_integral(times, watts, t0, t1) / (t1 - t0))
+    return out
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` gives: its value, or its error's type and text."""
+    try:
+        return "ok", fn(*args)
+    except (ConfigurationError, MeterError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _same_signal(got, want):
+    assert got._times == want._times
+    assert got._watts == want._watts
+    assert all(type(v) is float for v in got._times + got._watts)
+    assert got.name == want.name
+
+
+def _same_means(got, want):
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+#: Draws that repeat: equal values and equal times must come up often.
+_WATTS = st.sampled_from([0.0, 1.0, 100.0, 150.0, 2.0**-30]) | st.floats(
+    min_value=0.0, max_value=1e6
+)
+_STEP = st.sampled_from([0.0, 0.5, 1.0, 60.0]) | st.floats(min_value=0.0, max_value=5e3)
+_START = st.sampled_from([0.0, 0.0, 3.0, 59.5, 120.0])
+
+
+@st.composite
+def _signals(draw, watts=_WATTS, max_size=4):
+    """Distinct signals with different starts, repeated and equal-valued
+    breakpoints (a step of 0 overwrites, a repeated value is a no-op)."""
+    out = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_size))):
+        t = draw(_START)
+        signal = PowerSignal(draw(watts), start_time=t)
+        for step, w in draw(st.lists(st.tuples(_STEP, watts), max_size=25)):
+            t += step
+            signal.set(t, w)
+        out.append(signal)
+    return out
+
+
+@st.composite
+def _listings(draw, watts=_WATTS):
+    """Signals as a meter lists them: each may appear several times."""
+    signals = draw(_signals(watts))
+    picks = draw(st.lists(st.integers(0, len(signals) - 1), min_size=1, max_size=12))
+    return [signals[i] for i in picks]
+
+
+@st.composite
+def _edges(draw, start):
+    """Window edges from before the start to far past the last breakpoint;
+    a width of 0 makes a degenerate window."""
+    t = start + draw(st.sampled_from([-1.0, 0.0, 0.25]) | st.floats(0.0, 2e4))
+    edges = [t]
+    for width in draw(st.lists(st.sampled_from([0.0, 1.0, 60.0]) | st.floats(0.0, 4e4),
+                               min_size=1, max_size=15)):
+        t += width
+        edges.append(t)
+    return edges
+
+
+class TestMeterReadOracle:
+    """``total``, ``means``, ``integrate`` and ``PowerTrace.from_signal``
+    equal the per-breakpoint ``set()`` and per-window reference exactly."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(_listings())
+    def test_total_keeps_the_breakpoints_set_kept(self, listing):
+        _same_signal(PowerSignal.total(listing, name="cage"),
+                     _reference_total(listing, name="cage"))
+
+    @settings(deadline=None, max_examples=60)
+    @given(_signals(max_size=2))
+    def test_one_signal_listed_ten_times(self, signals):
+        """A cage whose ten nodes all follow one node group's signal."""
+        for listing in ([signals[0]] * 10, [signals[0]] * 9 + signals[-1:]):
+            _same_signal(PowerSignal.total(listing), _reference_total(listing))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(deadline=None, max_examples=80)
+    @given(_listings(watts=st.sampled_from([0.0, 1.0, 1e308, 1.7e308])))
+    def test_a_sum_that_overflows_fails_alike(self, listing):
+        got = _outcome(PowerSignal.total, listing)
+        want = _outcome(_reference_total, listing)
+        if want[0] == "ok":
+            _same_signal(got[1], want[1])
+        else:
+            assert got == want
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_at_start_and_later(self):
+        for late in (False, True):
+            a, b = PowerSignal(1e308), PowerSignal(1.0 if late else 1e308)
+            if late:
+                b.set(5.0, 1e308)
+            with pytest.raises(ConfigurationError, match="got inf"):
+                PowerSignal.total([a, b])
+            assert _outcome(PowerSignal.total, [a, b]) == _outcome(_reference_total, [a, b])
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_means_match_the_per_window_integral(self, data):
+        signal = PowerSignal.total(data.draw(_listings()))
+        edges = data.draw(_edges(signal.start_time))
+        for as_given in (edges, np.asarray(edges)):
+            got = _outcome(signal.means, as_given)
+            want = _outcome(_reference_means, signal, as_given)
+            assert got[0] == want[0]
+            if got[0] == "ok":
+                _same_means(got[1], want[1])
+            else:
+                assert got == want
+        times, watts = np.asarray(signal._times), np.asarray(signal._watts)
+        for t0, t1 in zip(edges, edges[1:] + edges[:1]):  # the last one reversed
+            got = _outcome(signal.integrate, t0, t1)
+            assert got == _outcome(_reference_integral, times, watts, t0, t1)
+            if got[0] == "ok":
+                assert type(got[1]) is float
+                assert np.float64(got[1]).tobytes() == np.float64(
+                    _reference_integral(times, watts, t0, t1)).tobytes()
+
+    def test_windows_past_the_last_breakpoint(self):
+        signal = PowerSignal(100.0, start_time=10.0)
+        signal.set(12.5, 300.0)
+        signal.set(40.0, 50.0)
+        for edges in ([10.0, 50.0], [11.0, 45.0, 90.0], [39.0, 41.0], [60.0, 61.0]):
+            _same_means(signal.means(edges), _reference_means(signal, edges))
+
+    def test_error_cases_match(self):
+        signal = PowerSignal(100.0, start_time=10.0)
+        signal.set(20.0, 50.0)
+        for edges in ([9.0, 15.0], [15.0, 15.0], [15.0, 12.0], [12.0, 18.0, 18.0]):
+            got = _outcome(signal.means, edges)
+            assert got[0] == "MeterError"
+            assert got == _outcome(_reference_means, signal, edges)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.data(),
+        st.sampled_from([1.0, 7.5, 60.0]),
+        st.floats(min_value=0.01, max_value=4e3),
+    )
+    def test_trace_matches_the_reference_windows(self, data, dt, duration):
+        """``from_signal``'s windows, a short final one included."""
+        signal = PowerSignal.total(data.draw(_listings()))
+        t0 = signal.start_time + data.draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1e4))
+        t1 = t0 + duration
+        trace = PowerTrace.from_signal(signal, t0, t1, dt)
+        edges = np.append(np.arange(t0, t1, dt), t1)
+        want = PowerTrace(t0, dt, _reference_means(signal, edges),
+                          final_dt=float(edges[-1] - edges[-2]))
+        assert trace.watts.tobytes() == want.watts.tobytes()
+        assert (trace.start, trace.dt, trace.final_dt) == (want.start, want.dt, want.final_dt)

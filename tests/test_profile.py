@@ -95,7 +95,8 @@ class TestParallelTelemetry:
         _run_grid(
             tmp_path / "par", small_spec, engine=ExecutionEngine(max_workers=2)
         )
-        manifest = json.load(open(tmp_path / "par" / "manifest.json"))
+        with open(tmp_path / "par" / "manifest.json") as fh:
+            manifest = json.load(fh)
         # Simulation-side counters only increment inside the workers.
         assert "repro_events_processed_total" in manifest["metrics"]
         assert manifest["trace_id"] == derive_trace_id("characterize")
@@ -181,7 +182,8 @@ class TestHtmlReport:
     def test_report_is_self_contained(self, tmp_path, small_spec):
         _run_grid(tmp_path / "run", small_spec)
         path = write_report(str(tmp_path / "run"))
-        html = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as fh:
+            html = fh.read()
         assert html.startswith("<!doctype html>")
         assert "<svg" in html and "pipeline.run" not in html.split("<svg")[0]
         assert "http://" not in html and "https://" not in html  # no CDN assets

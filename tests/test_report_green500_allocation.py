@@ -46,7 +46,8 @@ class TestStudyReport:
         path = str(tmp_path / "r.md")
         text = render_report(study, path=path, whatif_years=50.0)
         assert "50-year campaign" in text
-        assert open(path).read() == text
+        with open(path) as fh:
+            assert fh.read() == text
 
     def test_validation(self, study):
         with pytest.raises(ConfigurationError):

@@ -252,7 +252,8 @@ class TestCinemaDatabase:
         db = CinemaDatabase(str(tmp_path / "db"), name="test")
         db.add_image({"time": 0, "camera": 1}, self._image())
         db.close()
-        index = json.load(open(tmp_path / "db" / "info.json"))
+        with open(tmp_path / "db" / "info.json") as fh:
+            index = json.load(fh)
         assert index["type"] == "cinema-database"
         assert index["entries"][0]["parameters"] == {"camera": 1, "time": 0}
 
