@@ -8,10 +8,17 @@ output cadence coarsens — the "cognitive fidelity" the abstract promises to
 maintain.
 """
 
-from repro.analysis.quality import (
-    SamplingQuality,
-    evaluate_sampling_quality,
-    quality_table,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.quality import (
+        SamplingQuality,
+        evaluate_sampling_quality,
+        quality_table,
+    )
 
 __all__ = ["SamplingQuality", "evaluate_sampling_quality", "quality_table"]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -42,14 +42,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro import obs, run_characterization
-from repro.analysis.quality import evaluate_sampling_quality, quality_table
-from repro.core.advisor import Constraints, PipelineAdvisor
-from repro.core.characterization import CharacterizationStudy, storage_power_sweep
-from repro.core.metrics import IN_SITU, POST_PROCESSING
-from repro.units import format_energy, kwh_to_joules, years
+
+if TYPE_CHECKING:
+    from repro.core.characterization import CharacterizationStudy
 
 __all__ = ["main", "build_parser"]
 
@@ -471,6 +469,10 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from repro.core.advisor import Constraints, PipelineAdvisor
+    from repro.core.metrics import IN_SITU, POST_PROCESSING
+    from repro.units import format_energy, kwh_to_joules, years
+
     study = _study()
     advisor = PipelineAdvisor(study.analyzer())
     constraints = Constraints(
@@ -540,6 +542,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_quality(args: argparse.Namespace) -> int:
+    from repro.analysis.quality import evaluate_sampling_quality, quality_table
+
     print("advancing the mini ocean and tracking eddies...", file=sys.stderr)
     results = evaluate_sampling_quality(strides=tuple(args.strides), n_steps=args.steps)
     print(quality_table(results))
@@ -563,6 +567,7 @@ def _cmd_hypotheses(args: argparse.Namespace) -> int:
 
 def _cmd_proportionality(_args: argparse.Namespace) -> int:
     from repro.cluster.power import e5_2670_node
+    from repro.core.characterization import storage_power_sweep
 
     print("storage rack (paper: 2273 -> 2302 W, +1.3%):")
     for throughput, watts in storage_power_sweep():

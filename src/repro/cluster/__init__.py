@@ -11,10 +11,15 @@ paper's 15 kW-idle / 44 kW-loaded dynamic range — and the flat power profile
 of Fig. 5 — arise.
 """
 
-from repro.cluster.machine import ComputeCluster, caddy
-from repro.cluster.node import NodeGroup
-from repro.cluster.power import CpuPowerModel, NodePowerModel, PState
-from repro.cluster.topology import Interconnect
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.cluster.machine import ComputeCluster, caddy
+    from repro.cluster.node import NodeGroup
+    from repro.cluster.power import CpuPowerModel, NodePowerModel, PState
+    from repro.cluster.topology import Interconnect
 
 __all__ = [
     "ComputeCluster",
@@ -25,3 +30,5 @@ __all__ = [
     "PState",
     "caddy",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -13,14 +13,19 @@
   a simulated platform.
 """
 
-from repro.core.advisor import Constraints, PipelineAdvisor, Recommendation
-from repro.core.calibration import CalibrationResult, calibrate_exact, calibrate_least_squares
-from repro.core.characterization import CharacterizationStudy, run_characterization
-from repro.core.hypotheses import HypothesisVerdict, evaluate_hypotheses, findings_summary
-from repro.core.metrics import Measurement, MetricSet
-from repro.core.model import DataModel, PerformanceModel
-from repro.core.report import StudyReport, render_report
-from repro.core.whatif import WhatIfAnalyzer
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.advisor import Constraints, PipelineAdvisor, Recommendation
+    from repro.core.calibration import CalibrationResult, calibrate_exact, calibrate_least_squares
+    from repro.core.characterization import CharacterizationStudy, run_characterization
+    from repro.core.hypotheses import HypothesisVerdict, evaluate_hypotheses, findings_summary
+    from repro.core.metrics import Measurement, MetricSet
+    from repro.core.model import DataModel, PerformanceModel
+    from repro.core.report import StudyReport, render_report
+    from repro.core.whatif import WhatIfAnalyzer
 
 __all__ = [
     "CalibrationResult",
@@ -42,3 +47,5 @@ __all__ = [
     "render_report",
     "run_characterization",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

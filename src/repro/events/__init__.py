@@ -20,15 +20,20 @@ Example
 [(1.0, 'b'), (2.0, 'a')]
 """
 
-from repro.events.engine import (
-    AllOf,
-    AnyOf,
-    Event,
-    Process,
-    Simulator,
-    Timeout,
-)
-from repro.events.resources import BandwidthPipe, Resource, Store, Transfer
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.events.engine import (
+        AllOf,
+        AnyOf,
+        Event,
+        Process,
+        Simulator,
+        Timeout,
+    )
+    from repro.events.resources import BandwidthPipe, Resource, Store, Transfer
 
 __all__ = [
     "AllOf",
@@ -42,3 +47,5 @@ __all__ = [
     "Timeout",
     "Transfer",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

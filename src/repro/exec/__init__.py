@@ -9,22 +9,27 @@ replayed from a content-addressed on-disk cache.  One engine,
 sweeps.
 """
 
-from repro.exec.api import (
-    MODE_REAL,
-    MODE_SIMULATED,
-    RunRequest,
-    RunResult,
-    build_pipeline,
-    pipeline_factories,
-)
-from repro.exec.cache import QUARANTINE_DIRNAME, DiskCache, default_code_version
-from repro.exec.engine import ExecutionEngine, execute_request
-from repro.exec.supervise import (
-    FAIL_POLICIES,
-    JOURNAL_FILENAME,
-    SweepJournal,
-    TaskPolicy,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.exec.api import (
+        MODE_REAL,
+        MODE_SIMULATED,
+        RunRequest,
+        RunResult,
+        build_pipeline,
+        pipeline_factories,
+    )
+    from repro.exec.cache import QUARANTINE_DIRNAME, DiskCache, default_code_version
+    from repro.exec.engine import ExecutionEngine, execute_request
+    from repro.exec.supervise import (
+        FAIL_POLICIES,
+        JOURNAL_FILENAME,
+        SweepJournal,
+        TaskPolicy,
+    )
 
 __all__ = [
     "FAIL_POLICIES",
@@ -43,3 +48,5 @@ __all__ = [
     "execute_request",
     "pipeline_factories",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -13,28 +13,31 @@ See the README's "Fault injection & resilience" section for the spec format
 and CLI examples.
 """
 
-from __future__ import annotations
+from typing import TYPE_CHECKING
 
-from repro.faults.campaign import (
-    FaultCampaignResult,
-    PipelineFaultReport,
-    run_fault_campaign,
-)
-from repro.faults.gate import FaultGate
-from repro.faults.injector import FaultInjector
-from repro.faults.model import FailureModel
-from repro.faults.resilience import CheckpointPolicy, ResumeState
-from repro.faults.retry import DEFAULT_RETRYABLE, RetryPolicy
-from repro.faults.spec import (
-    FAULT_KINDS,
-    IO_ERROR,
-    MDS_STALL,
-    NODE_CRASH,
-    OST_DROPOUT,
-    WRITE_BROWNOUT,
-    FaultEvent,
-    FaultSpec,
-)
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.faults.campaign import (
+        FaultCampaignResult,
+        PipelineFaultReport,
+        run_fault_campaign,
+    )
+    from repro.faults.gate import FaultGate
+    from repro.faults.injector import FaultInjector
+    from repro.faults.model import FailureModel
+    from repro.faults.resilience import CheckpointPolicy, ResumeState
+    from repro.faults.retry import DEFAULT_RETRYABLE, RetryPolicy
+    from repro.faults.spec import (
+        FAULT_KINDS,
+        IO_ERROR,
+        MDS_STALL,
+        NODE_CRASH,
+        OST_DROPOUT,
+        WRITE_BROWNOUT,
+        FaultEvent,
+        FaultSpec,
+    )
 
 __all__ = [
     "CheckpointPolicy",
@@ -56,3 +59,5 @@ __all__ = [
     "WRITE_BROWNOUT",
     "run_fault_campaign",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -9,8 +9,13 @@
   simulated Lustre cluster.
 """
 
-from repro.io.ncformat import NcliteFile, nclite_nbytes, read_nclite, write_nclite
-from repro.io.pio import PIOWriter, RealIOBackend, SimulatedIOBackend
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.io.ncformat import NcliteFile, nclite_nbytes, read_nclite, write_nclite
+    from repro.io.pio import PIOWriter, RealIOBackend, SimulatedIOBackend
 
 __all__ = [
     "NcliteFile",
@@ -21,3 +26,5 @@ __all__ = [
     "read_nclite",
     "write_nclite",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -23,18 +23,21 @@ main CLI as ``python -m repro lint``.  Findings can be suppressed with
 only, standalone comment line = the whole file).
 """
 
-from __future__ import annotations
+from typing import TYPE_CHECKING
 
-from repro.lint.engine import (
-    FileContext,
-    Finding,
-    LintRunner,
-    Rule,
-    iter_python_files,
-    registered_rules,
-    run_lint,
-)
-from repro.lint.reporters import render_json, render_text
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.lint.engine import (
+        FileContext,
+        Finding,
+        LintRunner,
+        Rule,
+        iter_python_files,
+        registered_rules,
+        run_lint,
+    )
+    from repro.lint.reporters import render_json, render_text
 
 __all__ = [
     "FileContext",
@@ -47,3 +50,5 @@ __all__ = [
     "render_text",
     "run_lint",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -22,73 +22,76 @@ code paths are bit-identical with telemetry disabled.  See
 ``docs/OBSERVABILITY.md`` and ``examples/telemetry_demo.py``.
 """
 
-from __future__ import annotations
+from typing import TYPE_CHECKING
 
-from repro.obs.drift import DriftCheck, check_value, mad_band
-from repro.obs.exporters import JsonlWriter, read_jsonl, to_prometheus, write_prometheus
-from repro.obs.manifest import (
-    EVENTS_FILENAME,
-    MANIFEST_FILENAME,
-    PROM_FILENAME,
-    TIMELINE_FILENAME,
-    RunManifest,
-    collect_provenance,
-)
-from repro.obs.naming import (
-    ALERT_METRIC_RE,
-    METRIC_NAME_RE,
-    METRIC_UNITS,
-    TIMELINE_SERIES_RE,
-    TIMELINE_UNITS,
-    alert_metric_name,
-    validate_metric_name,
-    validate_timeline_series_name,
-)
-from repro.obs.registry import (
-    Counter,
-    DEFAULT_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    bucket_quantile,
-    default_registry,
-)
-from repro.obs.telemetry import (
-    PHASE_SECONDS_METRIC,
-    SHARDS_DIRNAME,
-    SIM,
-    WALL,
-    Span,
-    TelemetrySession,
-    active,
-    counter,
-    enabled,
-    event,
-    gauge,
-    observe,
-    phase,
-    session,
-    shard_session,
-    span,
-)
-from repro.obs.timeline import (
-    DEFAULT_TIMELINE_POINTS,
-    TimelineConfig,
-    TimelineSampler,
-    engine_probes,
-    power_probes,
-    resource_probes,
-    storage_probes,
-)
-from repro.obs.trace import TraceContext, derive_trace_id
-from repro.obs.watch import (
-    SEVERITIES,
-    Alert,
-    WatchRule,
-    Watchdog,
-    default_rules,
-    severity_rank,
-)
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.drift import DriftCheck, check_value, mad_band
+    from repro.obs.exporters import JsonlWriter, read_jsonl, to_prometheus, write_prometheus
+    from repro.obs.manifest import (
+        EVENTS_FILENAME,
+        MANIFEST_FILENAME,
+        PROM_FILENAME,
+        TIMELINE_FILENAME,
+        RunManifest,
+        collect_provenance,
+    )
+    from repro.obs.naming import (
+        ALERT_METRIC_RE,
+        METRIC_NAME_RE,
+        METRIC_UNITS,
+        TIMELINE_SERIES_RE,
+        TIMELINE_UNITS,
+        alert_metric_name,
+        validate_metric_name,
+        validate_timeline_series_name,
+    )
+    from repro.obs.registry import (
+        Counter,
+        DEFAULT_BUCKETS,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+        bucket_quantile,
+        default_registry,
+    )
+    from repro.obs.telemetry import (
+        PHASE_SECONDS_METRIC,
+        SHARDS_DIRNAME,
+        SIM,
+        WALL,
+        Span,
+        TelemetrySession,
+        active,
+        counter,
+        enabled,
+        event,
+        gauge,
+        observe,
+        phase,
+        session,
+        shard_session,
+        span,
+    )
+    from repro.obs.timeline import (
+        DEFAULT_TIMELINE_POINTS,
+        TimelineConfig,
+        TimelineSampler,
+        engine_probes,
+        power_probes,
+        resource_probes,
+        storage_probes,
+    )
+    from repro.obs.trace import TraceContext, derive_trace_id
+    from repro.obs.watch import (
+        SEVERITIES,
+        Alert,
+        WatchRule,
+        Watchdog,
+        default_rules,
+        severity_rank,
+    )
 
 __all__ = [
     "ALERT_METRIC_RE",
@@ -151,3 +154,5 @@ __all__ = [
     "validate_timeline_series_name",
     "write_prometheus",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

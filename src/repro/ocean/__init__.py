@@ -14,13 +14,18 @@ Two layers:
   cluster), used by the simulated platform.
 """
 
-from repro.ocean.barotropic import BarotropicSolver
-from repro.ocean.diagnostics import SimulationMonitor, energy_spectrum, spectral_slope
-from repro.ocean.driver import MPASOceanConfig, OceanCostModel, MiniOceanDriver
-from repro.ocean.eddies import Eddy, EddyTrack, detect_eddies, track_eddies
-from repro.ocean.grid import SpectralGrid, icosahedral_cell_count
-from repro.ocean.okubo_weiss import okubo_weiss, okubo_weiss_classification
-from repro.ocean.tracer import TracerField
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.ocean.barotropic import BarotropicSolver
+    from repro.ocean.diagnostics import SimulationMonitor, energy_spectrum, spectral_slope
+    from repro.ocean.driver import MPASOceanConfig, OceanCostModel, MiniOceanDriver
+    from repro.ocean.eddies import Eddy, EddyTrack, detect_eddies, track_eddies
+    from repro.ocean.grid import SpectralGrid, icosahedral_cell_count
+    from repro.ocean.okubo_weiss import okubo_weiss, okubo_weiss_classification
+    from repro.ocean.tracer import TracerField
 
 __all__ = [
     "BarotropicSolver",
@@ -40,3 +45,5 @@ __all__ = [
     "spectral_slope",
     "track_eddies",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -16,12 +16,17 @@ Both run on either platform:
   real ocean solver, real PNG rendering and real files, wall-clock timed.
 """
 
-from repro.pipelines.insitu import InSituPipeline
-from repro.pipelines.intransit import InTransitPipeline
-from repro.pipelines.platform import RealPlatform, RealScale, SimulatedPlatform
-from repro.pipelines.postprocessing import PostProcessingPipeline
-from repro.pipelines.sampling import SamplingPolicy
-from repro.pipelines.base import Pipeline, PipelineSpec
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.pipelines.insitu import InSituPipeline
+    from repro.pipelines.intransit import InTransitPipeline
+    from repro.pipelines.platform import RealPlatform, RealScale, SimulatedPlatform
+    from repro.pipelines.postprocessing import PostProcessingPipeline
+    from repro.pipelines.sampling import SamplingPolicy
+    from repro.pipelines.base import Pipeline, PipelineSpec
 
 __all__ = [
     "InSituPipeline",
@@ -34,3 +39,5 @@ __all__ = [
     "SamplingPolicy",
     "SimulatedPlatform",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

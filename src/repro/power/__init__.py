@@ -8,11 +8,16 @@ exactly as in the paper.  :class:`~repro.power.trace.PowerTrace` holds the
 sampled result and provides energy integration, alignment and summing.
 """
 
-from repro.power.meter import CageMonitor, MeteredPDU, PowerMeter
-from repro.power.report import PowerReport
-from repro.power.signal import PowerSignal
-from repro.power.states import IdlePeriodManager, IdleSavings, LowPowerState, default_states
-from repro.power.trace import PowerTrace
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.power.meter import CageMonitor, MeteredPDU, PowerMeter
+    from repro.power.report import PowerReport
+    from repro.power.signal import PowerSignal
+    from repro.power.states import IdlePeriodManager, IdleSavings, LowPowerState, default_states
+    from repro.power.trace import PowerTrace
 
 __all__ = [
     "CageMonitor",
@@ -26,3 +31,5 @@ __all__ = [
     "PowerTrace",
     "default_states",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -109,8 +109,9 @@ class PowerSignal:
         :attr:`last_time`.
         """
         times = np.asarray(self._times)
-        if t1 < t0:
-            raise MeterError(f"reversed integration window [{t0}, {t1}]")
+        if not t0 <= t1 < _INF:  # NaN and inf too, which would read NaN or inf
+            kind = "reversed" if t1 < t0 else "non-finite"
+            raise MeterError(f"{kind} integration window [{t0}, {t1}]")
         if t0 < times[0]:
             raise MeterError(f"window starts at {t0}, before signal start {times[0]}")
         if t1 == t0:
@@ -133,8 +134,9 @@ class PowerSignal:
         first = times[0]
         out = []
         for t0, t1 in zip(edges[:-1], edges[1:]):
-            if t1 <= t0:
-                raise MeterError(f"degenerate averaging window [{t0}, {t1}]")
+            if not t0 < t1 < _INF:  # NaN and inf too
+                kind = "degenerate" if t1 <= t0 else "non-finite"
+                raise MeterError(f"{kind} averaging window [{t0}, {t1}]")
             if t0 < first:
                 raise MeterError(f"window starts at {t0}, before signal start {first}")
             out.append(energy(t0, t1) / (t1 - t0))
@@ -143,8 +145,9 @@ class PowerSignal:
     def max_over(self, t0: float, t1: float) -> float:
         # repro-unit: watts, t0=seconds, t1=seconds
         """Peak instantaneous power over ``[t0, t1]``."""
-        if t1 < t0:
-            raise MeterError(f"reversed window [{t0}, {t1}]")
+        if not -_INF < t0 <= t1 < _INF:  # NaN and inf too
+            kind = "reversed" if t1 < t0 else "non-finite"
+            raise MeterError(f"{kind} window [{t0}, {t1}]")
         i0 = bisect.bisect_right(self._times, t0) - 1
         i1 = bisect.bisect_right(self._times, t1) - 1
         return float(max(self._watts[max(i0, 0) : i1 + 1]))

@@ -26,6 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["PowerTrace"]
 
+_INF = float("inf")
+
 
 class PowerTrace:
     """A uniformly sampled, interval-averaged power trace."""
@@ -75,8 +77,11 @@ class PowerTrace:
         averaged over its actual extent and its true width is recorded, as
         real meters do when a run ends mid-interval.
         """
-        if t1 <= t0:
-            raise MeterError(f"empty sampling window [{t0}, {t1}]")
+        if not -_INF < t0 < t1 < _INF:  # NaN and inf too
+            kind = "empty" if t1 <= t0 else "non-finite"
+            raise MeterError(f"{kind} sampling window [{t0}, {t1}]")
+        if not 0 < dt < _INF:
+            raise MeterError(f"sampling interval must be finite and > 0 s, got {dt}")
         edges = np.arange(t0, t1, dt)
         edges = np.append(edges, t1)
         watts = signal.means(edges)

@@ -19,39 +19,44 @@ Entry points:
   and gate on content-digest drift.
 """
 
-from repro.scenario.build import (
-    build_engine,
-    build_pipelines,
-    build_spec,
-    scenario_from_args,
-)
-from repro.scenario.loader import (
-    apply_overrides,
-    load_scenario,
-    parse_bandwidth,
-    parse_bytes,
-    parse_duration,
-    parse_scenario,
-    scenario_text,
-    write_scenario,
-)
-from repro.scenario.run import run_scenario
-from repro.scenario.schema import (
-    SCENARIO_SCHEMA_VERSION,
-    ClusterConfig,
-    ExecutionConfig,
-    ExperimentConfig,
-    FaultsCampaignConfig,
-    ImagesConfig,
-    OceanConfig,
-    PipelineConfig,
-    PowerConfig,
-    SamplingConfig,
-    Scenario,
-    ScenarioError,
-    StorageConfig,
-    TelemetryConfig,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.scenario.build import (
+        build_engine,
+        build_pipelines,
+        build_spec,
+        scenario_from_args,
+    )
+    from repro.scenario.loader import (
+        apply_overrides,
+        load_scenario,
+        parse_bandwidth,
+        parse_bytes,
+        parse_duration,
+        parse_scenario,
+        scenario_text,
+        write_scenario,
+    )
+    from repro.scenario.run import run_scenario
+    from repro.scenario.schema import (
+        SCENARIO_SCHEMA_VERSION,
+        ClusterConfig,
+        ExecutionConfig,
+        ExperimentConfig,
+        FaultsCampaignConfig,
+        ImagesConfig,
+        OceanConfig,
+        PipelineConfig,
+        PowerConfig,
+        SamplingConfig,
+        Scenario,
+        ScenarioError,
+        StorageConfig,
+        TelemetryConfig,
+    )
 
 __all__ = [
     "SCENARIO_SCHEMA_VERSION",
@@ -82,3 +87,5 @@ __all__ = [
     "scenario_text",
     "write_scenario",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

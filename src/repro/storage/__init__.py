@@ -8,10 +8,15 @@ full load, a 1.3 % dynamic range), which is the mechanism behind the paper's
 Finding 2 ("reducing storage bandwidth does not noticeably improve power").
 """
 
-from repro.storage.devices import OstDevice
-from repro.storage.governor import StorageDvfsGovernor, wimpy_storage_model
-from repro.storage.lustre import FileRecord, LustreFileSystem, StorageCluster
-from repro.storage.power import StoragePowerModel
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.storage.devices import OstDevice
+    from repro.storage.governor import StorageDvfsGovernor, wimpy_storage_model
+    from repro.storage.lustre import FileRecord, LustreFileSystem, StorageCluster
+    from repro.storage.power import StoragePowerModel
 
 __all__ = [
     "FileRecord",
@@ -22,3 +27,5 @@ __all__ = [
     "StoragePowerModel",
     "wimpy_storage_model",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

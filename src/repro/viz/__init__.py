@@ -13,12 +13,17 @@ Pure-NumPy rendering of scalar fields to real PNG images:
 * :mod:`repro.viz.cinema` — a Cinema-style image database with a JSON index.
 """
 
-from repro.viz.catalyst import CatalystAdaptor
-from repro.viz.cinema import CinemaDatabase
-from repro.viz.colormap import Colormap, okubo_weiss_colormap
-from repro.viz.contour import marching_squares
-from repro.viz.image import Image
-from repro.viz.render import Camera, RenderCostModel, render_field
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.viz.catalyst import CatalystAdaptor
+    from repro.viz.cinema import CinemaDatabase
+    from repro.viz.colormap import Colormap, okubo_weiss_colormap
+    from repro.viz.contour import marching_squares
+    from repro.viz.image import Image
+    from repro.viz.render import Camera, RenderCostModel, render_field
 
 __all__ = [
     "Camera",
@@ -31,3 +36,5 @@ __all__ = [
     "okubo_weiss_colormap",
     "render_field",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

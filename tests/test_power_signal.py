@@ -181,6 +181,32 @@ class TestIntegration:
         assert total >= 0.0
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+class TestNonFiniteWindowsRejected:
+    """A NaN or infinite window edge raises, instead of reading NaN or inf."""
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, _NAN), (_NAN, 1.0), (0.0, _INF)])
+    def test_integrate(self, t0, t1):
+        with pytest.raises(MeterError, match="non-finite integration window"):
+            PowerSignal(10.0).integrate(t0, t1)
+
+    def test_mean(self):
+        with pytest.raises(MeterError, match="non-finite averaging window"):
+            PowerSignal(10.0).mean(0.0, _INF)
+
+    @pytest.mark.parametrize("edges", [[_NAN, 1.0], [0.0, _NAN], [0.0, 1.0, _INF]])
+    def test_means(self, edges):
+        with pytest.raises(MeterError, match="non-finite averaging window"):
+            PowerSignal(10.0).means(edges)
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, _NAN), (_NAN, 1.0), (-_INF, 1.0), (0.0, _INF)])
+    def test_max_over(self, t0, t1):
+        with pytest.raises(MeterError, match="non-finite window"):
+            PowerSignal(10.0).max_over(t0, t1)
+
+
 class TestTotal:
     def test_sum_of_constants(self):
         a = PowerSignal(100.0)

@@ -74,6 +74,19 @@ class TestPowerTrace:
         with pytest.raises(MeterError):
             PowerTrace.from_signal(PowerSignal(1.0), 5.0, 5.0, MINUTE)
 
+    @pytest.mark.parametrize(
+        "t0, t1", [(float("nan"), 600.0), (0.0, float("nan")), (0.0, float("inf")),
+                   (float("-inf"), 600.0)],
+    )
+    def test_from_signal_non_finite_window_rejected(self, t0, t1):
+        with pytest.raises(MeterError, match="non-finite sampling window"):
+            PowerTrace.from_signal(PowerSignal(100.0), t0, t1, 60.0)
+
+    @pytest.mark.parametrize("dt", [float("nan"), 0.0, -60.0, float("inf")])
+    def test_from_signal_bad_interval_rejected(self, dt):
+        with pytest.raises(MeterError, match="sampling interval must be finite and > 0 s"):
+            PowerTrace.from_signal(PowerSignal(100.0), 0.0, 600.0, dt)
+
     def test_window_before_the_signal_rejected(self):
         with pytest.raises(MeterError):
             PowerTrace.from_signal(PowerSignal(1.0, start_time=10.0), 5.0, 200.0, MINUTE)
