@@ -16,7 +16,7 @@ from benchmarks.conftest import emit
 from repro import paper
 from repro.core.metrics import POST_PROCESSING
 from repro.io.compression import compress_field, compression_ratio, decompress_field
-from repro.ocean.driver import MiniOceanDriver
+from repro.pipelines.real import MiniOceanDriver
 from repro.units import years
 
 #: Quantization precisions as fractions of each field's standard deviation.

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import emit
-from repro.ocean.driver import MiniOceanDriver
 from repro.ocean.eddies import detect_eddies
 from repro.ocean.okubo_weiss import okubo_weiss_classification
-from repro.viz.render import render_okubo_weiss
+from repro.pipelines.real import MiniOceanDriver, render_okubo_weiss
 
 
 @pytest.fixture(scope="module")

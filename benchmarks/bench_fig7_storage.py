@@ -12,7 +12,7 @@ from benchmarks.conftest import emit
 from repro import paper
 from repro.core.metrics import IN_SITU, POST_PROCESSING
 from repro.io.ncformat import nclite_nbytes
-from repro.ocean.driver import MiniOceanDriver
+from repro.pipelines.real import MiniOceanDriver
 
 
 def test_fig7_storage(study, benchmark):

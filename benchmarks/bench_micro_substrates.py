@@ -14,9 +14,9 @@ import pytest
 from repro.events.engine import Simulator
 from repro.events.resources import BandwidthPipe
 from repro.io.ncformat import NcliteFile, write_nclite
-from repro.ocean.driver import MiniOceanDriver
 from repro.ocean.eddies import detect_eddies
 from repro.ocean.okubo_weiss import okubo_weiss
+from repro.pipelines.real import MiniOceanDriver
 from repro.viz.image import png_decode, png_encode
 
 

@@ -19,12 +19,10 @@ import tempfile
 
 import numpy as np
 
-from repro.ocean.driver import MiniOceanDriver
 from repro.ocean.eddies import detect_eddies, track_eddies
+from repro.pipelines.real import CatalystAdaptor, MiniOceanDriver, render_okubo_weiss
 from repro.viz.annotate import annotate_frame
-from repro.viz.catalyst import CatalystAdaptor
 from repro.viz.cinema import CinemaDatabase
-from repro.viz.render import render_okubo_weiss
 
 N_FRAMES = 12
 STEPS_BETWEEN_FRAMES = 8

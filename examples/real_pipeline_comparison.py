@@ -21,8 +21,8 @@ import tempfile
 
 from repro.exec.api import RunRequest
 from repro.pipelines.insitu import InSituPipeline
-from repro.pipelines.platform import RealPlatform, RealScale
 from repro.pipelines.postprocessing import PostProcessingPipeline
+from repro.pipelines.real import RealPlatform, RealScale
 from repro.units import format_bytes, format_seconds
 
 

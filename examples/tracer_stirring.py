@@ -27,7 +27,7 @@ from repro.ocean.tracer import TracerField
 from repro.viz.annotate import annotate_frame
 from repro.viz.cinema import CinemaDatabase
 from repro.viz.colormap import ocean_speed_colormap
-from repro.viz.render import render_field, render_okubo_weiss
+from repro.pipelines.real import render_field, render_okubo_weiss
 from repro.ocean.okubo_weiss import okubo_weiss
 
 N_FRAMES = 8

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.ocean.driver import MiniOceanDriver
 from repro.ocean.eddies import Eddy, detect_eddies, track_eddies
+from repro.pipelines.real import MiniOceanDriver
 
 __all__ = ["SamplingQuality", "evaluate_sampling_quality", "quality_table"]
 

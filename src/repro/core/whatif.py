@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 from repro.core.model import PipelinePredictor, Prediction
 from repro.errors import ConfigurationError, ModelError
 from repro.faults.model import FailureModel
-from repro.obs.manifest import SCHEMA_VERSION
+from repro.obs.schema import SCHEMA_VERSION
 from repro.paper import TIMESTEP_SECONDS
 from repro.units import HOUR
 

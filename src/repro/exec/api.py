@@ -14,12 +14,13 @@ JSON-round-trippable config objects.  That buys three properties at once:
   the memoized result;
 * **provenance** — the same dict lands verbatim in the
   :class:`~repro.obs.manifest.RunManifest`, versioned by the shared
-  :data:`~repro.obs.manifest.SCHEMA_VERSION`.
+  :data:`~repro.obs.schema.SCHEMA_VERSION`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
@@ -28,11 +29,11 @@ from typing import TYPE_CHECKING, Any, Mapping, Optional
 from repro.errors import ConfigurationError
 from repro.faults.resilience import CheckpointPolicy
 from repro.faults.spec import FaultSpec
-from repro.obs.manifest import SCHEMA_VERSION
-from repro.obs.trace import TraceContext
+from repro.obs.schema import SCHEMA_VERSION
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.metrics import Measurement
+    from repro.obs.trace import TraceContext
     from repro.pipelines.base import Pipeline, PipelineSpec
     from repro.scenario.schema import ClusterConfig, StorageConfig
 
@@ -379,17 +380,27 @@ class RunResult:
 # ------------------------------------------------------------------ registry
 
 
+#: Pipeline name -> (module, class) the engine builds for a request naming
+#: it.  Building imports only the named pipeline's module.
+_PIPELINES = {
+    "in-situ": ("repro.pipelines.insitu", "InSituPipeline"),
+    "post-processing": ("repro.pipelines.postprocessing", "PostProcessingPipeline"),
+    "in-transit": ("repro.pipelines.intransit", "InTransitPipeline"),
+}
+
+
+def _registered(name: str) -> Optional[type]:
+    """The class registered under pipeline ``name``, or None."""
+    entry = _PIPELINES.get(name)
+    if entry is None:
+        return None
+    module, attr = entry
+    return getattr(importlib.import_module(module), attr)
+
+
 def pipeline_factories() -> dict:
     """Name → class for every pipeline the engine can instantiate."""
-    from repro.pipelines.insitu import InSituPipeline
-    from repro.pipelines.intransit import InTransitPipeline
-    from repro.pipelines.postprocessing import PostProcessingPipeline
-
-    return {
-        InSituPipeline.name: InSituPipeline,
-        PostProcessingPipeline.name: PostProcessingPipeline,
-        InTransitPipeline.name: InTransitPipeline,
-    }
+    return {name: _registered(name) for name in _PIPELINES}
 
 
 def require_registered(pipeline: "Pipeline") -> None:
@@ -401,7 +412,7 @@ def require_registered(pipeline: "Pipeline") -> None:
     pipeline can still run through its own
     :meth:`~repro.pipelines.base.Pipeline.execute`.
     """
-    registered = pipeline_factories().get(pipeline.name)
+    registered = _registered(pipeline.name)
     if type(pipeline) is not registered:
         raise ConfigurationError(
             f"{type(pipeline).__qualname__} cannot run on the execution "
@@ -412,10 +423,10 @@ def require_registered(pipeline: "Pipeline") -> None:
 
 def build_pipeline(request: RunRequest) -> "Pipeline":
     """Instantiate the pipeline a request names (with its stored args)."""
-    factories = pipeline_factories()
-    if request.pipeline not in factories:
+    factory = _registered(request.pipeline)
+    if factory is None:
         raise ConfigurationError(
             f"unknown pipeline {request.pipeline!r}; expected one of "
-            f"{sorted(factories)}"
+            f"{sorted(_PIPELINES)}"
         )
-    return factories[request.pipeline](**dict(request.pipeline_args))
+    return factory(**dict(request.pipeline_args))

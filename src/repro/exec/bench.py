@@ -29,7 +29,8 @@ from repro.errors import ConfigurationError
 from repro.exec.api import RunRequest
 from repro.exec.cache import DiskCache
 from repro.exec.engine import ExecutionEngine
-from repro.obs.manifest import SCHEMA_VERSION, collect_provenance
+from repro.obs.manifest import collect_provenance
+from repro.obs.schema import SCHEMA_VERSION
 from repro.pipelines.base import PipelineSpec
 from repro.pipelines.sampling import SamplingPolicy
 

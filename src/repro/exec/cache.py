@@ -31,7 +31,8 @@ from typing import Any, Optional
 from repro import obs
 from repro.atomicio import atomic_write_json
 from repro.errors import ConfigurationError
-from repro.obs.manifest import SCHEMA_VERSION, git_commit
+from repro.obs.manifest import git_commit
+from repro.obs.schema import SCHEMA_VERSION
 
 __all__ = ["DiskCache", "QUARANTINE_DIRNAME", "default_code_version"]
 

@@ -4,7 +4,8 @@
 and produces :class:`~repro.exec.api.RunResult` objects three ways:
 
 * **inline** — execute in this process (``max_workers=None`` or ``1``);
-* **pool** — fan simulated requests out over a ``ProcessPoolExecutor``.
+* **pool** — fan simulated requests out over a ``ProcessPoolExecutor``
+  (:mod:`repro.exec.pool`, imported when a batch first needs it).
   Results are collected in *submission order* and every worker seeds its
   RNGs deterministically from the request, so a parallel sweep is
   bit-identical to the same sweep run serially;
@@ -53,19 +54,14 @@ configuration lands in the active session's manifest config.
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from typing import List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from repro import obs
 from repro.errors import ConfigurationError, SweepError
 from repro.exec.api import RunRequest, RunResult, build_pipeline
-from repro.exec.cache import DiskCache
 from repro.exec.supervise import (
     FAIL_ABORT,
     FAIL_SERIAL,
@@ -75,14 +71,12 @@ from repro.exec.supervise import (
 )
 from repro.faults.retry import DEFAULT_RETRYABLE
 from repro.obs.naming import alert_metric_name
-from repro.obs.telemetry import SHARDS_DIRNAME, TelemetrySession
-from repro.obs.trace import TraceContext
 from repro.obs.watch import Watchdog, default_exec_rules
 
-__all__ = ["ExecutionEngine", "execute_request", "supervised_task"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.exec.cache import DiskCache
 
-#: Floor on a deadline wait so an already-late task still gets collected.
-_MIN_WAIT_SECONDS = 0.05
+__all__ = ["ExecutionEngine", "execute_request", "supervised_task"]
 
 
 def _seed_rngs(request: RunRequest) -> None:
@@ -233,7 +227,6 @@ class ExecutionEngine:
             default_exec_rules() if watch_rules is None else watch_rules
         )
         self._incidents = 0
-        self._workers = 1
 
     # ------------------------------------------------------------------- api
 
@@ -306,7 +299,9 @@ class ExecutionEngine:
                 pending.append((index, request, key))
 
         if len(pending) > 1 and (self.max_workers or 1) > 1:
-            self._run_pool(pending, results)
+            from repro.exec.pool import run_pool
+
+            run_pool(self, pending, results)
         else:
             self._run_inline(pending, results)
         if self.journal is not None:
@@ -362,159 +357,7 @@ class ExecutionEngine:
                 self._settle_success(state, result, results, None, pooled=False)
                 break
 
-    def _run_pool(self, pending: list, results: list) -> None:
-        """Pooled execution with crash recovery, deadlines and quarantine."""
-        states = [
-            _TaskState(index, task_index, request, key)
-            for task_index, (index, request, key) in enumerate(pending)
-        ]
-        self._workers = min(self.max_workers, len(pending))
-        pool: Optional[ProcessPoolExecutor] = None
-        work = states
-        first_round = True
-        try:
-            while work:
-                retry_next: List[_TaskState] = []
-                # After any pool breakage, suspects (tasks that were in
-                # flight during a crash) run one at a time: a further crash
-                # then attributes to exactly one request, so poison tasks
-                # are identified without condemning innocent bystanders.
-                suspects = [] if first_round else [s for s in work if s.crashes > 0]
-                rest = [s for s in work if s not in suspects]
-                for state in suspects:
-                    pool = self._ensure_pool(pool)
-                    pool = self._run_batch(pool, [state], results, retry_next)
-                if rest:
-                    pool = self._ensure_pool(pool)
-                    pool = self._run_batch(pool, rest, results, retry_next)
-                first_round = False
-                work = retry_next
-                if work:
-                    self._backoff(work)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-    def _ensure_pool(self, pool: Optional[ProcessPoolExecutor]) -> ProcessPoolExecutor:
-        if pool is not None:
-            return pool
-        return ProcessPoolExecutor(max_workers=self._workers)
-
-    def _respawn(self) -> None:
-        self.pool_restarts += 1
-        obs.counter("repro_exec_pool_restarts_total")
-
-    def _submit(self, pool: ProcessPoolExecutor, state: _TaskState, session):
-        state.submit_t = time.monotonic()
-        return pool.submit(
-            supervised_task,
-            self._with_trace(state.request, session, state.task_index),
-            state.task_index,
-        )
-
-    @staticmethod
-    def _with_trace(
-        request: RunRequest,
-        session: Optional[TelemetrySession],
-        task_index: int,
-    ) -> RunRequest:
-        """The request as submitted to a worker: trace attached if tracing."""
-        if session is None:
-            return request
-        shard_dir = None
-        if session.directory is not None:
-            shard_dir = os.path.join(session.directory, SHARDS_DIRNAME)
-        return replace(
-            request,
-            trace=TraceContext(
-                trace_id=session.trace_id,
-                parent_span_id=session.current_span_id,
-                label=session.label,
-                task_index=task_index,
-                shard_dir=shard_dir,
-                timeline=session.timeline,
-            ),
-        )
-
-    def _run_batch(
-        self,
-        pool: ProcessPoolExecutor,
-        batch: List[_TaskState],
-        results: list,
-        retry_next: List[_TaskState],
-    ) -> Optional[ProcessPoolExecutor]:
-        """Submit a batch, collect in submission order, survive breakage.
-
-        Collecting in submission order, whichever worker finishes first,
-        merges the workers' telemetry shards in that order too, so the
-        parent's event stream is byte-identical to an inline run.
-        """
-        session = obs.active()
-        futures = [self._submit(pool, state, session) for state in batch]
-        broken = None  # None | "deadline" | "crash"
-        for state, future in zip(batch, futures):
-            if broken is not None:
-                # The pool died while this future was outstanding: harvest
-                # it if it finished in time.  Otherwise, a deadline kill has
-                # a known culprit — collateral tasks requeue penalty-free —
-                # while a worker crash has an unknown one, so everything in
-                # flight becomes a crash suspect (isolation exonerates the
-                # innocent next round).
-                if (
-                    future.done()
-                    and not future.cancelled()
-                    and future.exception(timeout=0) is None
-                ):
-                    self._settle_success(
-                        state, future.result(timeout=0), results, session
-                    )
-                elif broken == "deadline":
-                    self._note_interrupted(state, retry_next)
-                else:
-                    self._note_crash(state, results, retry_next)
-                continue
-            try:
-                result = future.result(timeout=self._remaining(state))
-            except FuturesTimeoutError:
-                self._note_deadline(state, results, retry_next)
-                self._kill_pool(pool)
-                pool = None
-                broken = "deadline"
-            except BrokenProcessPool:
-                self._note_crash(state, results, retry_next)
-                broken = "crash"
-            except Exception as exc:
-                self._note_task_error(state, exc, results, retry_next)
-            else:
-                self._settle_success(state, result, results, session)
-        if broken is not None:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-            self._respawn()
-            return None
-        return pool
-
     # -------------------------------------------------------------- settling
-
-    def _remaining(self, state: _TaskState) -> Optional[float]:
-        if self.policy.deadline_seconds is None:
-            return None
-        left = state.submit_t + self.policy.deadline_seconds - time.monotonic()
-        return max(_MIN_WAIT_SECONDS, left)
-
-    def _kill_pool(self, pool: ProcessPoolExecutor) -> None:
-        """Terminate the pool's workers (the only way to evict a hung task)."""
-        try:
-            for proc in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    proc.terminate()
-                except OSError:
-                    continue
-            pool.shutdown(wait=True, cancel_futures=True)
-        except Exception:
-            # Teardown of an already-broken pool must never mask the
-            # supervision decision that triggered it.
-            pass
 
     def _settle_success(
         self,
@@ -573,92 +416,6 @@ class ExecutionEngine:
         self.retries += 1
         obs.counter("repro_exec_retries_total", kind=kind)
         self._incident()
-
-    def _note_interrupted(
-        self, state: _TaskState, retry_next: List[_TaskState]
-    ) -> None:
-        """Collateral requeue: the pool died for a *known other* task.
-
-        No attempt or crash penalty — this task did nothing wrong and must
-        not drift toward its retry ceiling because a neighbor hung.
-        """
-        obs.counter("repro_exec_interrupted_total")
-        retry_next.append(state)
-
-    def _note_crash(
-        self, state: _TaskState, results: list, retry_next: List[_TaskState]
-    ) -> None:
-        state.crashes += 1
-        state.note_attempt("worker-crash", "worker process died mid-task")
-        self.worker_crashes += 1
-        obs.counter("repro_exec_worker_crashes_total")
-        if self.journal is not None:
-            self.journal.event(
-                "worker-crash", index=state.index, crashes=state.crashes
-            )
-        self._incident()
-        if state.crashes >= self.policy.max_worker_crashes:
-            self.quarantined += 1
-            obs.counter("repro_exec_quarantined_total")
-            if self.journal is not None:
-                self.journal.event("quarantine", index=state.index)
-            self._incident()
-            self._fail(
-                state,
-                "poison",
-                f"task crashed its worker {state.crashes} time(s); quarantined",
-                results,
-                quarantined=True,
-            )
-        elif state.attempts >= self.policy.retry.max_attempts:
-            self._fail(
-                state,
-                "worker-crash",
-                f"worker crashed on every one of {state.attempts} attempt(s)",
-                results,
-            )
-        else:
-            self._note_retry(state, "worker-crash")
-            retry_next.append(state)
-
-    def _note_deadline(
-        self, state: _TaskState, results: list, retry_next: List[_TaskState]
-    ) -> None:
-        state.note_attempt(
-            "deadline",
-            f"no result within the {self.policy.deadline_seconds}s deadline",
-        )
-        self.deadline_expiries += 1
-        obs.counter("repro_exec_deadline_expired_total")
-        if self.journal is not None:
-            self.journal.event("deadline", index=state.index)
-        self._incident()
-        if state.attempts >= self.policy.retry.max_attempts:
-            self._fail(
-                state,
-                "deadline",
-                f"deadline expired on every one of {state.attempts} attempt(s)",
-                results,
-            )
-        else:
-            self._note_retry(state, "deadline")
-            retry_next.append(state)
-
-    def _note_task_error(
-        self,
-        state: _TaskState,
-        exc: BaseException,
-        results: list,
-        retry_next: List[_TaskState],
-    ) -> None:
-        state.note_attempt(type(exc).__name__, str(exc))
-        if self._retryable(exc) and state.attempts < self.policy.retry.max_attempts:
-            self._note_retry(state, "exception")
-            retry_next.append(state)
-            return
-        self._fail(
-            state, "exception", f"{type(exc).__name__}: {exc}", results, cause=exc
-        )
 
     @staticmethod
     def _retryable(exc: BaseException) -> bool:

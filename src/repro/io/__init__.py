@@ -5,8 +5,9 @@
   size accounting, standing in for (parallel) netCDF.
 * :mod:`repro.io.pio` — a PIO-style aggregating writer: compute ranks funnel
   their blocks to a subset of I/O aggregator ranks, which stream to the
-  filesystem.  Backends write either to a real directory or through the
-  simulated Lustre cluster.
+  filesystem.  Backends write either to a real directory
+  (:class:`RealIOBackend`, part of the real platform in
+  :mod:`repro.pipelines.real`) or through the simulated Lustre cluster.
 """
 
 from typing import TYPE_CHECKING
@@ -15,7 +16,8 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.io.ncformat import NcliteFile, nclite_nbytes, read_nclite, write_nclite
-    from repro.io.pio import PIOWriter, RealIOBackend, SimulatedIOBackend
+    from repro.io.pio import PIOWriter, SimulatedIOBackend
+    from repro.pipelines.real import RealIOBackend
 
 __all__ = [
     "NcliteFile",

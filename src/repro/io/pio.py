@@ -9,52 +9,27 @@ number of I/O aggregator ranks that issue large, well-formed writes.
 :class:`PIOWriter` models exactly that: an interconnect-cost gather stage
 followed by a backend write.  Two backends share the interface:
 
-* :class:`RealIOBackend` — writes actual bytes into a real directory
-  (real-mode pipelines, examples, tests);
+* :class:`~repro.pipelines.real.RealIOBackend` — writes actual bytes into
+  a real directory (real-mode pipelines, examples, tests), part of the real
+  platform;
 * :class:`SimulatedIOBackend` — a DES process writing through the simulated
   Lustre filesystem (campaign-scale runs).
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Generator, Mapping, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.io.ncformat import write_nclite
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.topology import Interconnect
+    from repro.pipelines.real import RealIOBackend
     from repro.storage.lustre import LustreFileSystem
 
-__all__ = ["RealIOBackend", "SimulatedIOBackend", "PIOWriter"]
-
-
-class RealIOBackend:
-    """Backend writing real nclite files into a directory."""
-
-    def __init__(self, directory: str) -> None:
-        os.makedirs(directory, exist_ok=True)
-        self.directory = directory
-        self.bytes_written = 0
-        self.files_written = 0
-
-    def write_fields(
-        self, relpath: str, fields: Mapping[str, np.ndarray], attrs: Optional[Mapping[str, object]] = None
-    ) -> int:
-        """Serialize ``fields`` to ``relpath``; returns the byte count."""
-        path = os.path.join(self.directory, relpath)
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        n = write_nclite(path, fields, attrs)
-        self.bytes_written += n
-        self.files_written += 1
-        return n
-
-    def path_of(self, relpath: str) -> str:
-        """Absolute path of a previously written file."""
-        return os.path.join(self.directory, relpath)
+__all__ = ["SimulatedIOBackend", "PIOWriter"]
 
 
 class SimulatedIOBackend:
@@ -126,7 +101,7 @@ class PIOWriter:
 
     def write_real(
         self,
-        backend: RealIOBackend,
+        backend: "RealIOBackend",
         relpath: str,
         fields: Mapping[str, np.ndarray],
         attrs: Optional[Mapping[str, object]] = None,

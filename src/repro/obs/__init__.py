@@ -18,7 +18,10 @@ Zero-dependency observability for every layer of the reproduction:
   and ``repro_alert_<name>_total`` counters.
 
 Everything is a no-op until a :func:`session` is active, so instrumented
-code paths are bit-identical with telemetry disabled.  See
+code paths are bit-identical with telemetry disabled.  The helpers live in
+:mod:`repro.obs.telemetry`, which imports nothing else of the layer; the
+session, its writers, registry, timeline and trace load on the first
+``obs.session`` lookup.  See
 ``docs/OBSERVABILITY.md`` and ``examples/telemetry_demo.py``.
 """
 
@@ -56,13 +59,13 @@ if TYPE_CHECKING:
         bucket_quantile,
         default_registry,
     )
+    from repro.obs.sessions import TelemetrySession, session, shard_session
     from repro.obs.telemetry import (
         PHASE_SECONDS_METRIC,
         SHARDS_DIRNAME,
         SIM,
         WALL,
         Span,
-        TelemetrySession,
         active,
         counter,
         enabled,
@@ -70,8 +73,6 @@ if TYPE_CHECKING:
         gauge,
         observe,
         phase,
-        session,
-        shard_session,
         span,
     )
     from repro.obs.timeline import (

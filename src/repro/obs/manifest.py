@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
+from repro.obs.schema import SCHEMA_VERSION
 
 __all__ = [
     "EVENTS_FILENAME",
     "MANIFEST_FILENAME",
     "PROM_FILENAME",
     "RunManifest",
-    "SCHEMA_VERSION",
     "TIMELINE_FILENAME",
     "collect_provenance",
     "git_commit",
@@ -36,9 +36,6 @@ EVENTS_FILENAME = "events.jsonl"
 PROM_FILENAME = "metrics.prom"
 #: Sampled time series (present only when timeline sampling is enabled).
 TIMELINE_FILENAME = "timeline.jsonl"
-
-#: Bump when the manifest layout changes incompatibly.
-SCHEMA_VERSION = 1
 
 
 @functools.lru_cache(maxsize=None)

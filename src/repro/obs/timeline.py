@@ -58,7 +58,7 @@ from repro.obs.exporters import RowText
 from repro.obs.naming import alert_metric_name, validate_timeline_series_name
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.telemetry import TelemetrySession
+    from repro.obs.sessions import TelemetrySession
     from repro.obs.watch import Watchdog
 
 __all__ = [

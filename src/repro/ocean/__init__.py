@@ -12,6 +12,10 @@ Two layers:
   (:mod:`repro.ocean.driver`) describing the paper's 60 km global MPAS-O
   setup (cell counts, output sizes, per-step compute cost on a given
   cluster), used by the simulated platform.
+
+The runnable driver that steps the solver and exposes MPAS-O-style output
+variables, :class:`MiniOceanDriver`, belongs to the real platform
+(:mod:`repro.pipelines.real`); this package re-exports it.
 """
 
 from typing import TYPE_CHECKING
@@ -21,11 +25,12 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:
     from repro.ocean.barotropic import BarotropicSolver
     from repro.ocean.diagnostics import SimulationMonitor, energy_spectrum, spectral_slope
-    from repro.ocean.driver import MPASOceanConfig, OceanCostModel, MiniOceanDriver
+    from repro.ocean.driver import MPASOceanConfig, OceanCostModel
     from repro.ocean.eddies import Eddy, EddyTrack, detect_eddies, track_eddies
     from repro.ocean.grid import SpectralGrid, icosahedral_cell_count
     from repro.ocean.okubo_weiss import okubo_weiss, okubo_weiss_classification
     from repro.ocean.tracer import TracerField
+    from repro.pipelines.real import MiniOceanDriver
 
 __all__ = [
     "BarotropicSolver",

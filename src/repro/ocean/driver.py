@@ -1,4 +1,4 @@
-"""Campaign configuration, cost model and the runnable mini driver.
+"""Campaign configuration and cost model of the MPAS-O stand-in.
 
 :class:`MPASOceanConfig` describes a campaign the way the paper does: grid
 resolution (60 km), timestep (30 simulated minutes), duration (6 simulated
@@ -11,30 +11,21 @@ reference configuration writes ≈0.47 GB per sample, giving ≈85 GB at
 cost on a given cluster, calibrated so the 60 km / 6-month run takes 603
 compute-seconds on the 150-node *Caddy* — the paper's measured ``t_sim``.
 
-:class:`MiniOceanDriver` is the *real* executable version: it advances the
-barotropic solver and exposes the same named output variables as actual
-arrays, for the real-mode pipelines, examples and tests.
+The *real* executable version, which advances the barotropic solver and
+exposes the same named output variables as actual arrays, is
+:class:`~repro.pipelines.real.MiniOceanDriver`, part of the real platform.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
-import numpy as np
-
-from repro import obs
 from repro.errors import ConfigurationError
-from repro.ocean.barotropic import BarotropicSolver
-from repro.ocean.grid import SpectralGrid, icosahedral_cell_count
-from repro.ocean.okubo_weiss import okubo_weiss
+from repro.ocean.grid import icosahedral_cell_count
 from repro.paper import TIMESTEP_SECONDS
 from repro.units import HOUR, MONTH
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.machine import ComputeCluster
-
-__all__ = ["MPASOceanConfig", "OceanCostModel", "MiniOceanDriver"]
+__all__ = ["MPASOceanConfig", "OceanCostModel"]
 
 #: Variables written per output sample: six full-depth 3-D fields (the MPAS-O
 #: prognostics plus the derived Okubo-Weiss field) and two 2-D fields, 8-byte
@@ -146,78 +137,3 @@ class OceanCostModel:
     def simulation_seconds(self, config: MPASOceanConfig, n_nodes: int) -> float:
         """Wall seconds of the pure-simulation phase for a whole campaign."""
         return self.seconds_per_step(config, n_nodes) * config.n_timesteps
-
-
-class MiniOceanDriver:
-    """The runnable mini ocean model exposing MPAS-O-style output variables.
-
-    Each output variable is a real 2-D array on the mini grid: the velocity
-    components and Okubo-Weiss come straight from the solver; temperature,
-    salinity and SSH are diagnostic proxies derived from the streamfunction
-    (warm/fresh/elevated cores in anticyclones), so the rendered images and
-    written files carry physically coherent structure.
-    """
-
-    def __init__(
-        self,
-        nx: int = 128,
-        ny: int = 64,
-        length_m: float = 2.0e6,
-        timestep_seconds: float = TIMESTEP_SECONDS,
-        seed: int = 0,
-        viscosity: float = 5.0e7,
-    ) -> None:
-        self.grid = SpectralGrid(nx, ny, length_m)
-        self.solver = BarotropicSolver(self.grid, viscosity=viscosity, seed=seed)
-        self.timestep_seconds = float(timestep_seconds)
-        # Keep the advective CFL comfortable for the default RMS speed.
-        cfl = self.solver.cfl_number(self.timestep_seconds)
-        if cfl > 0.8:
-            raise ConfigurationError(
-                f"timestep {timestep_seconds}s gives CFL={cfl:.2f} > 0.8 on this grid"
-            )
-
-    @property
-    def time(self) -> float:
-        """Simulated seconds elapsed."""
-        return self.solver.time
-
-    @property
-    def step_count(self) -> int:
-        """Timesteps taken."""
-        return self.solver.step_count
-
-    def advance(self, n_steps: int = 1) -> None:
-        """Advance the mini model ``n_steps`` timesteps."""
-        with obs.span("ocean.advance", n_steps=n_steps):
-            self.solver.run(n_steps, self.timestep_seconds)
-        obs.counter("repro_ocean_steps_total", n_steps)
-
-    def okubo_weiss_field(self) -> np.ndarray:
-        """The current Okubo-Weiss field on the mini grid."""
-        u, v = self.solver.velocity()
-        return okubo_weiss(u, v, self.grid.dx, self.grid.dy)
-
-    def output_fields(self) -> dict[str, np.ndarray]:
-        """The named output variables as real arrays (C-contiguous, float64)."""
-        u, v = self.solver.velocity()
-        psi = self.solver.streamfunction()
-        zeta = self.solver.vorticity()
-        w = okubo_weiss(u, v, self.grid.dx, self.grid.dy)
-        psi_norm = psi / (np.max(np.abs(psi)) + 1e-30)
-        return {
-            "u": u,
-            "v": v,
-            "vorticity": zeta,
-            "okubo_weiss": w,
-            # Diagnostic proxies: anticyclonic (high-ψ) cores are warm,
-            # fresh and elevated — enough structure to make the output
-            # files and images physically coherent.
-            "temperature": 15.0 + 5.0 * psi_norm,
-            "salinity": 35.0 - 0.5 * psi_norm,
-            "layer_thickness": 100.0 + 10.0 * psi_norm,
-            "ssh": 0.5 * psi_norm,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<MiniOceanDriver {self.grid.nx}x{self.grid.ny} t={self.time:.0f}s>"

@@ -12,8 +12,9 @@ Both run on either platform:
 
 * :class:`~repro.pipelines.platform.SimulatedPlatform` — campaign scale on
   the discrete-event Caddy + Lustre models with full power metering;
-* :class:`~repro.pipelines.platform.RealPlatform` — miniature scale with the
+* :class:`~repro.pipelines.real.RealPlatform` — miniature scale with the
   real ocean solver, real PNG rendering and real files, wall-clock timed.
+  Only real-mode runs import :mod:`repro.pipelines.real`.
 """
 
 from typing import TYPE_CHECKING
@@ -23,8 +24,9 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:
     from repro.pipelines.insitu import InSituPipeline
     from repro.pipelines.intransit import InTransitPipeline
-    from repro.pipelines.platform import RealPlatform, RealScale, SimulatedPlatform
+    from repro.pipelines.platform import SimulatedPlatform
     from repro.pipelines.postprocessing import PostProcessingPipeline
+    from repro.pipelines.real import RealPlatform, RealScale
     from repro.pipelines.sampling import SamplingPolicy
     from repro.pipelines.base import Pipeline, PipelineSpec
 

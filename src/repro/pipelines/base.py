@@ -16,7 +16,8 @@ from repro.viz.render import ImageSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.exec.api import RunRequest, RunResult
-    from repro.pipelines.platform import RealPlatform, SimulatedPlatform
+    from repro.pipelines.platform import SimulatedPlatform
+    from repro.pipelines.real import RealPlatform
 
 __all__ = ["CHECKPOINT_FILENAME", "PipelineSpec", "Pipeline"]
 
@@ -86,7 +87,13 @@ class Pipeline(ABC):
 
     @abstractmethod
     def run_real(self, platform: "RealPlatform", spec: PipelineSpec) -> Measurement:
-        """Run the miniature real-mode version; returns its measurement."""
+        """Run the miniature real-mode version; returns its measurement.
+
+        Implementations call back into the ``platform`` method that holds
+        the workflow's real body (e.g.
+        :meth:`~repro.pipelines.real.RealPlatform.run_in_situ`), so the real
+        solver and renderer load only with :mod:`repro.pipelines.real`.
+        """
 
     def request_args(self) -> dict:
         """Constructor arguments identifying this instance in a RunRequest.
@@ -109,9 +116,9 @@ class Pipeline(ABC):
         (a fresh one per call, built from the request's ``cluster`` and
         ``storage`` topology, unless ``platform`` is given — fresh platforms
         are what make runs pure functions of the request, hence cacheable
-        and pool-safe), real requests run the miniature version in
-        ``request.workdir``.  ``None`` means "this pipeline with every
-        default".
+        and pool-safe), real requests run the miniature version on a
+        :class:`~repro.pipelines.real.RealPlatform` in ``request.workdir``.
+        ``None`` means "this pipeline with every default".
         """
         from repro.exec.api import RunRequest
 
@@ -139,7 +146,7 @@ class Pipeline(ABC):
 
         t0 = time.perf_counter()
         if request.mode == MODE_REAL:
-            from repro.pipelines.platform import RealPlatform
+            from repro.pipelines.real import RealPlatform
 
             if platform is None:
                 if request.workdir is None:

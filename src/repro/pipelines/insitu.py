@@ -8,20 +8,16 @@ database.  No raw fields ever reach the filesystem.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Generator
-
-import numpy as np
 
 from repro import obs
 from repro.core.metrics import IN_SITU, Measurement, PhaseTimeline
 from repro.pipelines.base import Pipeline, PipelineSpec
-from repro.viz.catalyst import CatalystAdaptor
 from repro.viz.cinema import CinemaDatabase
-from repro.viz.render import Camera, render_okubo_weiss
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.pipelines.platform import RealPlatform, SimulatedPlatform
+    from repro.pipelines.platform import SimulatedPlatform
+    from repro.pipelines.real import RealPlatform
 
 __all__ = ["InSituPipeline"]
 
@@ -104,57 +100,4 @@ class InSituPipeline(Pipeline):
     # ------------------------------------------------------------------ real
 
     def run_real(self, platform: "RealPlatform", spec: PipelineSpec) -> Measurement:
-        scale = platform.scale
-        driver = platform.new_driver()
-        outdir = platform.run_directory(self.name)
-        cinema = CinemaDatabase(os.path.join(outdir, "cinema"), name="eddies")
-        cameras = [Camera(), Camera(center=(0.5, 0.5), zoom=2.0)]
-        timeline = PhaseTimeline(domain=obs.WALL)
-        n_images = 0
-        storage_before = cinema.total_bytes
-
-        adaptor = CatalystAdaptor()
-
-        def render_hook(step: int, _time: float, fields) -> list:
-            w = np.asarray(fields["okubo_weiss"])
-            return [
-                render_okubo_weiss(
-                    w, width=scale.image_width, height=scale.image_height, camera=cam
-                )
-                for cam in cameras
-            ]
-
-        adaptor.register_pipeline("okubo-weiss", render_hook)
-
-        wall_start = platform.clock()
-        for i in range(scale.n_outputs):
-            t0 = platform.clock()
-            driver.advance(scale.steps_between_outputs)
-            t1 = platform.clock()
-            timeline.add("simulation", t0, t1)
-            fields = driver.output_fields()
-            t0 = platform.clock()
-            images = adaptor.coprocess(i, driver.time, fields)["okubo-weiss"]
-            t1 = platform.clock()
-            timeline.add("viz", t0, t1)
-            t0 = platform.clock()
-            for cam_index, image in enumerate(images):
-                cinema.add_image({"time": i, "camera": cam_index}, image)
-                n_images += 1
-            t1 = platform.clock()
-            timeline.add("io", t0, t1)
-            obs.counter("repro_viz_images_total", len(images), pipeline=self.name)
-        adaptor.finalize()
-        cinema.close()
-        wall_end = platform.clock()
-        return Measurement(
-            pipeline=self.name,
-            sample_interval_hours=platform.sample_interval_hours(),
-            execution_time=wall_end - wall_start,
-            n_timesteps=scale.n_steps,
-            storage_bytes=cinema.total_bytes - storage_before,
-            n_outputs=scale.n_outputs,
-            n_images=n_images,
-            timeline=timeline,
-            label=outdir,
-        )
+        return platform.run_in_situ(self, spec)

@@ -16,40 +16,29 @@ Compared to in-situ this trades nodes for overlap:
   (Rodero et al.'s placement question: how many staging nodes are enough?).
 
 Both a campaign-scale DES implementation and a *really concurrent* real-mode
-implementation (worker thread) are provided.
+implementation (worker thread,
+:meth:`~repro.pipelines.real.RealPlatform.run_in_transit`) are provided.
 """
 
 from __future__ import annotations
 
-import os
-import queue
-import threading
 from typing import TYPE_CHECKING, Generator
 
-import numpy as np
-
-from repro import obs
 from repro.cluster.allocation import Allocator
 from repro.core.metrics import Measurement, PhaseTimeline
 from repro.errors import ConfigurationError
 from repro.events.resources import Store
 from repro.pipelines.base import Pipeline, PipelineSpec
+from repro.pipelines.staging import DEFAULT_STAGING_NODES, STAGING_QUEUE_DEPTH
 from repro.viz.cinema import CinemaDatabase
-from repro.viz.render import render_okubo_weiss
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.pipelines.platform import RealPlatform, SimulatedPlatform
+    from repro.pipelines.platform import SimulatedPlatform
+    from repro.pipelines.real import RealPlatform
 
 __all__ = ["DEFAULT_STAGING_NODES", "IN_TRANSIT", "InTransitPipeline"]
 
 IN_TRANSIT = "in-transit"
-
-#: Maximum samples queued to the staging partition before the simulation
-#: blocks (back-pressure), mirroring a bounded staging-memory budget.
-STAGING_QUEUE_DEPTH = 4
-
-#: Staging-partition size when none is given: a tenth of Caddy.
-DEFAULT_STAGING_NODES = 15
 
 
 class InTransitPipeline(Pipeline):
@@ -172,60 +161,4 @@ class InTransitPipeline(Pipeline):
     # ------------------------------------------------------------------ real
 
     def run_real(self, platform: "RealPlatform", spec: PipelineSpec) -> Measurement:
-        scale = platform.scale
-        driver = platform.new_driver()
-        outdir = platform.run_directory(self.name)
-        cinema = CinemaDatabase(os.path.join(outdir, "cinema"), name="eddies-intransit")
-        timeline = PhaseTimeline(domain=obs.WALL)
-        inbox: "queue.Queue" = queue.Queue(maxsize=STAGING_QUEUE_DEPTH)
-        n_images = 0
-        lock = threading.Lock()
-
-        def staging_worker() -> None:
-            nonlocal n_images
-            while True:
-                item = inbox.get()
-                if item is None:
-                    return
-                index, w = item
-                image = render_okubo_weiss(
-                    w, width=scale.image_width, height=scale.image_height
-                )
-                with lock:
-                    cinema.add_image({"time": index}, image)
-                    n_images += 1
-
-        worker = threading.Thread(target=staging_worker, name="staging")
-        worker.start()
-        wall_start = platform.clock()
-        try:
-            for i in range(scale.n_outputs):
-                t0 = platform.clock()
-                driver.advance(scale.steps_between_outputs)
-                t1 = platform.clock()
-                timeline.add("simulation", t0, t1)
-                # Ship a deep copy to staging; the solver keeps mutating.
-                w = np.array(driver.okubo_weiss_field(), copy=True)
-                t0 = platform.clock()
-                inbox.put((i, w))  # blocks only when staging is saturated
-                t1 = platform.clock()
-                if t1 > t0:
-                    timeline.add("stall", t0, t1)
-        finally:
-            inbox.put(None)
-            t0 = platform.clock()
-            worker.join()
-            timeline.add("drain", t0, platform.clock())
-        cinema.close()
-        wall_end = platform.clock()
-        return Measurement(
-            pipeline=self.name,
-            sample_interval_hours=platform.sample_interval_hours(),
-            execution_time=wall_end - wall_start,
-            n_timesteps=scale.n_steps,
-            storage_bytes=cinema.total_bytes,
-            n_outputs=scale.n_outputs,
-            n_images=n_images,
-            timeline=timeline,
-            label=outdir,
-        )
+        return platform.run_in_transit(self, spec)

@@ -1,4 +1,4 @@
-"""Execution platforms for the pipelines.
+"""The simulated execution platform for the pipelines.
 
 :class:`SimulatedPlatform` is the paper's instrumented testbed in software:
 the discrete-event *Caddy* cluster, the Lustre storage cluster, the cage
@@ -6,17 +6,17 @@ monitors and the storage PDU, plus the calibrated cost models that map the
 campaign configuration onto simulated durations.  Running a pipeline on it
 yields a fully metered :class:`~repro.core.metrics.Measurement`.
 
-:class:`RealPlatform` runs the *miniature real* version: the actual
-barotropic solver, actual PNG rendering, actual files in a working
-directory, wall-clock timed.  It produces the same ``Measurement`` shape
-(without power, which a laptop run cannot meter the paper's way).
+The *miniature real* platform — the actual barotropic solver, actual PNG
+rendering, actual files — is :class:`~repro.pipelines.real.RealPlatform`.
+A simulated run crosses into two heavier halves only when it uses them: the
+timeline sampler (:mod:`repro.obs.timeline`) is imported when a telemetry
+session with sampling builds one, and the
+:class:`~repro.faults.injector.FaultInjector` when a run carries faults.
 """
 
 from __future__ import annotations
 
-import os
 import random
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
@@ -25,32 +25,23 @@ from repro.cluster.machine import ComputeCluster, PhaseProfile, caddy
 from repro.core.metrics import Measurement, PhaseTimeline
 from repro.errors import ConfigurationError, DeadlockError, NodeCrashError
 from repro.events.engine import Simulator
-from repro.faults.injector import FaultInjector
 from repro.faults.resilience import CheckpointPolicy, ResumeState
 from repro.faults.retry import RetryPolicy
 from repro.faults.spec import FaultSpec
 from repro.io.pio import PIOWriter, SimulatedIOBackend
-from repro.obs.timeline import (
-    DEFAULT_TIMELINE_POINTS,
-    TimelineSampler,
-    engine_probes,
-    power_probes,
-    resource_probes,
-    storage_probes,
-)
 from repro.obs.watch import Watchdog, default_rules
-from repro.ocean.driver import MiniOceanDriver, OceanCostModel
-from repro.paper import TIMESTEP_SECONDS
+from repro.ocean.driver import OceanCostModel
 from repro.pipelines.base import CHECKPOINT_FILENAME, Pipeline, PipelineSpec
 from repro.power.report import PowerReport
 from repro.storage.lustre import LustreFileSystem, StorageCluster
-from repro.units import HOUR
 from repro.viz.render import ImageSpec, RenderCostModel
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.injector import FaultInjector
+    from repro.obs.timeline import TimelineSampler
     from repro.scenario.schema import ClusterConfig, StorageConfig
 
-__all__ = ["ImageSizeModel", "SimulatedPlatform", "RealScale", "RealPlatform"]
+__all__ = ["ImageSizeModel", "SimulatedPlatform"]
 
 
 @dataclass(frozen=True)
@@ -336,6 +327,15 @@ class SimulatedPlatform:
         the default rule set, extended with cap/overdue rules when the
         policy sets those limits.
         """
+        from repro.obs.timeline import (
+            DEFAULT_TIMELINE_POINTS,
+            TimelineSampler,
+            engine_probes,
+            power_probes,
+            resource_probes,
+            storage_probes,
+        )
+
         tcfg = session.timeline
         interval = tcfg.interval_seconds
         if interval is None:
@@ -397,6 +397,8 @@ class SimulatedPlatform:
         self.last_recoveries = 0
         injector = None
         if faults is not None:
+            from repro.faults.injector import FaultInjector
+
             injector = FaultInjector(self.sim, fs, faults)
             injector.arm()
         prev_policy, prev_rng = fs.retry_policy, fs.retry_rng
@@ -478,79 +480,3 @@ class SimulatedPlatform:
                 self.cluster.set_utilization(self.cluster.phases.idle)
                 if checkpoints is None or attempt + 1 >= max_attempts:
                     raise
-
-
-@dataclass(frozen=True)
-class RealScale:
-    """Miniature dimensions for real-mode runs."""
-
-    nx: int = 128
-    ny: int = 64
-    n_steps: int = 48
-    steps_between_outputs: int = 8
-    image_width: int = 320
-    image_height: int = 160
-    seed: int = 0
-    spinup_steps: int = 20
-
-    def __post_init__(self) -> None:
-        if self.n_steps < 1 or self.steps_between_outputs < 1:
-            raise ConfigurationError("step counts must be >= 1")
-        if self.n_steps % self.steps_between_outputs:
-            raise ConfigurationError(
-                f"n_steps={self.n_steps} not a multiple of "
-                f"steps_between_outputs={self.steps_between_outputs}"
-            )
-        if self.spinup_steps < 0:
-            raise ConfigurationError("negative spinup")
-
-    @property
-    def n_outputs(self) -> int:
-        """Output samples over the mini run."""
-        return self.n_steps // self.steps_between_outputs
-
-
-class RealPlatform:
-    """The laptop-scale platform: real solver, real renders, real files."""
-
-    def __init__(self, workdir: str, *, scale: Optional[RealScale] = None) -> None:
-        os.makedirs(workdir, exist_ok=True)
-        self.workdir = workdir
-        self.scale = scale if scale is not None else RealScale()
-        self._run_counter = 0
-
-    def new_driver(self) -> MiniOceanDriver:
-        """A fresh, spun-up mini ocean model (identical across pipelines)."""
-        driver = MiniOceanDriver(nx=self.scale.nx, ny=self.scale.ny, seed=self.scale.seed)
-        if self.scale.spinup_steps:
-            driver.advance(self.scale.spinup_steps)
-        return driver
-
-    def run_directory(self, pipeline_name: str) -> str:
-        """A fresh output directory for one run."""
-        self._run_counter += 1
-        path = os.path.join(
-            self.workdir, f"{pipeline_name.replace(' ', '_')}-{self._run_counter:03d}"
-        )
-        os.makedirs(path, exist_ok=True)
-        return path
-
-    @staticmethod
-    def clock() -> float:
-        """Wall-clock timestamp (monotonic)."""
-        return time.perf_counter()
-
-    def sample_interval_hours(self) -> float:  # repro-unit: hours
-        """The mini run's cadence expressed in simulated hours."""
-        driver_dt = TIMESTEP_SECONDS  # MiniOceanDriver default timestep
-        return self.scale.steps_between_outputs * driver_dt / HOUR
-
-    def _execute(self, pipeline: Pipeline, spec: Optional[PipelineSpec] = None) -> Measurement:
-        """Run the miniature real version of ``pipeline``."""
-        with obs.span("pipeline.run", pipeline=pipeline.name, mode="real"):
-            measurement = pipeline.run_real(self, spec if spec is not None else PipelineSpec())
-        obs.counter("repro_pipeline_runs_total", pipeline=pipeline.name, mode="real")
-        obs.counter(
-            "repro_pipeline_images_total", measurement.n_images, pipeline=pipeline.name
-        )
-        return measurement

@@ -9,21 +9,17 @@ rendering, the way a parallel ParaView batch job streams timesteps.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Generator
 
 from repro import obs
 from repro.core.metrics import POST_PROCESSING, Measurement, PhaseTimeline
 from repro.errors import Interrupt
 from repro.events.resources import Resource, Store
-from repro.io.ncformat import read_nclite
-from repro.io.pio import RealIOBackend
 from repro.pipelines.base import Pipeline, PipelineSpec
-from repro.viz.cinema import CinemaDatabase
-from repro.viz.render import render_okubo_weiss
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.pipelines.platform import RealPlatform, SimulatedPlatform
+    from repro.pipelines.platform import SimulatedPlatform
+    from repro.pipelines.real import RealPlatform
 
 __all__ = ["PostProcessingPipeline"]
 
@@ -159,55 +155,4 @@ class PostProcessingPipeline(Pipeline):
     # ------------------------------------------------------------------ real
 
     def run_real(self, platform: "RealPlatform", spec: PipelineSpec) -> Measurement:
-        scale = platform.scale
-        driver = platform.new_driver()
-        outdir = platform.run_directory(self.name)
-        backend = RealIOBackend(os.path.join(outdir, "raw"))
-        timeline = PhaseTimeline(domain=obs.WALL)
-        wall_start = platform.clock()
-
-        # ---- Phase 1: simulate + write raw nclite files.
-        for i in range(scale.n_outputs):
-            t0 = platform.clock()
-            driver.advance(scale.steps_between_outputs)
-            t1 = platform.clock()
-            timeline.add("simulation", t0, t1)
-            fields = driver.output_fields()
-            t0 = platform.clock()
-            backend.write_fields(f"sample-{i:05d}.nc", fields, {"time": driver.time})
-            t1 = platform.clock()
-            timeline.add("io", t0, t1)
-
-        # ---- Phase 2: read back + render into an image directory.
-        cinema = CinemaDatabase(os.path.join(outdir, "images"), name="eddies-post")
-        n_images = 0
-        for i in range(scale.n_outputs):
-            t0 = platform.clock()
-            fields = read_nclite(backend.path_of(f"sample-{i:05d}.nc"))
-            t1 = platform.clock()
-            timeline.add("io", t0, t1)
-            t0 = platform.clock()
-            image = render_okubo_weiss(
-                fields["okubo_weiss"], width=scale.image_width, height=scale.image_height
-            )
-            t1 = platform.clock()
-            timeline.add("viz", t0, t1)
-            t0 = platform.clock()
-            cinema.add_image({"time": i, "camera": 0}, image)
-            n_images += 1
-            obs.counter("repro_viz_images_total", 1.0, pipeline=self.name)
-            t1 = platform.clock()
-            timeline.add("io", t0, t1)
-        cinema.close()
-        wall_end = platform.clock()
-        return Measurement(
-            pipeline=self.name,
-            sample_interval_hours=platform.sample_interval_hours(),
-            execution_time=wall_end - wall_start,
-            n_timesteps=scale.n_steps,
-            storage_bytes=float(backend.bytes_written),
-            n_outputs=scale.n_outputs,
-            n_images=n_images,
-            timeline=timeline,
-            label=outdir,
-        )
+        return platform.run_post_processing(self, spec)

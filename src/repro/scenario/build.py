@@ -113,9 +113,9 @@ def build_engine(scenario: Scenario):
     Unset supervision options keep the :class:`~repro.exec.supervise.TaskPolicy`
     defaults.  The on-disk cache's code version and the sweep journal's
     label are namespaced by the scenario content digest, so artifacts key
-    on the exact configuration that produced them.
+    on the exact configuration that produced them.  The cache module loads
+    only when the scenario configures a cache.
     """
-    from repro.exec.cache import DiskCache, default_code_version
     from repro.exec.engine import ExecutionEngine
     from repro.exec.supervise import SweepJournal, TaskPolicy
 
@@ -123,6 +123,8 @@ def build_engine(scenario: Scenario):
     stamp = f"scenario-{scenario.content_digest()[:12]}"
     cache = None
     if config.cache is not None:
+        from repro.exec.cache import DiskCache, default_code_version
+
         cache = DiskCache(
             config.cache, code_version=f"{default_code_version()}+{stamp}"
         )

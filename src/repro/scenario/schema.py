@@ -45,7 +45,7 @@ from repro.paper import (
     TIMESTEP_SECONDS,
     WHATIF_YEARS,
 )
-from repro.pipelines.intransit import DEFAULT_STAGING_NODES
+from repro.pipelines.staging import DEFAULT_STAGING_NODES
 from repro.power.meter import CageMonitor
 from repro.units import MB, MONTH
 

@@ -8,7 +8,8 @@ magnitude smaller than the raw data.
 :class:`CinemaDatabase` implements the same artifact: a directory of PNG
 files plus a JSON index (``info.json``) mapping parameter tuples to files.
 It can also run *unbacked* (no directory), accounting sizes only — that mode
-backs the simulated platform, where the byte counts are what matters.
+backs the simulated platform, where the byte counts are what matters, and
+never loads the PNG codec of :mod:`repro.viz.image`.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
 from repro.errors import ConfigurationError, PipelineError
-from repro.viz.image import Image
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.viz.image import Image
 
 __all__ = ["CinemaDatabase", "CinemaEntry"]
 
@@ -139,6 +142,8 @@ class CinemaDatabase:
 
     def load_image(self, parameters: Mapping[str, object]) -> Image:
         """Read back the PNG stored under ``parameters``."""
+        from repro.viz.image import Image
+
         if self.directory is None:
             raise PipelineError("database is not directory-backed")
         key = self._key(parameters)

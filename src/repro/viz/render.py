@@ -1,8 +1,10 @@
-"""Scalar-field rasterization and the cluster-scale render cost model.
+"""Render parameters and the cluster-scale render cost model.
 
-:func:`render_field` produces a real RGB image from a scalar field through a
-camera (pan/zoom viewport) with bilinear resampling and optional contour
-overlays — the "one set of images per timestep" of the paper's pipelines.
+:class:`Camera` is a pan/zoom viewport onto a field and :class:`ImageSpec`
+the image set rendered per output timestep — the "one set of images per
+timestep" of the paper's pipelines.  The rasterizer that turns a field into
+real pixels through them is :func:`~repro.pipelines.real.render_field`, part
+of the real platform.
 
 :class:`RenderCostModel` estimates what the same render costs at campaign
 scale on a simulated cluster: per-cell rasterization work, binary-swap
@@ -14,19 +16,16 @@ calibrated so one 1920×1080 frame of the 60 km mesh on 150 nodes costs
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.viz.colormap import Colormap, okubo_weiss_colormap
-from repro.viz.contour import marching_squares
-from repro.viz.image import Image
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.topology import Interconnect
 
-__all__ = ["Camera", "render_field", "render_okubo_weiss", "RenderCostModel", "ImageSpec"]
+__all__ = ["Camera", "RenderCostModel", "ImageSpec"]
 
 
 @dataclass(frozen=True)
@@ -84,88 +83,6 @@ class ImageSpec:
     def images_per_sample(self) -> int:
         """Frames rendered per output timestep (one per camera)."""
         return len(self.cameras)
-
-
-def _bilinear(field: np.ndarray, rows: np.ndarray, cols: np.ndarray, periodic: bool) -> np.ndarray:
-    ny, nx = field.shape
-    if periodic:
-        r0 = np.floor(rows).astype(int)
-        c0 = np.floor(cols).astype(int)
-        fr = rows - r0
-        fc = cols - c0
-        r0 %= ny
-        c0 %= nx
-        r1 = (r0 + 1) % ny
-        c1 = (c0 + 1) % nx
-    else:
-        rows = np.clip(rows, 0, ny - 1)
-        cols = np.clip(cols, 0, nx - 1)
-        r0 = np.floor(rows).astype(int)
-        c0 = np.floor(cols).astype(int)
-        fr = rows - r0
-        fc = cols - c0
-        r1 = np.minimum(r0 + 1, ny - 1)
-        c1 = np.minimum(c0 + 1, nx - 1)
-    top = field[r0, c0] * (1 - fc) + field[r0, c1] * fc
-    bot = field[r1, c0] * (1 - fc) + field[r1, c1] * fc
-    return top * (1 - fr) + bot * fr
-
-
-def render_field(
-    field: np.ndarray,
-    colormap: Colormap,
-    width: int = 640,
-    height: int = 360,
-    camera: Optional[Camera] = None,
-    vmin: Optional[float] = None,
-    vmax: Optional[float] = None,
-    contour_levels: Sequence[float] = (),
-    contour_color: tuple[int, int, int] = (30, 30, 30),
-    periodic: bool = True,
-) -> Image:
-    """Rasterize ``field`` into a ``width x height`` RGB image.
-
-    The field is resampled bilinearly through ``camera``, colored through
-    ``colormap``, and optionally overlaid with marching-squares contours.
-    """
-    field = np.asarray(field, dtype=float)
-    if field.ndim != 2:
-        raise ConfigurationError(f"field must be 2-D, got {field.shape}")
-    cam = camera if camera is not None else Camera()
-    rows, cols = cam.sample_coordinates(field.shape, width, height)
-    resampled = _bilinear(field, rows, cols, periodic)
-    image = Image(colormap.apply(resampled, vmin=vmin, vmax=vmax))
-    for level in contour_levels:
-        for line in marching_squares(resampled, level):
-            image.draw_polyline(line, color=contour_color)
-    return image
-
-
-def render_okubo_weiss(
-    w: np.ndarray,
-    width: int = 640,
-    height: int = 360,
-    camera: Optional[Camera] = None,
-    outline_eddies: bool = True,
-) -> Image:
-    """Fig. 2-style rendering of an Okubo-Weiss field.
-
-    Symmetric normalization around zero with the green/blue diverging map;
-    optionally outlines eddy cores at the ``-0.2 σ_W`` level.
-    """
-    w = np.asarray(w, dtype=float)
-    scale = 2.0 * float(np.std(w)) + 1e-30
-    levels = (-0.2 * float(np.std(w)),) if outline_eddies else ()
-    return render_field(
-        w,
-        okubo_weiss_colormap(),
-        width=width,
-        height=height,
-        camera=camera,
-        vmin=-scale,
-        vmax=scale,
-        contour_levels=levels,
-    )
 
 
 @dataclass(frozen=True)

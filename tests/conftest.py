@@ -7,9 +7,10 @@ import pytest
 
 from repro.cluster.machine import caddy
 from repro.events.engine import Simulator
-from repro.ocean.driver import MiniOceanDriver, MPASOceanConfig
+from repro.ocean.driver import MPASOceanConfig
 from repro.pipelines.base import PipelineSpec
 from repro.pipelines.platform import SimulatedPlatform
+from repro.pipelines.real import MiniOceanDriver
 from repro.pipelines.sampling import SamplingPolicy
 from repro.storage.lustre import StorageCluster
 from repro.units import MONTH

@@ -10,7 +10,7 @@ from repro.analysis.quality import (
     quality_table,
 )
 from repro.errors import ConfigurationError
-from repro.ocean.driver import MiniOceanDriver
+from repro.pipelines.real import MiniOceanDriver
 
 
 def tiny_driver() -> MiniOceanDriver:

@@ -21,7 +21,7 @@ from repro.cluster.topology import Interconnect
 from repro.errors import ConfigurationError
 from repro.events.engine import Simulator
 from repro.obs.registry import MetricsRegistry
-from repro.obs.telemetry import TelemetrySession
+from repro.obs.sessions import TelemetrySession
 from repro.obs.timeline import TimelineSampler, power_probes
 from repro.power.meter import PowerMeter
 from repro.power.signal import PowerSignal

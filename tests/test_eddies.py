@@ -187,7 +187,7 @@ class TestTracking:
     def test_real_flow_produces_persistent_tracks(self, mini_driver):
         """Eddies in the real mini model persist across output frames."""
         import copy
-        from repro.ocean.driver import MiniOceanDriver
+        from repro.pipelines.real import MiniOceanDriver
         driver = MiniOceanDriver(nx=64, ny=32, seed=11)
         driver.advance(20)
         frames = []

@@ -49,13 +49,15 @@ from repro.exec.cache import QUARANTINE_DIRNAME, DiskCache
 from repro.exec.engine import ExecutionEngine, execute_request
 from repro.faults.resilience import CheckpointPolicy
 from repro.faults.spec import FaultSpec
-from repro.obs.manifest import SCHEMA_VERSION, collect_provenance
+from repro.obs.manifest import collect_provenance
+from repro.obs.schema import SCHEMA_VERSION
 from repro.obs.trace import TraceContext
 from repro.ocean.driver import MPASOceanConfig
 from repro.pipelines.base import PipelineSpec
 from repro.pipelines.insitu import InSituPipeline
 from repro.pipelines.intransit import InTransitPipeline
-from repro.pipelines.platform import RealPlatform, RealScale, SimulatedPlatform
+from repro.pipelines.platform import SimulatedPlatform
+from repro.pipelines.real import RealPlatform, RealScale
 from repro.pipelines.postprocessing import PostProcessingPipeline
 from repro.pipelines.sampling import SamplingPolicy
 from repro.scenario.schema import ClusterConfig, StorageConfig

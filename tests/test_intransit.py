@@ -12,7 +12,8 @@ from repro.ocean.driver import MPASOceanConfig
 from repro.pipelines.base import PipelineSpec
 from repro.pipelines.insitu import InSituPipeline
 from repro.pipelines.intransit import IN_TRANSIT, InTransitPipeline
-from repro.pipelines.platform import RealPlatform, RealScale, SimulatedPlatform
+from repro.pipelines.platform import SimulatedPlatform
+from repro.pipelines.real import RealPlatform, RealScale
 from repro.pipelines.sampling import SamplingPolicy
 from repro.units import MONTH
 

@@ -13,7 +13,8 @@ from repro.cluster.topology import Interconnect
 from repro.errors import ConfigurationError, FileFormatError
 from repro.events.engine import Simulator
 from repro.io.ncformat import NcliteFile, nclite_nbytes, read_nclite, write_nclite
-from repro.io.pio import PIOWriter, RealIOBackend, SimulatedIOBackend
+from repro.io.pio import PIOWriter, SimulatedIOBackend
+from repro.pipelines.real import RealIOBackend
 from repro.storage.lustre import LustreFileSystem
 
 

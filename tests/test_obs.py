@@ -494,17 +494,21 @@ class TestReproCliTelemetry:
 
         spec = PipelineSpec(ocean=MPASOceanConfig(duration_seconds=MONTH))
         original = char.run_characterization
-        monkeypatch.setattr(
-            "repro.cli.run_characterization",
-            lambda intervals_hours: original(
-                intervals_hours=intervals_hours, spec=spec
-            ),
-        )
+        calls = []
+
+        def one_month(**kwargs):
+            calls.append(kwargs)
+            return original(**{**kwargs, "spec": spec})
+
+        # `repro characterize` reaches the grid through
+        # repro.scenario.run._characterize, which looks the root's name up.
+        monkeypatch.setattr("repro.run_characterization", one_month)
         d = str(tmp_path / "out")
         rc = repro_main(
             ["characterize", "--intervals", "72", "--json", "--telemetry", d]
         )
         assert rc == 0
+        assert [call["intervals_hours"] for call in calls] == [(72.0,)]
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["measurements"]) == 2
         assert "72" in payload["comparisons"]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.ocean.driver import MiniOceanDriver, MPASOceanConfig, OceanCostModel
+from repro.ocean.driver import MPASOceanConfig, OceanCostModel
+from repro.pipelines.real import MiniOceanDriver
 from repro.units import MONTH
 
 

@@ -93,7 +93,7 @@ class TestPublicApi:
 
     def test_export_named_like_its_submodule_stays_the_function(self):
         import repro.ocean
-        import repro.ocean.driver  # imports the repro.ocean.okubo_weiss module
+        import repro.ocean.eddies  # imports the repro.ocean.okubo_weiss module
         from repro.ocean import okubo_weiss
 
         assert okubo_weiss is sys.modules["repro.ocean.okubo_weiss"].okubo_weiss
@@ -140,6 +140,7 @@ class TestPublicApi:
             "repro.core.advisor", "repro.core.metrics", "repro.pipelines.platform",
             "repro.cluster.machine", "repro.storage.lustre", "repro.power.trace",
             "repro.ocean.driver", "repro.viz.render", "repro.io.ncformat",
+            "repro.pipelines.real", "repro.obs.sessions",
         ):
             module = importlib.import_module(module_name)
             for name in getattr(module, "__all__", []):
@@ -166,6 +167,14 @@ def _with_every_submodule(package: str):
     return pkg
 
 
+def _is_type_checking(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.If)
+        and isinstance(node.test, ast.Name)
+        and node.test.id == "TYPE_CHECKING"
+    )
+
+
 def _module_level_imports(tree: ast.Module):
     """The import statements a module runs when it is imported: those not
     inside a function and not under ``if TYPE_CHECKING:``."""
@@ -176,11 +185,7 @@ def _module_level_imports(tree: ast.Module):
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             yield node
-        elif (
-            isinstance(node, ast.If)
-            and isinstance(node.test, ast.Name)
-            and node.test.id == "TYPE_CHECKING"
-        ):
+        elif _is_type_checking(node):
             stack.extend(node.orelse)
         else:
             stack.extend(ast.iter_child_nodes(node))
@@ -253,25 +258,174 @@ def _cycles(graph: dict) -> list:
     return found
 
 
-#: Modules ``repro characterize`` never calls into, so must not load.
+#: Modules ``repro characterize`` never calls into, so must not load; nor
+#: may ``repro --help``.  A standard-library module counts only where a bare
+#: interpreter does not load it already (``site`` hooks differ by install).
+#: ``repro.viz.catalyst`` is gone (the adaptor lives in
+#: ``repro.pipelines.real``); listing it keeps a stray module of that name
+#: off the path.
 NOT_LOADED_BY_CHARACTERIZE = [
     "repro.lint", "repro.obs.store", "repro.obs.cli", "repro.obs.report",
     "repro.obs.profile", "repro.faults.campaign", "repro.core.advisor",
     "repro.core.hypotheses", "repro.core.report", "repro.analysis",
     "repro.scenario.gallery", "repro.exec.bench", "repro.power.green500",
     "repro.power.capping", "repro.power.states",
+    # The telemetry session and what it writes with.
+    "repro.obs.exporters", "repro.obs.manifest", "repro.obs.registry",
+    "repro.obs.timeline", "repro.obs.trace",
+    # The disk cache, the fault injector, the in-transit pipeline.
+    "repro.exec.cache", "repro.faults.injector", "repro.faults.gate",
+    "repro.pipelines.intransit", "repro.cluster.allocation",
+    # The real platform.
+    "repro.pipelines.real", "repro.viz.catalyst", "repro.viz.colormap",
+    "repro.viz.contour", "repro.viz.image", "repro.ocean.barotropic",
+    "repro.ocean.okubo_weiss", "repro.io.ncformat",
+    # The process pool and the manifest's git subprocess.
+    "concurrent.futures", "multiprocessing", "logging", "subprocess",
 ]
 
-_CHARACTERIZE_SCRIPT = """
+#: Prints the modules loaded after running ``repro ARGV`` (nothing when no
+#: argument is given) in this fresh interpreter.
+_LOADED_SCRIPT = """
 import contextlib, io, json, runpy, sys
-sys.argv = ["repro", "characterize", "--intervals", "72"]
-with contextlib.redirect_stdout(io.StringIO()):
-    try:
-        runpy.run_module("repro", run_name="__main__", alter_sys=True)
-    except SystemExit as exc:
-        assert not exc.code, exc.code
+if len(sys.argv) > 1:
+    sys.argv = ["repro", *sys.argv[1:]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            runpy.run_module("repro", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            assert not exc.code, exc.code
 print(json.dumps(sorted(sys.modules)))
 """
+
+
+def _loaded_modules(*argv: str) -> list:
+    """Modules a fresh interpreter has loaded after ``repro ARGV``."""
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED_SCRIPT, *argv],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=_example_env(),
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    return json.loads(out.stdout)
+
+
+def _not_loaded_but_loaded(loaded: list, bare: list) -> list:
+    """The modules of ``loaded`` that ``NOT_LOADED_BY_CHARACTERIZE`` rules out."""
+    names = [name for name in NOT_LOADED_BY_CHARACTERIZE if name not in bare]
+    return [
+        module for module in loaded
+        for name in names
+        if module == name or module.startswith(name + ".")
+    ]
+
+
+def _scope_bindings(body: list) -> set:
+    """Names the statements ``body`` bind at run time in their own scope.
+
+    Nested function and class bodies are their own scopes (only their names
+    bind here); ``if TYPE_CHECKING:`` bodies never run.
+    """
+    names: set = set()
+    stack = list(body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if _is_type_checking(node):
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(
+                alias.asname or alias.name.split(".")[0] for alias in node.names
+            )
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            names.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _parameters(args: ast.arguments) -> set:
+    params = args.posonlyargs + args.args + args.kwonlyargs
+    params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+    return {arg.arg for arg in params}
+
+
+class _TypeOnlyUses(ast.NodeVisitor):
+    """Run-time uses of names a module binds only under ``if TYPE_CHECKING:``.
+
+    Annotations are skipped (every module postpones their evaluation), as are
+    uses inside a function that binds the name itself, e.g. by a local
+    import at the boundary where the name is first needed.
+    """
+
+    def __init__(self, type_only: set) -> None:
+        self.type_only = type_only
+        self.local_scopes: list = []
+        self.found: list = []
+
+    def visit_If(self, node: ast.If) -> None:
+        if not _is_type_checking(node):
+            self.generic_visit(node)
+            return
+        for child in node.orelse:
+            self.visit(child)
+
+    def _visit_function(self, node) -> None:
+        for expr in node.decorator_list + node.args.defaults:
+            self.visit(expr)
+        for expr in node.args.kw_defaults:
+            if expr is not None:
+                self.visit(expr)
+        self.local_scopes.append(_parameters(node.args) | _scope_bindings(node.body))
+        for stmt in node.body:
+            self.visit(stmt)
+        self.local_scopes.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = _visit_function
+
+    def visit_Lambda(self, node: ast.Lambda) -> None:
+        for expr in node.args.defaults:
+            self.visit(expr)
+        self.local_scopes.append(_parameters(node.args))
+        self.visit(node.body)
+        self.local_scopes.pop()
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self.visit(node.target)
+        if node.value is not None:
+            self.visit(node.value)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if (
+            isinstance(node.ctx, ast.Load)
+            and node.id in self.type_only
+            and not any(node.id in scope for scope in self.local_scopes)
+        ):
+            self.found.append((node.lineno, node.id))
+
+
+def _type_only_runtime_uses(tree: ast.Module) -> list:
+    """``(line, name)`` of each run-time use of a ``TYPE_CHECKING``-only name."""
+    type_only: set = set()
+    for node in tree.body:
+        if _is_type_checking(node):
+            type_only |= _scope_bindings(
+                [stmt for stmt in node.body if isinstance(stmt, (ast.Import, ast.ImportFrom))]
+            )
+    type_only -= _scope_bindings(tree.body)
+    if not type_only:
+        return []
+    visitor = _TypeOnlyUses(type_only)
+    visitor.visit(tree)
+    return visitor.found
 
 
 class TestImportLayering:
@@ -285,22 +439,72 @@ class TestImportLayering:
         assert _cycles(graph) == [["a", "b", "c"], ["d"]]
 
     def test_characterize_loads_only_what_it_runs(self):
-        out = subprocess.run(
-            [sys.executable, "-c", _CHARACTERIZE_SCRIPT],
-            capture_output=True,
-            text=True,
-            timeout=300,
-            env=_example_env(),
-        )
-        assert out.returncode == 0, out.stderr[-2000:]
-        loaded = json.loads(out.stdout)
+        loaded = _loaded_modules("characterize", "--intervals", "72")
         assert "repro.scenario.run" in loaded
-        unwanted = [
-            module for module in loaded
-            for name in NOT_LOADED_BY_CHARACTERIZE
-            if module == name or module.startswith(name + ".")
-        ]
-        assert unwanted == []
+        assert _not_loaded_but_loaded(loaded, _loaded_modules()) == []
+
+    def test_help_loads_nothing_characterize_does_not(self):
+        loaded = _loaded_modules("--help")
+        assert "repro.cli" in loaded
+        assert _not_loaded_but_loaded(loaded, _loaded_modules()) == []
+
+    def test_type_checking_names_stay_in_annotations(self):
+        found = {}
+        for root, _dirs, files in os.walk(os.path.join(SRC_DIR, "repro")):
+            for name in files:
+                if name.endswith(".py"):
+                    path = os.path.join(root, name)
+                    with open(path, encoding="utf-8") as fh:
+                        uses = _type_only_runtime_uses(ast.parse(fh.read()))
+                    if uses:
+                        found[os.path.relpath(path, SRC_DIR)] = uses
+        assert found == {}
+
+    def test_the_type_checking_check_finds_run_time_uses(self):
+        tree = ast.parse(
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n"
+            "    from a import A, B, C, D\n"
+            "def f(x: A, y: 'B' = None) -> C:\n"
+            "    z: D = x\n"
+            "    if isinstance(x, A):\n"
+            "        return B()\n"
+            "    try:\n"
+            "        pass\n"
+            "    except C:\n"
+            "        pass\n"
+            "def g():\n"
+            "    from a import D\n"
+            "    return D\n"
+            "h = lambda: D\n"
+        )
+        assert _type_only_runtime_uses(tree) == [(6, "A"), (7, "B"), (10, "C"), (15, "D")]
+
+    def test_moved_halves_load_at_their_boundaries_in_a_fresh_process(self, tmp_path):
+        """Each boundary works in a fresh interpreter, where no earlier test
+        has imported the half it crosses into: the pool and the disk cache,
+        the telemetry session and its timeline sampler, the fault injector."""
+
+        def repro(*argv: str) -> str:
+            out = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                capture_output=True, text=True, timeout=300, env=_example_env(),
+            )
+            assert out.returncode == 0, out.stderr[-2000:]
+            return out.stdout
+
+        grid = ("characterize", "--intervals", "72")
+        plain = repro(*grid)
+        pooled = ("--workers", "2", "--cache", str(tmp_path / "cache"))
+        assert repro(*grid, *pooled) == plain  # cold: the pool fills the cache
+        assert os.listdir(tmp_path / "cache")
+        assert repro(*grid, *pooled) == plain  # warm: replayed from the cache
+        assert repro(*grid, "--telemetry", str(tmp_path / "tel")) == plain
+        assert os.path.exists(tmp_path / "tel" / "timeline.jsonl")
+        faults = ("faults", "--months", "1", "--interval", "72")
+        assert repro(*faults, "--telemetry", str(tmp_path / "tel-faults")) == repro(
+            *faults
+        )
 
 
 def _third_party_imports() -> set:

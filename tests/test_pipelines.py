@@ -12,12 +12,9 @@ from repro.exec.api import RunRequest
 from repro.ocean.driver import MPASOceanConfig
 from repro.pipelines.base import PipelineSpec
 from repro.pipelines.insitu import InSituPipeline
-from repro.pipelines.platform import (
-    ImageSizeModel,
-    RealPlatform,
-    RealScale,
-)
+from repro.pipelines.platform import ImageSizeModel
 from repro.pipelines.postprocessing import PostProcessingPipeline
+from repro.pipelines.real import RealPlatform, RealScale
 from repro.pipelines.sampling import PAPER_SAMPLING_GRID, SamplingPolicy
 from repro.units import MONTH
 from repro.viz.render import ImageSpec

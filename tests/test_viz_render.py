@@ -10,18 +10,12 @@ import pytest
 
 from repro.cluster.topology import Interconnect
 from repro.errors import ConfigurationError, PipelineError
-from repro.viz.catalyst import CatalystAdaptor
+from repro.pipelines.real import CatalystAdaptor, render_field, render_okubo_weiss
 from repro.viz.cinema import CinemaDatabase
 from repro.viz.colormap import grayscale_colormap
 from repro.viz.contour import marching_squares
 from repro.viz.image import Image
-from repro.viz.render import (
-    Camera,
-    ImageSpec,
-    RenderCostModel,
-    render_field,
-    render_okubo_weiss,
-)
+from repro.viz.render import Camera, ImageSpec, RenderCostModel
 
 
 class TestMarchingSquares:
