@@ -22,11 +22,16 @@ Quickstart::
     print(study.table())
 """
 
-from repro.core.calibration import calibrate_exact, calibrate_least_squares
-from repro.core.characterization import CharacterizationStudy, run_characterization
-from repro.core.metrics import Measurement, MetricSet
-from repro.core.model import PerformanceModel
-from repro.core.whatif import WhatIfAnalyzer
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.calibration import calibrate_exact, calibrate_least_squares
+    from repro.core.characterization import CharacterizationStudy, run_characterization
+    from repro.core.metrics import Measurement, MetricSet
+    from repro.core.model import PerformanceModel
+    from repro.core.whatif import WhatIfAnalyzer
 
 __version__ = "1.0.0"
 
@@ -41,3 +46,5 @@ __all__ = [
     "run_characterization",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -1,6 +1,6 @@
 """Lazy package exports (PEP 562).
 
-A subpackage ``__init__`` imports the names it re-exports under
+A package ``__init__`` imports the names it re-exports under
 ``if TYPE_CHECKING:``, where type checkers and the ``stale-all`` lint rule
 read them, lists them in a literal ``__all__`` and ends with::
 

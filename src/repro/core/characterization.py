@@ -12,6 +12,9 @@ can then:
   drives the Fig. 9 / Fig. 10 analyses;
 * benchmark the storage cluster's power proportionality (the 2273→2302 W
   measurement of Section V).
+
+The Section VI and VII methods import the calibration, the model and the
+what-if analyzer themselves, so running the grid loads none of them.
 """
 
 from __future__ import annotations
@@ -20,15 +23,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.core.calibration import (
-    CalibrationPoint,
-    CalibrationResult,
-    calibrate_exact,
-    points_from_measurements,
-)
 from repro.core.metrics import IN_SITU, POST_PROCESSING, Measurement, MetricSet
-from repro.core.model import DataModel, PipelinePredictor
-from repro.core.whatif import WhatIfAnalyzer
 from repro.errors import ConfigurationError, SweepError
 from repro.exec.api import RunRequest, require_registered
 from repro.exec.engine import ExecutionEngine
@@ -39,6 +34,8 @@ from repro.pipelines.sampling import SamplingPolicy
 from repro.storage.lustre import StorageCluster
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.calibration import CalibrationPoint, CalibrationResult
+    from repro.core.whatif import WhatIfAnalyzer
     from repro.scenario.schema import ClusterConfig, StorageConfig
 
 __all__ = ["CharacterizationStudy", "run_characterization", "storage_power_sweep"]
@@ -95,12 +92,16 @@ class CharacterizationStudy:
 
     def training_points(self) -> list[CalibrationPoint]:
         """The three Eq. (5) configurations as calibration points."""
+        from repro.core.calibration import points_from_measurements
+
         return points_from_measurements(
             self.metrics.get(p, h) for p, h in TRAINING_CONFIGS
         )
 
     def holdout_points(self) -> list[CalibrationPoint]:
         """The remaining grid cells (Fig. 8's evaluation points)."""
+        from repro.core.calibration import points_from_measurements
+
         training = set(TRAINING_CONFIGS)
         held = [
             m
@@ -118,6 +119,8 @@ class CharacterizationStudy:
 
     def calibrate(self) -> CalibrationResult:
         """Fit Eq. (5) exactly from the three training configurations."""
+        from repro.core.calibration import calibrate_exact
+
         return calibrate_exact(
             self.training_points(),
             iter_ref=self.spec.ocean.n_timesteps,
@@ -132,6 +135,9 @@ class CharacterizationStudy:
 
     def analyzer(self, reference_interval_hours: float = 24.0) -> WhatIfAnalyzer:
         """The calibrated what-if analyzer for Figs. 9 and 10."""
+        from repro.core.model import DataModel, PipelinePredictor
+        from repro.core.whatif import WhatIfAnalyzer
+
         result = self.calibrate()
         insitu = PipelinePredictor(
             pipeline=IN_SITU,

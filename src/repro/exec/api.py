@@ -27,12 +27,12 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.errors import ConfigurationError
-from repro.faults.resilience import CheckpointPolicy
-from repro.faults.spec import FaultSpec
 from repro.obs.schema import SCHEMA_VERSION
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.metrics import Measurement
+    from repro.faults.resilience import CheckpointPolicy
+    from repro.faults.spec import FaultSpec
     from repro.obs.trace import TraceContext
     from repro.pipelines.base import Pipeline, PipelineSpec
     from repro.scenario.schema import ClusterConfig, StorageConfig
@@ -254,7 +254,15 @@ class RunRequest:
         """Inverse of :meth:`to_dict` (``workdir`` is deliberately not
         serialized: it is machine-local and never part of run identity)."""
         faults = data.get("faults")
+        if faults is not None:
+            from repro.faults.spec import FaultSpec
+
+            faults = FaultSpec.from_dict(faults)
         checkpoints = data.get("checkpoints")
+        if checkpoints is not None:
+            from repro.faults.resilience import CheckpointPolicy
+
+            checkpoints = CheckpointPolicy(**checkpoints)
         topology = {name: data[name] for name in _TOPOLOGY if name in data}
         if topology:
             from repro.scenario.schema import ClusterConfig, StorageConfig
@@ -270,10 +278,8 @@ class RunRequest:
             ),
             spec=_spec_from_dict(data["spec"]),
             mode=str(data.get("mode", MODE_SIMULATED)),
-            faults=None if faults is None else FaultSpec.from_dict(faults),
-            checkpoints=(
-                None if checkpoints is None else CheckpointPolicy(**checkpoints)
-            ),
+            faults=faults,
+            checkpoints=checkpoints,
             seed=int(data.get("seed", 0)),
             **topology,
         )

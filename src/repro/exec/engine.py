@@ -70,11 +70,10 @@ from repro.exec.supervise import (
     _apply_chaos,
 )
 from repro.faults.retry import DEFAULT_RETRYABLE
-from repro.obs.naming import alert_metric_name
-from repro.obs.watch import Watchdog, default_exec_rules
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.exec.cache import DiskCache
+    from repro.obs.watch import Watchdog
 
 __all__ = ["ExecutionEngine", "execute_request", "supervised_task"]
 
@@ -88,12 +87,9 @@ def _seed_rngs(request: RunRequest) -> None:
     """
     seed = request.task_seed()
     random.seed(seed)
-    try:
-        import numpy as np
+    import numpy as np
 
-        np.random.seed(seed % 2**32)
-    except ImportError:  # pragma: no cover - numpy is a hard dep in practice
-        pass
+    np.random.seed(seed % 2**32)
 
 
 def execute_request(request: RunRequest) -> RunResult:
@@ -180,8 +176,7 @@ class ExecutionEngine:
     deadline, retries, poison quarantine and fail policy.  ``journal`` (a
     path or a :class:`SweepJournal`) records every settled task; with
     ``resume``, the tasks it records as done replay from ``cache``.
-    ``sleeper`` replaces the backoff sleep and ``watch_rules`` the incident
-    watchdog's rule set (test hooks).
+    ``sleeper`` replaces the backoff sleep (a test hook).
     """
 
     def __init__(
@@ -192,7 +187,6 @@ class ExecutionEngine:
         journal: Union[None, str, SweepJournal] = None,
         resume: bool = False,
         sleeper=None,
-        watch_rules=None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError(f"max_workers must be >= 1: {max_workers}")
@@ -223,9 +217,8 @@ class ExecutionEngine:
         self.serial_fallbacks = 0
         #: Structured failure records of tasks that exhausted supervision.
         self.failures: List[dict] = []
-        self._watchdog = Watchdog(
-            default_exec_rules() if watch_rules is None else watch_rules
-        )
+        #: The incident watchdog, built on the first incident.
+        self._watchdog: Optional[Watchdog] = None
         self._incidents = 0
 
     # ------------------------------------------------------------------- api
@@ -519,6 +512,12 @@ class ExecutionEngine:
         given failure pattern) — a crash-free run emits none, keeping its
         telemetry byte-identical to a serial run's.
         """
+        from repro.obs.naming import alert_metric_name
+
+        if self._watchdog is None:
+            from repro.obs.watch import Watchdog, default_exec_rules
+
+            self._watchdog = Watchdog(default_exec_rules())
         self._incidents += 1
         values = {
             "repro_timeline_exec_deadline_expiries_total": float(

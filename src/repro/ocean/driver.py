@@ -18,6 +18,7 @@ exposes the same named output variables as actual arrays, is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -79,9 +80,9 @@ class MPASOceanConfig:
 
     def steps_between_outputs(self, sample_interval_hours: float) -> int:
         """Timesteps between output samples at the given cadence."""
-        if sample_interval_hours <= 0:
+        if not 0 < sample_interval_hours < math.inf:
             raise ConfigurationError(
-                f"sample interval must be positive: {sample_interval_hours}"
+                f"sample interval must be positive and finite: {sample_interval_hours}"
             )
         steps = sample_interval_hours * HOUR / self.timestep_seconds
         k = int(round(steps))

@@ -25,11 +25,8 @@ from repro.cluster.machine import ComputeCluster, PhaseProfile, caddy
 from repro.core.metrics import Measurement, PhaseTimeline
 from repro.errors import ConfigurationError, DeadlockError, NodeCrashError
 from repro.events.engine import Simulator
-from repro.faults.resilience import CheckpointPolicy, ResumeState
 from repro.faults.retry import RetryPolicy
-from repro.faults.spec import FaultSpec
 from repro.io.pio import PIOWriter, SimulatedIOBackend
-from repro.obs.watch import Watchdog, default_rules
 from repro.ocean.driver import OceanCostModel
 from repro.pipelines.base import CHECKPOINT_FILENAME, Pipeline, PipelineSpec
 from repro.power.report import PowerReport
@@ -38,6 +35,8 @@ from repro.viz.render import ImageSpec, RenderCostModel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
+    from repro.faults.resilience import CheckpointPolicy
+    from repro.faults.spec import FaultSpec
     from repro.obs.timeline import TimelineSampler
     from repro.scenario.schema import ClusterConfig, StorageConfig
 
@@ -335,6 +334,7 @@ class SimulatedPlatform:
             resource_probes,
             storage_probes,
         )
+        from repro.obs.watch import Watchdog, default_rules
 
         tcfg = session.timeline
         interval = tcfg.interval_seconds
@@ -445,6 +445,8 @@ class SimulatedPlatform:
             if attempt == 0:
                 gen = pipeline.simulated_process(self, run_spec, timeline, artifacts)
             else:
+                from repro.faults.resilience import ResumeState
+
                 marker = artifacts.get("checkpoint")
                 resume = ResumeState(
                     outputs_done=marker["outputs_done"] if marker else 0,

@@ -9,6 +9,7 @@ paper's x-axes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -25,9 +26,9 @@ class SamplingPolicy:
     interval_hours: float
 
     def __post_init__(self) -> None:
-        if self.interval_hours <= 0:
+        if not 0 < self.interval_hours < math.inf:
             raise ConfigurationError(
-                f"sampling interval must be positive: {self.interval_hours}"
+                f"sampling interval must be positive and finite: {self.interval_hours}"
             )
 
     @property

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -47,7 +48,7 @@ from repro.paper import (
 )
 from repro.pipelines.staging import DEFAULT_STAGING_NODES
 from repro.power.meter import CageMonitor
-from repro.units import MB, MONTH
+from repro.units import HOUR, MB, MONTH
 
 __all__ = [
     "SCENARIO_SCHEMA_VERSION",
@@ -100,6 +101,16 @@ def _require(condition: bool, path: str, message: str, hint: Optional[str] = Non
         raise ScenarioError(path, message, hint)
 
 
+def _require_cadences(hours: Tuple[float, ...], path: str) -> None:
+    _require(bool(hours), path, "must list at least one cadence")
+    for h in hours:
+        _require(
+            0 < h < math.inf,
+            path,
+            f"cadences must be positive finite simulated hours, got {h}",
+        )
+
+
 def _canonical_numbers(value):
     """Collapse integral floats to ints, recursively, for digesting."""
     if isinstance(value, bool):
@@ -136,12 +147,43 @@ class ExperimentConfig:
             f"unknown experiment kind {self.kind!r}",
             f"expected one of {', '.join(EXPERIMENT_KINDS)}",
         )
-        _require(self.years > 0, "experiment.years", f"must be positive, got {self.years}")
         _require(
-            bool(self.sweep_intervals_hours),
-            "experiment.sweep_intervals_hours",
-            "must list at least one cadence",
+            0 < self.years < math.inf,
+            "experiment.years",
+            f"must be positive and finite, got {self.years}",
         )
+        _require_cadences(self.sweep_intervals_hours, "experiment.sweep_intervals_hours")
+        _require(
+            self.mtbf_hours is None or 0 < self.mtbf_hours < math.inf,
+            "experiment.mtbf_hours",
+            f"must be positive and finite hours, got {self.mtbf_hours}",
+        )
+        for name in ("checkpoint_write_seconds", "restart_seconds"):
+            seconds = getattr(self, name)
+            _require(
+                0 <= seconds < math.inf,
+                f"experiment.{name}",
+                f"must be non-negative and finite seconds, got {seconds}",
+            )
+        if self.mtbf_hours is not None:
+            # The failure-aware sweep checkpoints at Young's optimum
+            # sqrt(2 * cost * MTBF) and needs forward progress at it
+            # (repro.faults.model.FailureModel).
+            _require(
+                self.checkpoint_write_seconds > 0,
+                "experiment.checkpoint_write_seconds",
+                "must be positive when experiment.mtbf_hours is set: the "
+                "optimal checkpoint interval is undefined for zero cost",
+            )
+            mtbf = self.mtbf_hours * HOUR
+            tau = math.sqrt(2.0 * self.checkpoint_write_seconds * mtbf)
+            _require(
+                (self.restart_seconds + tau / 2.0) / mtbf < 1.0,
+                "experiment.mtbf_hours",
+                f"leaves no forward progress: restart ({self.restart_seconds:g} s) "
+                f"plus half the optimal checkpoint interval of {tau:.0f} s "
+                f"must be under the MTBF ({mtbf:.0f} s)",
+            )
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -165,17 +207,7 @@ class SamplingConfig:
     intervals_hours: Tuple[float, ...] = SAMPLING_INTERVALS_HOURS
 
     def __post_init__(self) -> None:
-        _require(
-            bool(self.intervals_hours),
-            "sampling.intervals_hours",
-            "must list at least one cadence",
-        )
-        for h in self.intervals_hours:
-            _require(
-                h > 0,
-                "sampling.intervals_hours",
-                f"cadences must be positive simulated hours, got {h}",
-            )
+        _require_cadences(self.intervals_hours, "sampling.intervals_hours")
 
     def to_dict(self) -> dict:
         return {"intervals_hours": list(self.intervals_hours)}
@@ -295,14 +327,14 @@ class OceanConfig:
             f"need >= 1 level, got {self.vertical_levels}",
         )
         _require(
-            self.timestep_seconds > 0,
+            0 < self.timestep_seconds < math.inf,
             "ocean.timestep",
-            f"must be positive seconds, got {self.timestep_seconds}",
+            f"must be positive and finite seconds, got {self.timestep_seconds}",
         )
         _require(
-            self.duration_seconds > 0,
+            0 < self.duration_seconds < math.inf,
             "ocean.duration",
-            f"must be positive seconds, got {self.duration_seconds}",
+            f"must be positive and finite seconds, got {self.duration_seconds}",
         )
         _require(
             self.bytes_per_value in (4, 8),

@@ -42,6 +42,11 @@ class TestMPASOceanConfig:
         with pytest.raises(ConfigurationError):
             cfg.steps_between_outputs(0.4)  # 48 min is not a 30-min multiple
 
+    @pytest.mark.parametrize("hours", [float("inf"), float("nan")])
+    def test_non_finite_cadence_rejected(self, hours):
+        with pytest.raises(ConfigurationError, match="finite"):
+            MPASOceanConfig().steps_between_outputs(hours)
+
     def test_scaled_changes_only_duration(self):
         cfg = MPASOceanConfig()
         century = cfg.scaled(200 * cfg.duration_seconds)

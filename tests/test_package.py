@@ -4,7 +4,9 @@ dependencies, version, example scripts."""
 from __future__ import annotations
 
 import ast
+import contextlib
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -24,9 +26,9 @@ PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
 #: Distribution name -> top-level import name, where the two differ.
 IMPORT_NAMES = {"pyyaml": "yaml"}
 
-#: Subpackages whose ``__init__`` resolves ``__all__`` lazily (repro._lazy).
+#: Packages whose ``__init__`` resolves ``__all__`` lazily (repro._lazy).
 LAZY_PACKAGES = [
-    "repro.analysis", "repro.cluster", "repro.core", "repro.events",
+    "repro", "repro.analysis", "repro.cluster", "repro.core", "repro.events",
     "repro.exec", "repro.faults", "repro.io", "repro.lint", "repro.obs",
     "repro.ocean", "repro.pipelines", "repro.power", "repro.scenario",
     "repro.storage", "repro.viz",
@@ -85,9 +87,8 @@ class TestPublicApi:
     def test_lazy_exports_are_the_defining_objects(self, package):
         pkg = _with_every_submodule(package)
         exports = export_map(package)
-        assert set(exports) == set(pkg.__all__)
-        for name in pkg.__all__:
-            source, attr = exports[name]
+        assert set(exports) == set(pkg.__all__) - _bound_by_init(package)
+        for name, (source, attr) in exports.items():
             assert getattr(pkg, name) is getattr(importlib.import_module(source), attr), name
             assert name in vars(pkg), f"{name} not bound on its first lookup"
 
@@ -158,6 +159,20 @@ class TestPublicApi:
         assert not missing, f"undocumented public items: {missing}"
 
 
+def _bound_by_init(package: str) -> set:
+    """The names of ``package.__all__`` its ``__init__`` assigns itself, such
+    as the root's ``__version__``, rather than exporting them lazily."""
+    pkg = importlib.import_module(package)
+    tree = ast.parse(pkg.__spec__.loader.get_source(package))
+    return {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    } & set(pkg.__all__)
+
+
 def _with_every_submodule(package: str):
     """``package``, after importing every module under it, so that no
     submodule bound onto it can hide an exported name."""
@@ -195,8 +210,7 @@ def _import_graph() -> dict:
     """Module -> the ``repro`` modules its module-level imports run.
 
     Importing ``repro.a.b`` runs ``repro.a`` and ``repro.a.b``; a package
-    the importer sits inside is already running, so it is no edge.  The
-    root ``repro/__init__`` stays out: it imports eagerly.
+    the importer sits inside is already running, so it is no edge.
     """
     paths = {}
     for root, _dirs, files in os.walk(os.path.join(SRC_DIR, "repro")):
@@ -207,7 +221,6 @@ def _import_graph() -> dict:
                 if parts[-1] == "__init__":
                     parts.pop()
                 paths[".".join(parts)] = path
-    del paths["repro"]
     graph = {}
     for module, path in paths.items():
         with open(path, encoding="utf-8") as fh:
@@ -280,6 +293,11 @@ NOT_LOADED_BY_CHARACTERIZE = [
     "repro.pipelines.real", "repro.viz.catalyst", "repro.viz.colormap",
     "repro.viz.contour", "repro.viz.image", "repro.ocean.barotropic",
     "repro.ocean.okubo_weiss", "repro.io.ncformat",
+    # The Section VI calibration and the Section VII what-if model, the
+    # fault types and both watchdogs.
+    "repro.core.calibration", "repro.core.model", "repro.core.whatif",
+    "repro.faults.model", "repro.faults.spec", "repro.faults.resilience",
+    "repro.obs.watch", "repro.obs.naming",
     # The process pool and the manifest's git subprocess.
     "concurrent.futures", "multiprocessing", "logging", "subprocess",
 ]
@@ -431,7 +449,7 @@ def _type_only_runtime_uses(tree: ast.Module) -> list:
 class TestImportLayering:
     def test_module_level_imports_form_no_cycle(self):
         graph = _import_graph()
-        assert "repro.pipelines.platform" in graph
+        assert {"repro", "repro.pipelines.platform"} <= graph.keys()
         assert _cycles(graph) == []
 
     def test_the_cycle_finder_finds_a_cycle(self):
@@ -483,15 +501,24 @@ class TestImportLayering:
     def test_moved_halves_load_at_their_boundaries_in_a_fresh_process(self, tmp_path):
         """Each boundary works in a fresh interpreter, where no earlier test
         has imported the half it crosses into: the pool and the disk cache,
-        the telemetry session and its timeline sampler, the fault injector."""
+        the telemetry session and its timeline sampler, the fault injector,
+        the Section VI/VII methods and the first exec incident's watchdog."""
+        from repro.cli import main
+        from repro.exec.supervise import CHAOS_ENV
 
-        def repro(*argv: str) -> str:
+        def repro(*argv: str, **env: str) -> str:
             out = subprocess.run(
                 [sys.executable, "-m", "repro", *argv],
-                capture_output=True, text=True, timeout=300, env=_example_env(),
+                capture_output=True, text=True, timeout=300,
+                env={**_example_env(), **env},
             )
             assert out.returncode == 0, out.stderr[-2000:]
             return out.stdout
+
+        def in_process(*argv: str) -> str:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(list(argv)) == 0
+            return out.getvalue()
 
         grid = ("characterize", "--intervals", "72")
         plain = repro(*grid)
@@ -505,6 +532,18 @@ class TestImportLayering:
         assert repro(*faults, "--telemetry", str(tmp_path / "tel-faults")) == repro(
             *faults
         )
+        for argv in (("calibrate",), ("whatif", "--mtbf-hours", "100")):
+            assert repro(*argv) == in_process(*argv)
+        # A worker crash is the pooled run's first incident.
+        crashed = tmp_path / "tel-crash"
+        chaos = {CHAOS_ENV: f"exit_once=1;dir={tmp_path / 'markers'}"}
+        assert repro(*grid, "--workers", "2", "--telemetry", str(crashed), **chaos) == plain
+        with open(crashed / "events.jsonl", encoding="utf-8") as fh:
+            events = [json.loads(line) for line in fh]
+        alerts = [rec["fields"]["rule"] for rec in events if rec.get("name") == "obs.alert"]
+        assert "exec_worker_crash" in alerts
+        metrics = (crashed / "metrics.prom").read_text(encoding="utf-8")
+        assert "repro_alert_exec_worker_crash_total" in metrics
 
 
 def _third_party_imports() -> set:

@@ -58,6 +58,11 @@ class TestSamplingPolicy:
         with pytest.raises(ConfigurationError):
             SamplingPolicy(0.0)
 
+    @pytest.mark.parametrize("hours", [float("inf"), float("nan")])
+    def test_non_finite_interval_rejected(self, hours):
+        with pytest.raises(ConfigurationError, match="finite"):
+            SamplingPolicy(hours)
+
 
 class TestPipelineSpec:
     def test_derived_counts(self):

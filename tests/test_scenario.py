@@ -35,6 +35,8 @@ from repro.scenario.build import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+INF = float("inf")
+NAN = float("nan")
 GALLERY_DIR = REPO_ROOT / "scenarios"
 
 
@@ -229,6 +231,117 @@ class TestValidationErrors:
         with pytest.raises(ScenarioError) as exc:
             ExperimentConfig(kind="bogus")
         assert exc.value.path == "experiment.kind"
+
+    @pytest.mark.parametrize(
+        "fields, key",
+        [
+            ({"sweep_intervals_hours": (0.0,)}, "sweep_intervals_hours"),
+            ({"sweep_intervals_hours": (8.0, INF)}, "sweep_intervals_hours"),
+            ({"sweep_intervals_hours": (NAN,)}, "sweep_intervals_hours"),
+            ({"mtbf_hours": 0.0}, "mtbf_hours"),
+            ({"mtbf_hours": INF}, "mtbf_hours"),
+            ({"mtbf_hours": NAN}, "mtbf_hours"),
+            ({"checkpoint_write_seconds": -1.0}, "checkpoint_write_seconds"),
+            ({"checkpoint_write_seconds": INF}, "checkpoint_write_seconds"),
+            ({"restart_seconds": NAN}, "restart_seconds"),
+            ({"restart_seconds": -INF}, "restart_seconds"),
+            ({"years": INF}, "years"),
+            # The failure-aware sweep needs a checkpoint cost for Young's
+            # optimum and forward progress at it: (30 + sqrt(2*60*36)/2)/36
+            # is 1.75 of a 0.01 h MTBF.
+            (
+                {"mtbf_hours": 100.0, "checkpoint_write_seconds": 0.0},
+                "checkpoint_write_seconds",
+            ),
+            ({"mtbf_hours": 0.01}, "mtbf_hours"),
+            ({"mtbf_hours": 1.0, "restart_seconds": 3_600.0}, "mtbf_hours"),
+        ],
+    )
+    def test_bad_whatif_input_names_its_path(self, fields, key):
+        with pytest.raises(ScenarioError) as exc:
+            ExperimentConfig(kind="whatif", **fields)
+        assert exc.value.path == f"experiment.{key}"
+
+    def test_whatif_inputs_at_their_bounds_accepted(self):
+        ExperimentConfig(
+            kind="whatif", mtbf_hours=None, checkpoint_write_seconds=0.0,
+            restart_seconds=0.0,
+        )
+        ExperimentConfig(
+            kind="whatif", mtbf_hours=0.1, checkpoint_write_seconds=1.0,
+            restart_seconds=0.0,
+        )
+
+    @pytest.mark.parametrize(
+        "mtbf_hours, restart_seconds",
+        [(0.01, 0.0), (0.01, 30.0), (0.1, 250.0), (0.1, 300.0), (100.0, 30.0)],
+    )
+    def test_failure_inputs_accepted_exactly_when_the_model_progresses(
+        self, mtbf_hours, restart_seconds
+    ):
+        from repro.errors import ModelError
+        from repro.faults.model import FailureModel
+
+        model = FailureModel(mtbf_hours * 3_600.0, 60.0, restart_seconds)
+        try:
+            model.expected_time(1.0, model.optimal_interval())
+            progresses = True
+        except ModelError:
+            progresses = False
+        try:
+            ExperimentConfig(
+                kind="whatif", mtbf_hours=mtbf_hours, restart_seconds=restart_seconds
+            )
+            accepted = True
+        except ScenarioError as exc:
+            assert exc.path == "experiment.mtbf_hours"
+            accepted = False
+        assert accepted == progresses
+
+    @pytest.mark.parametrize(
+        "section, path",
+        [
+            ({"sampling": {"intervals_hours": [8, INF]}}, "sampling.intervals_hours"),
+            ({"experiment": {"kind": "whatif", "years": INF}}, "experiment.years"),
+            ({"ocean": {"duration": INF}}, "ocean.duration"),
+            ({"ocean": {"timestep": INF}}, "ocean.timestep"),
+        ],
+    )
+    def test_infinite_cadence_or_length_rejected(self, section, path):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(_minimal(**section))
+        assert exc.value.path == path
+        assert "inf" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "argv, path",
+        [
+            (["whatif", "--intervals", "0"], "experiment.sweep_intervals_hours"),
+            (["whatif", "--mtbf-hours", "0"], "experiment.mtbf_hours"),
+            (["whatif", "--checkpoint-write-seconds", "-1"],
+             "experiment.checkpoint_write_seconds"),
+            (["whatif", "--restart-seconds", "nan"], "experiment.restart_seconds"),
+            (["whatif", "--mtbf-hours", "100", "--checkpoint-write-seconds", "0"],
+             "experiment.checkpoint_write_seconds"),
+            (["whatif", "--mtbf-hours", "0.01"], "experiment.mtbf_hours"),
+            (["whatif", "--years", "inf"], "experiment.years"),
+            (["characterize", "--intervals", "inf"], "sampling.intervals_hours"),
+            (["faults", "--interval", "inf"], "sampling.intervals_hours"),
+            (["faults", "--months", "inf"], "ocean.duration"),
+        ],
+    )
+    def test_bad_flag_exits_2_before_any_simulation(self, argv, path, capsys, monkeypatch):
+        from repro.cli import main
+        from repro.exec.engine import ExecutionEngine
+
+        def no_runs(self, requests):
+            raise AssertionError("a simulation ran before the input was checked")
+
+        monkeypatch.setattr(ExecutionEngine, "map", no_runs)
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: scenario.{path}: ")
 
 
 class TestUnits:
