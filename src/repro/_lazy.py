@@ -14,7 +14,6 @@ into the package, so every later lookup is a plain attribute read.
 from __future__ import annotations
 
 import ast
-import importlib
 import os
 import sys
 import types
@@ -60,7 +59,10 @@ def lazy_exports(package: str) -> Tuple[Callable[[str], Any], Callable[[], List[
         if not exports:
             exports.update(export_map(package))
         source, attr = exports[name]
-        value = getattr(importlib.import_module(source), attr)
+        # The import statement's machinery, not importlib.import_module:
+        # only the former shows up in ``python -X importtime``.
+        __import__(source)
+        value = getattr(sys.modules[source], attr)
         namespace[name] = value
         return value
 

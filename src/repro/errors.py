@@ -7,6 +7,8 @@ distinguishing the subsystem that failed.
 
 from __future__ import annotations
 
+from typing import Optional
+
 __all__ = [
     "ReproError",
     "SimulationError",
@@ -21,6 +23,7 @@ __all__ = [
     "PipelineError",
     "MeterError",
     "ConfigurationError",
+    "ScenarioError",
     "FaultError",
     "Interrupt",
     "NodeCrashError",
@@ -36,6 +39,24 @@ class ReproError(Exception):
 
 class ConfigurationError(ReproError, ValueError):
     """An object was constructed with inconsistent or out-of-range parameters."""
+
+
+class ScenarioError(ConfigurationError):
+    """A structured scenario validation failure: path + message + hint.
+
+    ``path`` is the dotted scenario key at fault (``ocean.timestep``).  The
+    scenario loader raises it, and so do the configs that double as scenario
+    sections, such as :class:`~repro.ocean.driver.MPASOceanConfig`.
+    """
+
+    def __init__(self, path: str, message: str, hint: Optional[str] = None) -> None:
+        self.path = path
+        self.hint = hint
+        where = f"scenario.{path}" if path else "scenario"
+        full = f"{where}: {message}"
+        if hint:
+            full += f" (hint: {hint})"
+        super().__init__(full)
 
 
 class SimulationError(ReproError):

@@ -4,8 +4,9 @@ Every way of executing a pipeline — serial, fanned out over a process pool,
 or replayed from the on-disk cache — goes through the same two frozen
 dataclasses.  A request is *pure data*: the pipeline is named (not held as
 an object), its constructor arguments are a normalized tuple of pairs, and
-the spec/faults/checkpoints/topology payloads are the existing
-JSON-round-trippable config objects.  That buys three properties at once:
+the spec/faults/checkpoints/topology payloads are the existing frozen
+config objects, serialised by :meth:`RunRequest.to_dict`.  That buys three
+properties at once:
 
 * **picklability** — requests cross the ``ProcessPoolExecutor`` boundary
   without dragging simulator state along;
@@ -20,8 +21,8 @@ JSON-round-trippable config objects.  That buys three properties at once:
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Mapping, Optional
@@ -57,37 +58,6 @@ _TOPOLOGY = ("cluster", "storage")
 
 
 # ------------------------------------------------------------- serialization
-
-
-def _spec_from_dict(data: Mapping[str, Any]) -> "PipelineSpec":
-    from repro.ocean.driver import MPASOceanConfig
-    from repro.pipelines.base import PipelineSpec
-    from repro.pipelines.sampling import SamplingPolicy
-    from repro.viz.render import Camera, ImageSpec
-
-    ocean = data["ocean"]
-    images = data["images"]
-    return PipelineSpec(
-        ocean=MPASOceanConfig(
-            resolution_km=float(ocean["resolution_km"]),
-            n_vertical_levels=int(ocean["n_vertical_levels"]),
-            timestep_seconds=float(ocean["timestep_seconds"]),
-            duration_seconds=float(ocean["duration_seconds"]),
-            vars_3d=tuple(ocean["vars_3d"]),
-            vars_2d=tuple(ocean["vars_2d"]),
-            bytes_per_value=int(ocean["bytes_per_value"]),
-        ),
-        sampling=SamplingPolicy(float(data["sampling"]["interval_hours"])),
-        images=ImageSpec(
-            width=int(images["width"]),
-            height=int(images["height"]),
-            cameras=tuple(
-                Camera(center=tuple(c["center"]), zoom=float(c["zoom"]))
-                for c in images["cameras"]
-            ),
-        ),
-        output_prefix=str(data["output_prefix"]),
-    )
 
 
 #: Field names of each dataclass type :func:`_plain` has met, in
@@ -249,41 +219,6 @@ class RunRequest:
                 out[name] = _plain(config)
         return out
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunRequest":
-        """Inverse of :meth:`to_dict` (``workdir`` is deliberately not
-        serialized: it is machine-local and never part of run identity)."""
-        faults = data.get("faults")
-        if faults is not None:
-            from repro.faults.spec import FaultSpec
-
-            faults = FaultSpec.from_dict(faults)
-        checkpoints = data.get("checkpoints")
-        if checkpoints is not None:
-            from repro.faults.resilience import CheckpointPolicy
-
-            checkpoints = CheckpointPolicy(**checkpoints)
-        topology = {name: data[name] for name in _TOPOLOGY if name in data}
-        if topology:
-            from repro.scenario.schema import ClusterConfig, StorageConfig
-
-            configs = {"cluster": ClusterConfig, "storage": StorageConfig}
-            topology = {
-                name: configs[name](**fields) for name, fields in topology.items()
-            }
-        return cls(
-            pipeline=str(data.get("pipeline", "")),
-            pipeline_args=tuple(
-                (str(k), v) for k, v in data.get("pipeline_args", ())
-            ),
-            spec=_spec_from_dict(data["spec"]),
-            mode=str(data.get("mode", MODE_SIMULATED)),
-            faults=faults,
-            checkpoints=checkpoints,
-            seed=int(data.get("seed", 0)),
-            **topology,
-        )
-
     @cached_property
     def _canonical_text(self) -> str:
         """The canonical JSON text of :meth:`to_dict`, built on first use.
@@ -401,7 +336,8 @@ def _registered(name: str) -> Optional[type]:
     if entry is None:
         return None
     module, attr = entry
-    return getattr(importlib.import_module(module), attr)
+    __import__(module)
+    return getattr(sys.modules[module], attr)
 
 
 def pipeline_factories() -> dict:

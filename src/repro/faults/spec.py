@@ -3,9 +3,9 @@
 A :class:`FaultSpec` is a *plan*: a seed plus an ordered tuple of
 :class:`FaultEvent` records, each naming a fault kind, when it strikes
 (simulated seconds after the run starts), how long it lasts and how severe
-it is.  The spec is pure data — JSON-round-trippable so it lands in the
-:class:`~repro.obs.manifest.RunManifest` — and building one from a seed is
-deterministic: the same ``(seed, parameters)`` always yields the same
+it is.  The spec is pure data — it serialises with ``to_dict``, so it lands
+in the :class:`~repro.obs.manifest.RunManifest` — and building one from a
+seed is deterministic: the same ``(seed, parameters)`` always yields the same
 schedule, which is what makes chaos campaigns reproducible bit-for-bit.
 
 Fault kinds
@@ -122,17 +122,6 @@ class FaultEvent:
             "target": self.target,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultEvent":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            at_seconds=float(data["at_seconds"]),
-            kind=str(data["kind"]),
-            duration_seconds=float(data.get("duration_seconds", 0.0)),
-            severity=float(data.get("severity", 1.0)),
-            target=str(data.get("target", "")),
-        )
-
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -166,14 +155,6 @@ class FaultSpec:
     def to_dict(self) -> dict:
         """JSON-safe representation (manifest / ``--json`` output)."""
         return {"seed": self.seed, "events": [e.to_dict() for e in self.events]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSpec":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            seed=int(data["seed"]),
-            events=tuple(FaultEvent.from_dict(e) for e in data.get("events", ())),
-        )
 
     # ----------------------------------------------------------- generation
 

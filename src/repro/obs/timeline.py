@@ -132,8 +132,6 @@ class TimelineConfig:
     #: Enforced power cap; enables the cap/headroom series and the
     #: ``power_cap_exceeded`` watch rule.
     power_cap_watts: Optional[float] = None
-    #: Age beyond which the ``checkpoint_overdue`` watch rule fires.
-    checkpoint_overdue_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.interval_seconds is not None and self.interval_seconds <= 0:

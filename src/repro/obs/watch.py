@@ -53,7 +53,7 @@ _OPS: Dict[str, Callable[[float, float], bool]] = {
 
 _KINDS = ("threshold", "growth")
 
-#: Default fill fraction at which the OST / filesystem rules alert.
+#: Fill fraction at which the OST / filesystem rules alert.
 FILL_ALERT_RATIO = 0.9
 
 #: Default consecutive-sample window for the queue-growth rule.
@@ -279,23 +279,19 @@ class Watchdog:
         )
 
 
-def default_rules(
-    power_cap_watts: Optional[float] = None,
-    fill_ratio: float = FILL_ALERT_RATIO,
-    checkpoint_overdue_seconds: Optional[float] = None,
-) -> List[WatchRule]:
+def default_rules(power_cap_watts: Optional[float] = None) -> List[WatchRule]:
     """The standard platform rule set.
 
     Always includes the storage-fill and engine-queue-growth rules; the
-    power-cap and checkpoint-overdue rules join only when their limits are
-    given (there is nothing to compare against otherwise).
+    power-cap rule joins only when a cap is given (there is nothing to
+    compare against otherwise).
     """
     rules = [
         WatchRule(
             name="storage_fill_high",
             series="repro_timeline_storage_fill_ratio",
             op=">=",
-            threshold=fill_ratio,
+            threshold=FILL_ALERT_RATIO,
             severity="warning",
             description="filesystem fill fraction at or above the alert ratio",
         ),
@@ -303,7 +299,7 @@ def default_rules(
             name="ost_fill_high",
             series="repro_timeline_storage_ost*",
             op=">=",
-            threshold=fill_ratio,
+            threshold=FILL_ALERT_RATIO,
             severity="warning",
             description="an OST's fill fraction at or above the alert ratio",
         ),
@@ -331,23 +327,10 @@ def default_rules(
                 description="instantaneous draw above the enforced power cap",
             ),
         )
-    if checkpoint_overdue_seconds is not None:
-        rules.append(
-            WatchRule(
-                name="checkpoint_overdue",
-                series="repro_timeline_pipeline_checkpoint_age_seconds",
-                op=">",
-                threshold=float(checkpoint_overdue_seconds),
-                severity="warning",
-                description="no durable checkpoint within the overdue window",
-            )
-        )
     return rules
 
 
-def default_exec_rules(
-    retry_storm_threshold: float = EXEC_RETRY_STORM_THRESHOLD,
-) -> List[WatchRule]:
+def default_exec_rules() -> List[WatchRule]:
     """The execution engine's supervision rule set (see :mod:`repro.exec.engine`).
 
     These watch the ``exec`` incident timeline — one sample per supervision
@@ -370,11 +353,11 @@ def default_exec_rules(
             name="exec_retry_storm",
             series="repro_timeline_exec_retries_total",
             op=">=",
-            threshold=float(retry_storm_threshold),
+            threshold=float(EXEC_RETRY_STORM_THRESHOLD),
             severity="warning",
             description=(
                 "supervised task retries reached the storm threshold "
-                f"({retry_storm_threshold:g}); the sweep is thrashing"
+                f"({EXEC_RETRY_STORM_THRESHOLD:g}); the sweep is thrashing"
             ),
         ),
     ]

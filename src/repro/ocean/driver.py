@@ -19,11 +19,11 @@ exposes the same named output variables as actual arrays, is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ScenarioError
 from repro.ocean.grid import icosahedral_cell_count
-from repro.paper import TIMESTEP_SECONDS
+from repro.paper import GRID_RESOLUTION_KM, TIMESTEP_SECONDS
 from repro.units import HOUR, MONTH
 
 __all__ = ["MPASOceanConfig", "OceanCostModel"]
@@ -38,9 +38,13 @@ DEFAULT_2D_VARS = ("ssh", "okubo_weiss_surface")
 
 @dataclass(frozen=True)
 class MPASOceanConfig:
-    """A campaign-scale MPAS-O configuration (the paper's Section IV-B)."""
+    """A campaign-scale MPAS-O configuration (the paper's Section IV-B).
 
-    resolution_km: float = 60.0
+    It is also a scenario's ``ocean`` section, so a bad value raises
+    :class:`~repro.errors.ScenarioError` at its scenario key.
+    """
+
+    resolution_km: float = GRID_RESOLUTION_KM
     n_vertical_levels: int = 60
     timestep_seconds: float = TIMESTEP_SECONDS
     duration_seconds: float = 6 * MONTH
@@ -49,16 +53,33 @@ class MPASOceanConfig:
     bytes_per_value: int = 8
 
     def __post_init__(self) -> None:
-        if self.resolution_km <= 0:
-            raise ConfigurationError(f"resolution must be positive: {self.resolution_km}")
-        if self.n_vertical_levels < 1:
-            raise ConfigurationError(f"need >= 1 vertical level: {self.n_vertical_levels}")
-        if self.timestep_seconds <= 0:
-            raise ConfigurationError(f"timestep must be positive: {self.timestep_seconds}")
-        if self.duration_seconds <= 0:
-            raise ConfigurationError(f"duration must be positive: {self.duration_seconds}")
+        if not self.resolution_km > 0:
+            raise ScenarioError(
+                "ocean.resolution_km", f"must be positive, got {self.resolution_km}"
+            )
+        if self.resolution_km == math.inf:
+            raise ScenarioError(
+                "ocean.resolution_km",
+                f"must be positive and finite, got {self.resolution_km}",
+            )
+        if not self.n_vertical_levels >= 1:
+            raise ScenarioError(
+                "ocean.vertical_levels", f"need >= 1 level, got {self.n_vertical_levels}"
+            )
+        if not 0 < self.timestep_seconds < math.inf:
+            raise ScenarioError(
+                "ocean.timestep",
+                f"must be positive and finite seconds, got {self.timestep_seconds}",
+            )
+        if not 0 < self.duration_seconds < math.inf:
+            raise ScenarioError(
+                "ocean.duration",
+                f"must be positive and finite seconds, got {self.duration_seconds}",
+            )
         if self.bytes_per_value not in (4, 8):
-            raise ConfigurationError(f"bytes_per_value must be 4 or 8: {self.bytes_per_value}")
+            raise ScenarioError(
+                "ocean.bytes_per_value", f"expected 4 or 8, got {self.bytes_per_value}"
+            )
 
     @property
     def n_cells(self) -> int:
@@ -99,15 +120,7 @@ class MPASOceanConfig:
 
     def scaled(self, duration_seconds: float) -> "MPASOceanConfig":
         """The same configuration run for a different simulated duration."""
-        return MPASOceanConfig(
-            resolution_km=self.resolution_km,
-            n_vertical_levels=self.n_vertical_levels,
-            timestep_seconds=self.timestep_seconds,
-            duration_seconds=duration_seconds,
-            vars_3d=self.vars_3d,
-            vars_2d=self.vars_2d,
-            bytes_per_value=self.bytes_per_value,
-        )
+        return replace(self, duration_seconds=duration_seconds)
 
 
 @dataclass(frozen=True)

@@ -227,7 +227,7 @@ class Pipeline(ABC):
             "renders_done": renders_done,
             "state_bytes": state_bytes,
             # When durability was reached — the timeline's checkpoint-age
-            # probe (and the checkpoint_overdue watch rule) read this.
+            # probe reads this.
             "t": sim.now,
         }
         obs.counter("repro_faults_checkpoints_total", pipeline=self.name)

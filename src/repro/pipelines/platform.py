@@ -323,8 +323,8 @@ class SimulatedPlatform:
         Probes cover all three layers the paper's figures resolve over time
         — the event engine, the storage cluster and the power models — plus
         a checkpoint-age series when the run checkpoints.  The watchdog gets
-        the default rule set, extended with cap/overdue rules when the
-        policy sets those limits.
+        the default rule set, extended with the power-cap rule when the
+        policy sets a cap.
         """
         from repro.obs.timeline import (
             DEFAULT_TIMELINE_POINTS,
@@ -347,12 +347,7 @@ class SimulatedPlatform:
                 * run_spec.ocean.n_timesteps
             )
             interval = estimate / DEFAULT_TIMELINE_POINTS
-        watchdog = Watchdog(
-            default_rules(
-                power_cap_watts=tcfg.power_cap_watts,
-                checkpoint_overdue_seconds=tcfg.checkpoint_overdue_seconds,
-            )
-        )
+        watchdog = Watchdog(default_rules(power_cap_watts=tcfg.power_cap_watts))
         sampler = TimelineSampler(
             self.sim,
             interval,

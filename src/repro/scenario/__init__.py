@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
+    from repro.errors import ScenarioError
     from repro.scenario.build import (
         build_engine,
         build_pipelines,
@@ -47,13 +48,10 @@ if TYPE_CHECKING:
         ExecutionConfig,
         ExperimentConfig,
         FaultsCampaignConfig,
-        ImagesConfig,
-        OceanConfig,
         PipelineConfig,
         PowerConfig,
         SamplingConfig,
         Scenario,
-        ScenarioError,
         StorageConfig,
         TelemetryConfig,
     )
@@ -66,8 +64,6 @@ __all__ = [
     "ExecutionConfig",
     "ExperimentConfig",
     "FaultsCampaignConfig",
-    "ImagesConfig",
-    "OceanConfig",
     "PipelineConfig",
     "PowerConfig",
     "SamplingConfig",

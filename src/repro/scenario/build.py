@@ -6,10 +6,13 @@ and engine the experiments run on.  The flag-driven CLI path goes through
 scenario and therefore the same objects — the byte-identical-telemetry
 guarantee holds by construction.
 
-The ``cluster`` and ``storage`` sections need no builder: they travel in
-every :class:`~repro.exec.api.RunRequest` as they are, and
+The ``cluster``, ``storage``, ``ocean`` and ``images`` sections need no
+builder.  The first two travel in every
+:class:`~repro.exec.api.RunRequest` as they are, and
 :meth:`~repro.pipelines.platform.SimulatedPlatform.from_topology` builds
-each run's fresh platform from them.  A scenario on the paper's testbed
+each run's fresh platform from them; the other two are the spec's
+:class:`~repro.ocean.driver.MPASOceanConfig` and
+:class:`~repro.viz.render.ImageSpec`.  A scenario on the paper's testbed
 builds a spec equal to the library default, so its requests share cache
 keys with plain library calls.
 """
@@ -20,48 +23,25 @@ import argparse
 from dataclasses import replace
 from typing import Optional, Tuple
 
+from repro.errors import ScenarioError
+from repro.ocean.driver import MPASOceanConfig
 from repro.scenario.schema import (
     ExecutionConfig,
     ExperimentConfig,
     FaultsCampaignConfig,
-    ImagesConfig,
-    OceanConfig,
     PowerConfig,
     SamplingConfig,
     Scenario,
-    ScenarioError,
     TelemetryConfig,
 )
 from repro.units import MONTH
 
 __all__ = [
-    "build_ocean",
-    "build_images",
     "build_spec",
     "build_pipelines",
     "build_engine",
     "scenario_from_args",
 ]
-
-
-def build_ocean(config: OceanConfig):
-    """The :class:`~repro.ocean.driver.MPASOceanConfig` a scenario describes."""
-    from repro.ocean.driver import MPASOceanConfig
-
-    return MPASOceanConfig(
-        resolution_km=config.resolution_km,
-        n_vertical_levels=config.vertical_levels,
-        timestep_seconds=config.timestep_seconds,
-        duration_seconds=config.duration_seconds,
-        bytes_per_value=config.bytes_per_value,
-    )
-
-
-def build_images(config: ImagesConfig):
-    """The :class:`~repro.viz.render.ImageSpec` a scenario describes."""
-    from repro.viz.render import ImageSpec
-
-    return ImageSpec(width=config.width, height=config.height)
 
 
 def build_spec(scenario: Scenario):
@@ -76,13 +56,11 @@ def build_spec(scenario: Scenario):
 
     if scenario.experiment.kind == "faults":
         return PipelineSpec(
-            ocean=build_ocean(scenario.ocean),
+            ocean=scenario.ocean,
             sampling=SamplingPolicy(scenario.sampling.intervals_hours[0]),
-            images=build_images(scenario.images),
+            images=scenario.images,
         )
-    return PipelineSpec(
-        ocean=build_ocean(scenario.ocean), images=build_images(scenario.images)
-    )
+    return PipelineSpec(ocean=scenario.ocean, images=scenario.images)
 
 
 def build_pipelines(scenario: Scenario) -> Optional[Tuple]:
@@ -215,7 +193,7 @@ def scenario_from_args(command: str, args: argparse.Namespace) -> Scenario:
             name="faults",
             experiment=ExperimentConfig(kind="faults"),
             sampling=SamplingConfig(intervals_hours=(args.interval,)),
-            ocean=OceanConfig(duration_seconds=args.months * MONTH),
+            ocean=MPASOceanConfig(duration_seconds=args.months * MONTH),
             faults=FaultsCampaignConfig(
                 seed=args.seed,
                 mtbf_hours=args.mtbf_hours,

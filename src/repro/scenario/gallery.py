@@ -14,8 +14,9 @@ import json
 import os
 from typing import List, Optional, Tuple
 
+from repro.errors import ScenarioError
 from repro.scenario.loader import load_scenario
-from repro.scenario.schema import SCENARIO_SCHEMA_VERSION, Scenario, ScenarioError
+from repro.scenario.schema import SCENARIO_SCHEMA_VERSION, Scenario
 
 __all__ = [
     "DEFAULT_GALLERY_DIR",

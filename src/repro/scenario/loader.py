@@ -18,23 +18,23 @@ import os
 import re
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
+from repro.errors import ScenarioError
+from repro.ocean.driver import MPASOceanConfig
 from repro.scenario.schema import (
     SCENARIO_SCHEMA_VERSION,
     ClusterConfig,
     ExecutionConfig,
     ExperimentConfig,
     FaultsCampaignConfig,
-    ImagesConfig,
-    OceanConfig,
     PipelineConfig,
     PowerConfig,
     SamplingConfig,
     Scenario,
-    ScenarioError,
     StorageConfig,
     TelemetryConfig,
 )
 from repro.units import DAY, HOUR, MB, MINUTE, MONTH, YEAR
+from repro.viz.render import ImageSpec
 
 __all__ = [
     "load_scenario",
@@ -244,7 +244,7 @@ _SECTION_SPECS: Dict[str, Dict[str, Tuple[str, Callable]]] = {
     },
     "ocean": {
         "resolution_km": ("resolution_km", _float),
-        "vertical_levels": ("vertical_levels", _int),
+        "vertical_levels": ("n_vertical_levels", _int),
         "timestep": ("timestep_seconds", parse_duration),
         "duration": ("duration_seconds", parse_duration),
         "bytes_per_value": ("bytes_per_value", _int),
@@ -292,8 +292,8 @@ _SECTION_TYPES = {
     "sampling": SamplingConfig,
     "cluster": ClusterConfig,
     "storage": StorageConfig,
-    "ocean": OceanConfig,
-    "images": ImagesConfig,
+    "ocean": MPASOceanConfig,
+    "images": ImageSpec,
     "faults": FaultsCampaignConfig,
     "power": PowerConfig,
     "execution": ExecutionConfig,

@@ -10,6 +10,11 @@ campaign, power cap, and the supervision/telemetry options.  Scenarios are
   misbehaving silently;
 * **frozen** — every section is an immutable dataclass, safe to share and
   to use as a dict key;
+* **spelled once** — the ``ocean`` and ``images`` sections *are* the run's
+  :class:`~repro.ocean.driver.MPASOceanConfig` and
+  :class:`~repro.viz.render.ImageSpec`; :meth:`Scenario.to_dict` writes
+  them under the scenario keys (``vertical_levels``, ``timestep``, ...)
+  and leaves out the variable lists and cameras, which no key sets;
 * **canonically serializable** — :meth:`Scenario.to_dict` resolves every
   quantity to its canonical unit (seconds, bytes, bytes/s) and every
   default to its value, so two files that *mean* the same experiment
@@ -23,9 +28,11 @@ campaign, power cap, and the supervision/telemetry options.  Scenarios are
   :class:`~repro.exec.cache.DiskCache` code version and labels the sweep
   journal, so any artifact traces back to its exact configuration.
 
-Validation failures raise :class:`ScenarioError` — a
+Validation failures raise :class:`~repro.errors.ScenarioError` — a
 :class:`~repro.errors.ConfigurationError` carrying the dotted path of the
-offending key, what was expected, and (where possible) a hint.
+offending key, what was expected, and (where possible) a hint.  The
+runtime configs raise it too, so a bad value names its scenario key
+however the config was built.
 """
 
 from __future__ import annotations
@@ -36,32 +43,29 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ScenarioError
+from repro.ocean.driver import MPASOceanConfig
 from repro.paper import (
     CADDY_NODES,
-    GRID_RESOLUTION_KM,
     SAMPLING_INTERVALS_HOURS,
     STORAGE_CAPACITY_BYTES,
     STORAGE_BANDWIDTH_BYTES_PER_S,
-    TIMESTEP_SECONDS,
     WHATIF_YEARS,
 )
 from repro.pipelines.staging import DEFAULT_STAGING_NODES
 from repro.power.meter import CageMonitor
-from repro.units import HOUR, MB, MONTH
+from repro.units import HOUR, MB
+from repro.viz.render import ImageSpec
 
 __all__ = [
     "SCENARIO_SCHEMA_VERSION",
     "EXPERIMENT_KINDS",
     "PIPELINE_KINDS",
-    "ScenarioError",
     "ExperimentConfig",
     "SamplingConfig",
     "ClusterConfig",
     "StorageConfig",
-    "OceanConfig",
     "PipelineConfig",
-    "ImagesConfig",
     "FaultsCampaignConfig",
     "PowerConfig",
     "ExecutionConfig",
@@ -81,19 +85,6 @@ PIPELINE_KINDS = ("in-situ", "post-processing", "in-transit")
 #: Cadences the Eq. 5 calibration trains on — a what-if scenario's grid
 #: must cover them (see :data:`repro.core.characterization.TRAINING_CONFIGS`).
 _CALIBRATION_INTERVALS = frozenset(SAMPLING_INTERVALS_HOURS)
-
-
-class ScenarioError(ConfigurationError):
-    """A structured scenario validation failure: path + message + hint."""
-
-    def __init__(self, path: str, message: str, hint: Optional[str] = None) -> None:
-        self.path = path
-        self.hint = hint
-        where = f"scenario.{path}" if path else "scenario"
-        full = f"{where}: {message}"
-        if hint:
-            full += f" (hint: {hint})"
-        super().__init__(full)
 
 
 def _require(condition: bool, path: str, message: str, hint: Optional[str] = None) -> None:
@@ -306,53 +297,6 @@ class StorageConfig:
 
 
 @dataclass(frozen=True)
-class OceanConfig:
-    """MPAS-Ocean campaign configuration (mirrors ``MPASOceanConfig``)."""
-
-    resolution_km: float = GRID_RESOLUTION_KM
-    vertical_levels: int = 60
-    timestep_seconds: float = TIMESTEP_SECONDS
-    duration_seconds: float = 6 * MONTH
-    bytes_per_value: int = 8
-
-    def __post_init__(self) -> None:
-        _require(
-            self.resolution_km > 0,
-            "ocean.resolution_km",
-            f"must be positive, got {self.resolution_km}",
-        )
-        _require(
-            self.vertical_levels >= 1,
-            "ocean.vertical_levels",
-            f"need >= 1 level, got {self.vertical_levels}",
-        )
-        _require(
-            0 < self.timestep_seconds < math.inf,
-            "ocean.timestep",
-            f"must be positive and finite seconds, got {self.timestep_seconds}",
-        )
-        _require(
-            0 < self.duration_seconds < math.inf,
-            "ocean.duration",
-            f"must be positive and finite seconds, got {self.duration_seconds}",
-        )
-        _require(
-            self.bytes_per_value in (4, 8),
-            "ocean.bytes_per_value",
-            f"expected 4 or 8, got {self.bytes_per_value}",
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "resolution_km": self.resolution_km,
-            "vertical_levels": self.vertical_levels,
-            "timestep": self.timestep_seconds,
-            "duration": self.duration_seconds,
-            "bytes_per_value": self.bytes_per_value,
-        }
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     """One pipeline selection in the grid."""
 
@@ -384,24 +328,6 @@ class PipelineConfig:
         if self.staging_nodes is not None:
             out["staging_nodes"] = self.staging_nodes
         return out
-
-
-@dataclass(frozen=True)
-class ImagesConfig:
-    """Output image parameters (mirrors ``ImageSpec``; default cameras)."""
-
-    width: int = 1920
-    height: int = 1080
-
-    def __post_init__(self) -> None:
-        _require(
-            self.width >= 8 and self.height >= 8,
-            "images.width",
-            f"image too small: {self.width}x{self.height}",
-        )
-
-    def to_dict(self) -> dict:
-        return {"width": self.width, "height": self.height}
 
 
 @dataclass(frozen=True)
@@ -575,10 +501,10 @@ class Scenario:
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     storage: StorageConfig = field(default_factory=StorageConfig)
-    ocean: OceanConfig = field(default_factory=OceanConfig)
+    ocean: MPASOceanConfig = field(default_factory=MPASOceanConfig)
     #: ``None`` means the experiment's default pipeline pair.
     pipelines: Optional[Tuple[PipelineConfig, ...]] = None
-    images: ImagesConfig = field(default_factory=ImagesConfig)
+    images: ImageSpec = field(default_factory=ImageSpec)
     #: Present iff ``experiment.kind == "faults"``.
     faults: Optional[FaultsCampaignConfig] = None
     power: PowerConfig = field(default_factory=PowerConfig)
@@ -677,13 +603,19 @@ class Scenario:
             "sampling": self.sampling.to_dict(),
             "cluster": self.cluster.to_dict(),
             "storage": self.storage.to_dict(),
-            "ocean": self.ocean.to_dict(),
+            "ocean": {
+                "resolution_km": self.ocean.resolution_km,
+                "vertical_levels": self.ocean.n_vertical_levels,
+                "timestep": self.ocean.timestep_seconds,
+                "duration": self.ocean.duration_seconds,
+                "bytes_per_value": self.ocean.bytes_per_value,
+            },
             "pipelines": (
                 None
                 if self.pipelines is None
                 else [p.to_dict() for p in self.pipelines]
             ),
-            "images": self.images.to_dict(),
+            "images": {"width": self.images.width, "height": self.images.height},
             "faults": None if self.faults is None else self.faults.to_dict(),
             "power": self.power.to_dict(),
             "execution": self.execution.to_dict(),

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ScenarioError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.topology import Interconnect
@@ -62,7 +62,12 @@ class Camera:
 
 @dataclass(frozen=True)
 class ImageSpec:
-    """Output image parameters for a pipeline."""
+    """Output image parameters for a pipeline.
+
+    It is also a scenario's ``images`` section (which sets no cameras), so
+    a frame too small raises :class:`~repro.errors.ScenarioError` at
+    ``images.width``.
+    """
 
     width: int = 1920
     height: int = 1080
@@ -70,7 +75,9 @@ class ImageSpec:
 
     def __post_init__(self) -> None:
         if self.width < 8 or self.height < 8:
-            raise ConfigurationError(f"image too small: {self.width}x{self.height}")
+            raise ScenarioError(
+                "images.width", f"image too small: {self.width}x{self.height}"
+            )
         if not self.cameras:
             raise ConfigurationError("need at least one camera")
 

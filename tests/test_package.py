@@ -461,6 +461,26 @@ class TestImportLayering:
         assert "repro.scenario.run" in loaded
         assert _not_loaded_but_loaded(loaded, _loaded_modules()) == []
 
+    def test_importtime_lists_every_module_characterize_loads(self):
+        """CI's import-tree artifact misses nothing: ``-X importtime`` reports
+        only what the import statement's machinery loads.  Nothing is timed."""
+        argv = ("characterize", "--intervals", "72")
+        out = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro", *argv],
+            capture_output=True, text=True, timeout=300, env=_example_env(),
+        )
+        assert out.returncode == 0, out.stderr[-2000:]
+        listed = [
+            line.rsplit("|", 1)[1].strip()
+            for line in out.stderr.splitlines()
+            if line.startswith("import time:")
+        ]
+
+        def repro_modules(names) -> list:
+            return sorted(n for n in names if n == "repro" or n.startswith("repro."))
+
+        assert repro_modules(listed) == repro_modules(_loaded_modules(*argv))
+
     def test_help_loads_nothing_characterize_does_not(self):
         loaded = _loaded_modules("--help")
         assert "repro.cli" in loaded

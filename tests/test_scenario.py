@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.ocean.driver import MPASOceanConfig
 from repro.scenario import (
     ClusterConfig,
     ExecutionConfig,
@@ -33,6 +34,8 @@ from repro.scenario.build import (
     build_spec,
     scenario_from_args,
 )
+from repro.units import MONTH
+from repro.viz.render import ImageSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 INF = float("inf")
@@ -90,6 +93,24 @@ class TestSchemaRoundTrip:
         )
         assert base.content_digest() != changed.content_digest()
         assert base.content_digest() != capped.content_digest()
+
+    def test_every_ocean_and_images_key_is_pinned_in_the_digest(self):
+        # Every key off its default; no template sets most of them.
+        s = parse_scenario(_minimal(
+            name="campaign",
+            ocean={"resolution_km": 120, "vertical_levels": 30, "timestep": "1 hour",
+                   "duration": "2 months", "bytes_per_value": 4},
+            images={"width": 640, "height": 480},
+        ))
+        assert s.ocean == MPASOceanConfig(
+            resolution_km=120.0, n_vertical_levels=30, timestep_seconds=3600.0,
+            duration_seconds=2 * MONTH, bytes_per_value=4,
+        )
+        assert s.images == ImageSpec(width=640, height=480)
+        assert s.content_digest() == (
+            "6080b6a080d6cc1085eb4dbc8c256bd86a984d1d3445f86c909817ce7e18ffaa"
+        )
+        assert parse_scenario(s.to_dict()) == s
 
     def test_unit_strings_resolve_to_canonical_defaults(self):
         spelled = parse_scenario(_minimal(
@@ -305,6 +326,7 @@ class TestValidationErrors:
             ({"experiment": {"kind": "whatif", "years": INF}}, "experiment.years"),
             ({"ocean": {"duration": INF}}, "ocean.duration"),
             ({"ocean": {"timestep": INF}}, "ocean.timestep"),
+            ({"ocean": {"resolution_km": INF}}, "ocean.resolution_km"),
         ],
     )
     def test_infinite_cadence_or_length_rejected(self, section, path):
@@ -312,6 +334,31 @@ class TestValidationErrors:
             parse_scenario(_minimal(**section))
         assert exc.value.path == path
         assert "inf" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "config, field, value, path",
+        [
+            *((MPASOceanConfig, "resolution_km", v, "ocean.resolution_km")
+              for v in (0.0, -60.0, NAN, INF)),
+            *((MPASOceanConfig, "n_vertical_levels", v, "ocean.vertical_levels")
+              for v in (0, -1)),
+            *((MPASOceanConfig, "timestep_seconds", v, "ocean.timestep")
+              for v in (0.0, -1800.0, NAN, INF)),
+            *((MPASOceanConfig, "duration_seconds", v, "ocean.duration")
+              for v in (0.0, -1.0, NAN, INF)),
+            (MPASOceanConfig, "bytes_per_value", 3, "ocean.bytes_per_value"),
+            *((ImageSpec, name, v, "images.width")
+              for name in ("width", "height") for v in (0, -8, 7)),
+        ],
+    )
+    def test_section_config_built_directly_names_its_key(
+        self, config, field, value, path
+    ):
+        """The runtime configs are the scenario's sections, so they check
+        themselves however they are built."""
+        with pytest.raises(ScenarioError) as exc:
+            config(**{field: value})
+        assert exc.value.path == path
 
     @pytest.mark.parametrize(
         "argv, path",
@@ -469,10 +516,8 @@ class TestBuilders:
         assert engine.policy == TaskPolicy()
 
     def test_faults_scenario_spec_matches_legacy_construction(self):
-        from repro.ocean.driver import MPASOceanConfig
         from repro.pipelines.base import PipelineSpec
         from repro.pipelines.sampling import SamplingPolicy
-        from repro.units import MONTH
 
         s = parse_scenario(_minimal(
             experiment={"kind": "faults"},
@@ -484,6 +529,16 @@ class TestBuilders:
             sampling=SamplingPolicy(24.0),
         )
         assert build_spec(s) == legacy
+
+    @pytest.mark.parametrize("template", ["ci-small.yaml", "mtbf-campaign.yaml"])
+    def test_spec_carries_the_scenario_sections(self, template):
+        s = load_scenario(
+            str(GALLERY_DIR / template),
+            ["ocean.vertical_levels=30", "images.width=640"],
+        )
+        spec = build_spec(s)
+        assert spec.ocean is s.ocean
+        assert spec.images is s.images
 
     def test_custom_topology_builds_platform_factory(self):
         from repro.pipelines.platform import SimulatedPlatform

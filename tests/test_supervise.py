@@ -4,6 +4,7 @@ helpers in ``repro.atomicio``."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -236,7 +237,7 @@ class TestByteIdentity:
 
         def run(directory, engine):
             with obs.session(str(directory), label="sweep", argv=["x"]):
-                engine.map([RunRequest.from_dict(r.to_dict()) for r in requests])
+                engine.map([dataclasses.replace(r) for r in requests])
             events = (directory / "events.jsonl").read_text().splitlines()
             # Drop volatile fields: timings and ids differ per process.
             scrubbed = []

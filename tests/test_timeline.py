@@ -184,10 +184,7 @@ class TestTimelineSampler:
 
     def test_config_round_trips(self):
         # The config reaches pool workers pickled inside their trace context.
-        cfg = obs.TimelineConfig(
-            interval_seconds=3.5, power_cap_watts=1_000.0,
-            checkpoint_overdue_seconds=60.0,
-        )
+        cfg = obs.TimelineConfig(interval_seconds=3.5, power_cap_watts=1_000.0)
         assert pickle.loads(pickle.dumps(cfg)) == cfg
         ctx = obs.TraceContext(trace_id="t", timeline=cfg)
         assert pickle.loads(pickle.dumps(ctx)).timeline == cfg
@@ -284,16 +281,9 @@ class TestWatchdog:
 
     def test_default_rules_gate_on_limits(self):
         names = {r.name for r in obs.default_rules()}
-        assert "power_cap_exceeded" not in names
-        assert "checkpoint_overdue" not in names
-        assert {"storage_fill_high", "ost_fill_high", "engine_queue_growth"} <= names
-        full = {
-            r.name
-            for r in obs.default_rules(
-                power_cap_watts=10_000.0, checkpoint_overdue_seconds=60.0
-            )
-        }
-        assert {"power_cap_exceeded", "checkpoint_overdue"} <= full
+        assert names == {"storage_fill_high", "ost_fill_high", "engine_queue_growth"}
+        capped = {r.name for r in obs.default_rules(power_cap_watts=10_000.0)}
+        assert capped == names | {"power_cap_exceeded"}
 
 
 # ------------------------------------------------ once-per-run bookkeeping
